@@ -16,10 +16,9 @@ from .errors import (AccuracyError, AdmissibilityError, ConfigError,
 from .fracops import (Hurst, Interval, PairingTable, bound_ratio,
                       dual_apply, increment_kernel, normalization_constant,
                       pairing_closed_form, pairing_indicator)
-from .kernels import (AdmissibilityResult, KernelArgument, KernelIndex,
-                      SeriesReport, admissibility, kernel_value,
-                      kernel_value_regularized, odd_kernel_zero,
-                      series_reconstruction)
+from .kernels import (KernelArgument, KernelIndex, SeriesReport,
+                      kernel_value, kernel_value_regularized,
+                      odd_kernel_zero, series_reconstruction)
 from .mc import (BLOCK, McEstimate, PathEnsemble, WhiteNoiseGrid,
                  covariance_from_kernels, fbm_covariance,
                  make_midpoint_times, mc_grid_bias,
@@ -30,11 +29,10 @@ from .quadrature import (QuadratureResult, SingularIntegrandSpec,
                          divergence_probe, integrate_interval,
                          integrate_triangle_singular,
                          triangle_power_moment)
-from .stransform import (DeltaSpec, UEstimateReport, exp_truncated,
-                         is_admissible, minimal_truncation_level,
-                         s_char_exp, s_delta, s_delta_regularized,
-                         s_delta_truncated, s_local_time,
-                         u_estimate_check)
+from .stransform import (AdmissibilityResult, DeltaSpec, UEstimateReport,
+                         admissibility, exp_truncated, is_admissible,
+                         minimal_truncation_level, s_char_exp, s_delta,
+                         s_local_time, u_estimate_check)
 from .testfunctions import (TestFunction, VectorTestFunction,
                             gaussian_bump, hermite_bundle,
                             hermite_function, linear_combination,
@@ -60,13 +58,12 @@ __all__ = [
     "integrate_triangle_singular", "triangle_power_moment",
     "divergence_probe",
     # S-transform
-    "DeltaSpec", "minimal_truncation_level", "is_admissible",
-    "exp_truncated", "s_char_exp", "s_delta", "s_delta_truncated",
-    "s_delta_regularized", "s_local_time", "u_estimate_check",
+    "DeltaSpec", "AdmissibilityResult", "admissibility",
+    "minimal_truncation_level", "is_admissible", "exp_truncated",
+    "s_char_exp", "s_delta", "s_local_time", "u_estimate_check",
     "UEstimateReport",
     # chaos kernels
-    "KernelIndex", "KernelArgument", "AdmissibilityResult",
-    "admissibility", "odd_kernel_zero", "kernel_value",
+    "KernelIndex", "KernelArgument", "odd_kernel_zero", "kernel_value",
     "kernel_value_regularized", "series_reconstruction", "SeriesReport",
     # Monte Carlo
     "BLOCK", "WhiteNoiseGrid", "PathEnsemble", "McEstimate",

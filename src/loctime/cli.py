@@ -41,7 +41,7 @@ from .errors import (AccuracyError, AdmissibilityError, ConfigError,
                      SingularPointError)
 from .fracops import (Interval, bound_ratio, increment_kernel,
                       normalization_constant, pairing_indicator)
-from .kernels import admissibility, odd_kernel_zero, series_reconstruction
+from .kernels import odd_kernel_zero, series_reconstruction
 from .mc import (WhiteNoiseGrid, covariance_from_kernels, fbm_covariance,
                  make_midpoint_times, mc_grid_bias,
                  mc_local_time_regularized, mc_s_transform, mc_weight_check,
@@ -298,13 +298,9 @@ def _run_stransform(cfg, threads):
 
 
 def _run_kernels(cfg, threads):
-    gate = admissibility(cfg.hurst, cfg.d, cfg.n_trunc)
-    if not gate.admissible and cfg.eps == 0.0:
-        raise AdmissibilityError(
-            f"2N(1-H) - dH must exceed -1, got {gate.exponent:g} for "
-            f"H = {cfg.hurst:g}, d = {cfg.d}, N = {cfg.n_trunc}; "
-            f"minimal N = {gate.minimal_n}", minimal_n=gate.minimal_n)
     spec = _delta_spec(cfg)
+    # Gate before building the test function: exit code 4 comes first.
+    spec.require_admissible()
     fb = _test_bundle(cfg)
     rep = series_reconstruction(spec, fb, max_order=cfg.n_trunc + 2,
                                 tol=cfg.tol)

@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import (AccuracyError, ConfigError, ConsistencyError,
                      SingularPointError)
-from .quadrature import QuadratureResult, integrate_interval
+from .quadrature import QuadratureResult, gauss_panels, integrate_interval
 from .testfunctions import TestFunction, VectorTestFunction
 
 __all__ = [
@@ -179,6 +179,19 @@ def increment_kernel(h, iv, x) -> np.ndarray | float:
     return float(out[0]) if scalar else out
 
 
+def _halving_edges(lo: float, hi: float, levels: int) -> np.ndarray:
+    """Increasing panel edges lo, ..., hi that halve toward lo.
+
+    The panels resolve endpoint behaviour at lo: the one next to lo has
+    width (hi - lo) / 2^levels.
+    """
+    edges = [hi]
+    for _ in range(levels):
+        edges.append(lo + 0.5 * (edges[-1] - lo))
+    edges.append(lo)
+    return np.array(edges[::-1])
+
+
 def _dual_apply_many(hu: Hurst, f: TestFunction, xs: np.ndarray,
                      tol: float) -> np.ndarray:
     """Dual operator at many points sharing one quadrature grid."""
@@ -194,29 +207,6 @@ def _dual_apply_many(hu: Hurst, f: TestFunction, xs: np.ndarray,
     if x_max + R <= 0.0:
         return np.zeros_like(xs)
 
-    def composite_nodes(lo, hi, n_panels, order):
-        gx, gw = np.polynomial.legendre.leggauss(order)
-        edges = np.linspace(lo, hi, n_panels + 1)
-        half = 0.5 * np.diff(edges)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        nodes = (mids[:, None] + half[:, None] * gx[None, :]).ravel()
-        weights = (half[:, None] * gw[None, :]).ravel()
-        return nodes, weights
-
-    def geometric_nodes(lo, hi, order, levels):
-        # Panels shrink toward lo by halving; resolves endpoint behaviour.
-        edges = [hi]
-        for _ in range(levels):
-            edges.append(lo + 0.5 * (edges[-1] - lo))
-        edges.append(lo)
-        edges = np.array(edges[::-1])
-        gx, gw = np.polynomial.legendre.leggauss(order)
-        half = 0.5 * np.diff(edges)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        nodes = (mids[:, None] + half[:, None] * gx[None, :]).ravel()
-        weights = (half[:, None] * gw[None, :]).ravel()
-        return nodes, weights
-
     if a > 0.0:
         # (K+ f)(x) = c_H a int_0^{x+R} f(x-u) u^(a-1) du.  Dyadic panels
         # toward u = 0 resolve the u^(a-1) weight; the head [0, delta0]
@@ -224,13 +214,8 @@ def _dual_apply_many(hu: Hurst, f: TestFunction, xs: np.ndarray,
         Y = x_max + R
         levels = 64
         delta0 = Y * 2.0 ** -levels
-        edges = Y * 2.0 ** -np.arange(levels + 1.0)
-        edges = edges[::-1]
-        gx, gw = np.polynomial.legendre.leggauss(24)
-        half = 0.5 * np.diff(edges)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        u = (mids[:, None] + half[:, None] * gx[None, :]).ravel()
-        uw = (half[:, None] * gw[None, :]).ravel() * u ** (a - 1.0)
+        u, uw = gauss_panels(_halving_edges(0.0, Y, levels)[1:], 24)
+        uw = uw * u ** (a - 1.0)
         vals = f.eval(xs[:, None] - u[None, :])
         head = f.eval(xs) * (delta0 ** a) / a
         return c * a * ((vals @ uw) + head)
@@ -245,7 +230,7 @@ def _dual_apply_many(hu: Hurst, f: TestFunction, xs: np.ndarray,
     else:
         delta = 0.25 * Y
     delta = min(delta, 0.25 * Y)
-    nodes, weights = geometric_nodes(delta, Y, 24, 60)
+    nodes, weights = gauss_panels(_halving_edges(delta, Y, 60), 24)
     ya1 = nodes ** (a - 1.0)
     fx = f.eval(xs)
     diff = fx[:, None] - f.eval(xs[:, None] - nodes[None, :])
@@ -291,13 +276,7 @@ def _pairing_component_dual(hu: Hurst, f: TestFunction, ivl: Interval,
         return 0.0
     # Pointwise error e on the dual values integrates to at most e * tau.
     point_tol = tol / max(ivl.tau, 1e-6)
-    gx, gw = np.polynomial.legendre.leggauss(32)
-    n_panels = 8
-    edges = np.linspace(ivl.s, ivl.t, n_panels + 1)
-    half = 0.5 * np.diff(edges)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    nodes = (mids[:, None] + half[:, None] * gx[None, :]).ravel()
-    weights = (half[:, None] * gw[None, :]).ravel()
+    nodes, weights = gauss_panels(np.linspace(ivl.s, ivl.t, 9), 32)
     vals = _dual_apply_many(hu, f, nodes, point_tol)
     return float(vals @ weights)
 
@@ -384,16 +363,7 @@ class PairingTable:
         # the substitution removes the u^a weight exactly.
         q = 1.0 / (1.0 + a)
         W = (1.0 + R) ** (1.0 + a)
-        gx, gw = np.polynomial.legendre.leggauss(24)
-        edges = [W]
-        for _ in range(48):
-            edges.append(edges[-1] * 0.5)
-        edges.append(0.0)
-        edges = np.array(edges[::-1])
-        half = 0.5 * np.diff(edges)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        w_nodes = (mids[:, None] + half[:, None] * gx[None, :]).ravel()
-        w_weights = (half[:, None] * gw[None, :]).ravel()
+        w_nodes, w_weights = gauss_panels(_halving_edges(0.0, W, 48), 24)
         u = w_nodes ** q
         self._splines = []
         self._derivs = []

@@ -25,17 +25,14 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product as _cartesian
-from typing import Callable
 
 import numpy as np
 
-from .errors import AdmissibilityError, ConfigError, NonIntegrableError
+from .errors import ConfigError, NonIntegrableError
 from .fracops import Hurst, PairingTable, _hurst, _kernel_scale
-from .quadrature import (QuadratureResult, SingularIntegrandSpec,
-                         integrate_triangle_singular)
-from .stransform import (DeltaSpec, _as_bundle, is_admissible,
-                         minimal_truncation_level)
+from .quadrature import SingularIntegrandSpec, integrate_triangle_singular
+from .stransform import (AdmissibilityResult, DeltaSpec, _as_bundle,
+                         _require_admissible, admissibility)
 
 __all__ = [
     "KernelIndex",
@@ -125,24 +122,6 @@ def _argument(arg, idx: KernelIndex) -> KernelArgument:
     return arg
 
 
-@dataclass(frozen=True)
-class AdmissibilityResult:
-    admissible: bool
-    exponent: float
-    minimal_n: int
-
-
-def admissibility(h, d: int, n_trunc: int) -> AdmissibilityResult:
-    """Gate 2N(1-H) - dH > -1 together with the smallest valid N."""
-    hu = _hurst(h)
-    if d < 1 or n_trunc < 0:
-        raise ConfigError(
-            f"need d >= 1 and N >= 0, got d={d}, N={n_trunc}")
-    expo = 2.0 * n_trunc * (1.0 - hu.h) - d * hu.h
-    return AdmissibilityResult(expo > -1.0, expo,
-                               minimal_truncation_level(hu, d))
-
-
 def odd_kernel_zero(idx) -> float:
     """Structural zero for any index with an odd component order.
 
@@ -156,15 +135,6 @@ def odd_kernel_zero(idx) -> float:
             f"index {idx.orders} has no odd component; its kernel is not "
             "a structural zero")
     return 0.0
-
-
-def _require_order(hu: Hurst, d: int, n: int) -> None:
-    gate = admissibility(hu, d, n)
-    if not gate.admissible:
-        raise AdmissibilityError(
-            f"kernel order 2n = {2 * n} with H={hu.h:g}, d={d} is not "
-            f"integrable: 2n(1-H) - dH = {gate.exponent:g} must exceed -1; "
-            f"minimal n = {gate.minimal_n}", minimal_n=gate.minimal_n)
 
 
 def _check_multiplicities(points: tuple[float, ...], a: float) -> None:
@@ -250,14 +220,13 @@ def kernel_value(h, idx, arg, tol: float = 1e-8) -> float:
     arg = _argument(arg, idx)
     d = idx.d
     n = idx.total
-    _require_order(hu, d, n)
+    alpha = -_require_admissible(hu, d, n).exponent
     points = arg.points
     if any(u >= 1.0 for u in points):
         return 0.0
     _check_multiplicities(points, hu.a)
 
     pref = (_TWO_PI ** (-0.5 * d) * (-0.5) ** n / idx.factorial_weight)
-    alpha = d * hu.h - 2.0 * n * (1.0 - hu.h)
     if n == 0:
         spec = SingularIntegrandSpec(alpha=alpha,
                                      g=lambda t1, tau: np.ones_like(t1),
@@ -319,16 +288,6 @@ def kernel_value_regularized(h, idx, eps: float, arg,
     return pref * integrate_triangle_singular(spec).value
 
 
-def _even_compositions(n: int, d: int):
-    """All (k_1,...,k_d) of nonnegative integers with sum n."""
-    if d == 1:
-        yield (n,)
-        return
-    for head in range(n + 1):
-        for rest in _even_compositions(n - head, d - 1):
-            yield (head,) + rest
-
-
 @dataclass(frozen=True)
 class SeriesReport:
     """Order-by-order reconstruction of the local-time S-transform."""
@@ -352,10 +311,11 @@ def series_reconstruction(spec: DeltaSpec, f, max_order: int,
 
     Each order n contributes
 
-        (2pi)^(-d/2) (-1/2)^n int_Delta w_n(tau)
-            sum_{|k|=n} prod_j v_j(t1,t2)^(2 k_j) / k_j!  dt1 dt2
+        (2pi)^(-d/2) (-1/2)^n / n!  int_Delta w_n(tau) |v(t1,t2)|^(2n)
 
-    with w_n = tau^(-(dH+2nH)) (eps = 0) or (eps+tau^(2H))^(-(n+d/2)),
+    (the sum over half-indices |k| = n of prod_j v_j^(2 k_j) / k_j!
+    collapses to |v|^(2n) / n! by the multinomial theorem), with
+    w_n = tau^(-(dH+2nH)) (eps = 0) or (eps+tau^(2H))^(-(n+d/2)),
     and v the pairing vector of f with the increment kernel.  The sum
     converges to s_local_time(spec, f); an insufficient max_order is
     reported through ``converged``/``last_term`` rather than raised.
@@ -368,8 +328,7 @@ def series_reconstruction(spec: DeltaSpec, f, max_order: int,
     bundle = _as_bundle(f, spec.d)
     table = PairingTable(spec.hurst, bundle)
     d = spec.d
-    h = spec.hurst.h
-    two_h = 2.0 * h
+    two_h = 2.0 * spec.hurst.h
     pref = _TWO_PI ** (-0.5 * d)
     orders = tuple(range(spec.n_trunc, max_order + 1))
     per_order_tol = tol / (2.0 * len(orders))
@@ -377,44 +336,24 @@ def series_reconstruction(spec: DeltaSpec, f, max_order: int,
     contributions = []
     errors = []
     for n in orders:
-        comps = list(_even_compositions(n, d))
-        weights = np.array([1.0 / np.prod([math.factorial(k) for k in comp])
-                            for comp in comps])
-        karr = np.array(comps)
-
+        scale = pref * (-0.5) ** n / math.factorial(n)
         if spec.eps == 0.0:
-            alpha = d * h - 2.0 * n * (1.0 - h)
 
-            def g(t1, tau, n=n, karr=karr, weights=weights):
+            def g(t1, tau, scale=scale, n=n):
                 if tau >= PairingTable._LINEAR_TAU:
                     vt = table.v_tau(t1, tau) / tau
                 else:
                     vt = table.v_rate(t1 + 0.5 * tau)
-                vt_sq = vt * vt
-                comb = np.zeros_like(t1)
-                for comp, w in zip(karr, weights):
-                    term = np.ones_like(t1)
-                    for j, k in enumerate(comp):
-                        if k:
-                            term = term * vt_sq[j] ** k
-                    comb = comb + w * term
-                return pref * (-0.5) ** n * comb
+                return scale * np.sum(vt * vt, axis=0) ** n
 
+            alpha = -admissibility(spec.hurst, d, n).exponent
             sing = SingularIntegrandSpec(alpha=alpha, g=g, tol=per_order_tol)
         else:
             power = -(n + 0.5 * d)
 
-            def g(t1, tau, n=n, karr=karr, weights=weights, power=power):
-                v_sq = table.v_tau(t1, tau) ** 2
-                comb = np.zeros_like(t1)
-                for comp, w in zip(karr, weights):
-                    term = np.ones_like(t1)
-                    for j, k in enumerate(comp):
-                        if k:
-                            term = term * v_sq[j] ** k
-                    comb = comb + w * term
-                return (pref * (-0.5) ** n
-                        * (spec.eps + tau ** two_h) ** power * comb)
+            def g(t1, tau, scale=scale, n=n, power=power):
+                return (scale * (spec.eps + tau ** two_h) ** power
+                        * table.v_norm_sq_tau(t1, tau) ** n)
 
             sing = SingularIntegrandSpec(alpha=0.0, g=g, tol=per_order_tol)
         res = integrate_triangle_singular(sing)

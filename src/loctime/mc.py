@@ -486,9 +486,9 @@ def _pair_sums(ens: PathEnsemble, eps: float, ju, ku, wpair,
                subtract=None, n_threads: int = 1) -> np.ndarray:
     """Per-path weighted pair sums of the Gaussian kernel.
 
-    Computes sum_{j<k} w_j w_k [p_eps(B_k - B_j) - subtract(dB, pair)]
-    for every path, in fixed chunk order (bit-identical for any thread
-    count; reductions avoid BLAS).
+    Computes sum_{j<k} w_j w_k [p_eps(dB) - subtract(|dB|^2)] with
+    dB = B_k - B_j for every path, in fixed chunk order (bit-identical
+    for any thread count; reductions avoid BLAS).
     """
     d = ens.d
     pref = (_TWO_PI * eps) ** (-0.5 * d)
@@ -510,7 +510,7 @@ def _pair_sums(ens: PathEnsemble, eps: float, ju, ku, wpair,
                 sq += db[:, :, c] ** 2
             phi = pref * np.exp(-0.5 * sq / eps)
             if subtract is not None:
-                phi -= subtract(db)
+                phi -= subtract(sq)
             vals[s - lo:e - lo] = np.sum(phi * wpair[None, :], axis=1)
         return vals
 
@@ -540,61 +540,46 @@ def mc_local_time_regularized(ens: PathEnsemble, eps: float,
     return _mc_reduce(per_path)
 
 
-def _hermite_even(x: np.ndarray, sigma_sq: np.ndarray, order: int) -> np.ndarray:
-    """Scaled probabilists' Hermite polynomial He_order^{sigma^2}(x).
-
-    He_n^{s}(x) = s^(n/2) He_n(x / sqrt(s)), vectorized with sigma_sq
-    broadcast along the pair axis.  The s -> 0 limit is x^n, reached by
-    pairs whose increment is unresolved by the noise grid.
-    """
-    if order == 0:
-        return np.ones_like(x)
-    sig = np.sqrt(sigma_sq)
-    zero = sig == 0.0
-    safe = np.where(zero, 1.0, sig)
-    coeffs = np.zeros(order + 1)
-    coeffs[order] = 1.0
-    z = x / safe[None, :, None]
-    out = safe[None, :, None] ** order * np.polynomial.hermite_e.hermeval(
-        z, coeffs)
-    if np.any(zero):
-        out[:, zero, :] = x[:, zero, :] ** order
-    return out
-
-
 def _truncation_subtractor(n_trunc: int, d: int, eps: float,
                            sigma_sq: np.ndarray):
-    """Per-pair function removing chaos orders below n_trunc.
+    """Per-pair function of r^2 = |dB|^2 removing chaos orders below n_trunc.
 
     The order-2k Hermite projection of p_eps(dB) for a centered
-    Gaussian pair increment of per-component variance sigma^2 is
+    Gaussian pair increment of per-component variance s = sigma^2 is
 
-        (2 pi (eps + s))^{-d/2} (-1/2)^k (eps + s)^{-k}
-            sum_{|m| = k} prod_j He_{2 m_j}^{s}(dB_j) / m_j!
+        (2 pi w)^{-d/2} (-1/2)^k w^{-k}
+            sum_{|m| = k} prod_j He_{2 m_j}^{s}(dB_j) / m_j!,
 
-    with s = sigma^2; subtracting k < n_trunc makes the weighted
-    estimator close exactly onto exp_N in the discrete model.
+    w = eps + s.  By the Hermite-Laguerre generating functions (DLMF
+    18.12) the sum is (-2s)^k L_k^{(d/2-1)}(r^2 / (2s)), that is
+
+        sum_{i<=k} (-1)^(k+i) 2^(k-i) C(k+d/2-1, k-i) s^(k-i) r^(2i) / i!,
+
+    a polynomial that needs no division by s and equals r^(2k)/k! at
+    s = 0 (pairs whose increment the noise grid does not resolve).
+    Subtracting k < n_trunc makes the weighted estimator close exactly
+    onto exp_N in the discrete model.  The orders are summed here into
+    one polynomial in r^2 with per-pair coefficients.
     """
     if n_trunc == 0:
         return None
-    from .kernels import _even_compositions
-
+    alpha = 0.5 * d - 1.0
     w_tot = eps + sigma_sq
     base = (_TWO_PI * w_tot) ** (-0.5 * d)
+    coeffs = []
+    for i in range(n_trunc):
+        acc = np.zeros_like(sigma_sq)
+        for k in range(i, n_trunc):
+            binom = math.gamma(k + alpha + 1.0) / (
+                math.gamma(k - i + 1.0) * math.gamma(alpha + i + 1.0))
+            acc = acc + binom * sigma_sq ** (k - i) * w_tot ** (-k)
+        # (-1/2)^k (-1)^(k+i) 2^(k-i) = (-1/2)^i
+        coeffs.append(base * (-0.5) ** i / math.factorial(i) * acc)
 
-    def subtract(db: np.ndarray) -> np.ndarray:
-        he = {}
-        for q in range(n_trunc):
-            he[2 * q] = _hermite_even(db, sigma_sq, 2 * q)
-        out = np.zeros(db.shape[:2])
-        for k in range(n_trunc):
-            comb = np.zeros(db.shape[:2])
-            for comp in _even_compositions(k, d):
-                term = np.ones(db.shape[:2])
-                for j, q in enumerate(comp):
-                    term = term * he[2 * q][:, :, j] / math.factorial(q)
-                comb += term
-            out += base[None, :] * (-0.5) ** k * w_tot[None, :] ** (-k) * comb
+    def subtract(r_sq: np.ndarray) -> np.ndarray:
+        out = coeffs[-1]
+        for c in reversed(coeffs[:-1]):
+            out = out * r_sq + c
         return out
 
     return subtract

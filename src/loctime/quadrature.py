@@ -44,6 +44,7 @@ from .errors import AccuracyError, NonIntegrableError
 __all__ = [
     "QuadratureResult",
     "SingularIntegrandSpec",
+    "gauss_panels",
     "integrate_interval",
     "integrate_triangle_singular",
     "triangle_power_moment",
@@ -74,6 +75,21 @@ def _leggauss(order: int):
     return x, w
 
 
+def gauss_panels(edges, order: int):
+    """Composite Gauss-Legendre rule on the panels between ``edges``.
+
+    ``edges`` are increasing panel boundaries; returns flat arrays of
+    nodes and weights, ``order`` per panel, panel by panel.
+    """
+    gx, gw = _leggauss(order)
+    edges = np.asarray(edges, dtype=float)
+    half = 0.5 * np.diff(edges)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    nodes = (mids[:, None] + half[:, None] * gx[None, :]).ravel()
+    weights = (half[:, None] * gw[None, :]).ravel()
+    return nodes, weights
+
+
 def _panel_eval(f, lo: float, hi: float, order: int) -> float:
     x, w = _leggauss(order)
     half = 0.5 * (hi - lo)
@@ -97,40 +113,24 @@ def _wrap_counted(f, counter: _Counter):
     return g
 
 
-def _sub_left(f, p: float, sigma: float):
-    """Transform away ``(x - p)^sigma`` behaviour at the left endpoint.
+def _substitute(f, p: float, sigma: float, side: float):
+    """Transform away ``|x - p|^sigma`` behaviour at an endpoint.
 
-    Nodes whose offset ``w**q`` rounds ``p + w**q`` back to ``p`` exactly
-    are dropped (contribute zero): the integrand cannot be evaluated at
-    the mark itself, and everything inside one ulp of ``p`` is below the
-    resolution of double-precision abscissae anyway.  Callers who need
-    the mass of that sub-ulp neighbourhood must integrate the offending
-    strip in exact distance coordinates themselves; for marks at
-    ``p = 0`` the offset is exact and only the denormal range (mass
-    around 1e-60) is lost.
+    ``side`` is +1 for the left endpoint (x = p + w**q) and -1 for the
+    right one (x = p - w**q).  Nodes whose offset ``w**q`` rounds
+    ``p + side * w**q`` back to ``p`` exactly are dropped (contribute
+    zero): the integrand cannot be evaluated at the mark itself, and
+    everything inside one ulp of ``p`` is below the resolution of
+    double-precision abscissae anyway.  Callers who need the mass of
+    that sub-ulp neighbourhood must integrate the offending strip in
+    exact distance coordinates themselves; for marks at ``p = 0`` the
+    offset is exact and only the denormal range (mass around 1e-60) is
+    lost.
     """
     q = 1.0 / (1.0 + sigma)
 
     def g(w):
-        x = p + w ** q
-        out = np.zeros_like(x)
-        ok = x != p
-        if np.any(ok):
-            out[ok] = f(x[ok]) * (q * w[ok] ** (q - 1.0))
-        return out
-
-    return g
-
-
-def _sub_right(f, p: float, sigma: float):
-    """Transform away ``(p - x)^sigma`` behaviour at the right endpoint.
-
-    Same sub-ulp guard as ``_sub_left``.
-    """
-    q = 1.0 / (1.0 + sigma)
-
-    def g(w):
-        x = p - w ** q
+        x = p + side * w ** q
         out = np.zeros_like(x)
         ok = x != p
         if np.any(ok):
@@ -243,16 +243,17 @@ def integrate_interval(f: Callable[[np.ndarray], np.ndarray],
         # a w^(q-1) blow-up from the smooth additive part.
         sub_a = sa is not None and sa < 0.0
         sub_b = sb is not None and sb < 0.0
-        if sub_a and sub_b:
-            m = 0.5 * (a + b)
-            branches.append((_sub_left(fc, a, sa), 0.0, (m - a) ** (1.0 + sa)))
-            branches.append((_sub_right(fc, b, sb), 0.0, (b - m) ** (1.0 + sb)))
-        elif sub_a:
-            branches.append((_sub_left(fc, a, sa), 0.0, (b - a) ** (1.0 + sa)))
-        elif sub_b:
-            branches.append((_sub_right(fc, b, sb), 0.0, (b - a) ** (1.0 + sb)))
-        else:
+        if not (sub_a or sub_b):
             branches.append((fc, a, b))
+            continue
+        # Both ends singular: split at the midpoint m, one branch each.
+        m = 0.5 * (a + b) if sub_a and sub_b else (b if sub_a else a)
+        if sub_a:
+            branches.append((_substitute(fc, a, sa, 1.0), 0.0,
+                             (m - a) ** (1.0 + sa)))
+        if sub_b:
+            branches.append((_substitute(fc, b, sb, -1.0), 0.0,
+                             (b - m) ** (1.0 + sb)))
 
     value, err = _run_adaptive(branches, tol, order, max_panels, strict,
                                "integrate_interval")

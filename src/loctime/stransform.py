@@ -40,18 +40,18 @@ import numpy as np
 from .errors import AdmissibilityError, ConfigError
 from .fracops import Hurst, Interval, PairingTable, _hurst, pairing_closed_form
 from .quadrature import (QuadratureResult, SingularIntegrandSpec,
-                         integrate_triangle_singular)
+                         gauss_panels, integrate_triangle_singular)
 from .testfunctions import TestFunction, VectorTestFunction
 
 __all__ = [
+    "AdmissibilityResult",
     "DeltaSpec",
+    "admissibility",
     "minimal_truncation_level",
     "is_admissible",
     "exp_truncated",
     "s_char_exp",
     "s_delta",
-    "s_delta_truncated",
-    "s_delta_regularized",
     "s_local_time",
     "u_estimate_check",
     "UEstimateReport",
@@ -60,29 +60,46 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 
 
-def is_admissible(h, d: int, n_trunc: int) -> bool:
-    """True when tau^(2N(1-H) - dH) is integrable on the triangle."""
+@dataclass(frozen=True)
+class AdmissibilityResult:
+    admissible: bool
+    exponent: float
+    minimal_n: int
+
+
+def admissibility(h, d: int, n_trunc: int) -> AdmissibilityResult:
+    """Gate 2N(1-H) - dH > -1 together with the smallest valid N."""
     hu = _hurst(h)
-    return 2.0 * n_trunc * (1.0 - hu.h) - d * hu.h > -1.0
-
-
-def minimal_truncation_level(h, d: int) -> int:
-    """Smallest N >= 0 making (H, d, N) admissible."""
-    hu = _hurst(h)
-    q = (d * hu.h - 1.0) / (2.0 * (1.0 - hu.h))
-    if q < 0.0:
-        return 0
-    return int(math.floor(q)) + 1
-
-
-def _check_spec_dims(d: int, n_trunc: int, eps: float) -> None:
     if d < 1 or d != int(d):
         raise ConfigError(f"dimension must be a positive integer, got {d}")
     if n_trunc < 0 or n_trunc != int(n_trunc):
         raise ConfigError(
             f"truncation level must be a nonnegative integer, got {n_trunc}")
-    if eps < 0.0 or not math.isfinite(eps):
-        raise ConfigError(f"regularization eps must be >= 0, got {eps}")
+    expo = 2.0 * n_trunc * (1.0 - hu.h) - d * hu.h
+    q = (d * hu.h - 1.0) / (2.0 * (1.0 - hu.h))
+    n_min = 0 if q < 0.0 else int(math.floor(q)) + 1
+    return AdmissibilityResult(expo > -1.0, expo, n_min)
+
+
+def _require_admissible(h, d: int, n_trunc: int) -> AdmissibilityResult:
+    """The gate's result, or ``AdmissibilityError`` when it is closed."""
+    gate = admissibility(h, d, n_trunc)
+    if not gate.admissible:
+        raise AdmissibilityError(
+            f"(H={_hurst(h).h:g}, d={d}, N={n_trunc}) is not admissible: "
+            f"2N(1-H) - dH = {gate.exponent:g} must exceed -1; "
+            f"minimal N = {gate.minimal_n}", minimal_n=gate.minimal_n)
+    return gate
+
+
+def is_admissible(h, d: int, n_trunc: int) -> bool:
+    """True when tau^(2N(1-H) - dH) is integrable on the triangle."""
+    return admissibility(h, d, n_trunc).admissible
+
+
+def minimal_truncation_level(h, d: int) -> int:
+    """Smallest N >= 0 making (H, d, N) admissible."""
+    return admissibility(h, d, 0).minimal_n
 
 
 @dataclass(frozen=True)
@@ -96,41 +113,35 @@ class DeltaSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "hurst", _hurst(self.hurst))
-        _check_spec_dims(self.d, self.n_trunc, self.eps)
+        admissibility(self.hurst, self.d, self.n_trunc)  # validates d, N
+        if self.eps < 0.0 or not math.isfinite(self.eps):
+            raise ConfigError(
+                f"regularization eps must be >= 0, got {self.eps}")
 
     @property
     def admissible(self) -> bool:
-        return is_admissible(self.hurst, self.d, self.n_trunc)
+        return admissibility(self.hurst, self.d, self.n_trunc).admissible
 
     @property
     def singular_exponent(self) -> float:
         """Exponent alpha with integrand tau^(-alpha) * bounded."""
-        h = self.hurst.h
-        return self.d * h - 2.0 * self.n_trunc * (1.0 - h)
+        return -admissibility(self.hurst, self.d, self.n_trunc).exponent
 
     def require_admissible(self) -> None:
-        if self.eps == 0.0 and not self.admissible:
-            n_min = minimal_truncation_level(self.hurst, self.d)
-            h = self.hurst.h
-            raise AdmissibilityError(
-                f"(H={h:g}, d={self.d}, N={self.n_trunc}) is not admissible: "
-                f"2N(1-H) - dH must exceed -1; minimal N = {n_min}",
-                minimal_n=n_min)
+        if self.eps == 0.0:
+            _require_admissible(self.hurst, self.d, self.n_trunc)
 
 
-_EXP_GAUSS = np.polynomial.legendre.leggauss(48)
+def _tail_integral(xs: np.ndarray, n: int) -> np.ndarray:
+    """int_0^1 e^{x u} (1-u)^(n-1) du for n >= 1, vectorized over x.
 
-
-def _unit_rule(amax: float):
-    """Gauss nodes and weights on [0, 1], split so panels span |x| <= 50."""
+    Fixed 48-point Gauss panels on [0, 1], split so each panel spans
+    |x u| <= 50, keep 1e-12 relative accuracy.
+    """
+    amax = float(np.max(np.abs(xs))) if xs.size else 0.0
     n_panels = max(1, int(math.ceil(amax / 50.0)))
-    gx, gw = _EXP_GAUSS
-    edges = np.linspace(0.0, 1.0, n_panels + 1)
-    half = 0.5 * np.diff(edges)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    u = (mids[:, None] + half[:, None] * gx[None, :]).ravel()
-    w = (half[:, None] * gw[None, :]).ravel()
-    return u, w
+    u, w = gauss_panels(np.linspace(0.0, 1.0, n_panels + 1), 48)
+    return (np.exp(xs[:, None] * u[None, :]) * (1.0 - u[None, :]) ** (n - 1)) @ w
 
 
 def exp_truncated(x, n: int):
@@ -152,10 +163,7 @@ def exp_truncated(x, n: int):
         out = np.exp(xs)
         return float(out[0]) if scalar else out
 
-    amax = float(np.max(np.abs(xs))) if xs.size else 0.0
-    u, w = _unit_rule(amax)
-    integ = (np.exp(xs[:, None] * u[None, :]) * (1.0 - u[None, :]) ** (n - 1)) @ w
-    out = xs ** n / math.factorial(n - 1) * integ
+    out = xs ** n / math.factorial(n - 1) * _tail_integral(xs, n)
     # exp_N(0) = 0 exactly for N >= 1.
     out[xs == 0.0] = 0.0
     return float(out[0]) if scalar else out
@@ -171,10 +179,7 @@ def _exp_tail_ratio(y, n: int):
     ys = np.atleast_1d(np.asarray(y, dtype=float))
     if n == 0:
         return np.exp(-ys)
-    amax = float(np.max(ys)) if ys.size else 0.0
-    u, w = _unit_rule(amax)
-    return n * ((np.exp(-ys[:, None] * u[None, :])
-                 * (1.0 - u[None, :]) ** (n - 1)) @ w)
+    return n * _tail_integral(-ys, n)
 
 
 def s_char_exp(h, lam, s: float, t: float, f, tol: float = 1e-8) -> complex:
@@ -210,38 +215,15 @@ def _pairing_vec(spec: DeltaSpec, f, t1: float, t2: float, tol: float):
 
 def s_delta(spec: DeltaSpec, t1: float, t2: float, f,
             tol: float = 1e-10) -> float:
-    """S-transform of the bare delta functional at times (t1, t2)."""
-    if t1 == t2:
+    """S-transform of the delta functional of ``spec`` at times (t1, t2).
+
+    (2 pi w)^(-d/2) exp_N(-|v|^2 / (2 w)) with w = eps + tau^(2H); the
+    bare delta is N = 0, eps = 0.  Coincident times need eps > 0.
+    """
+    if t1 == t2 and spec.eps == 0.0:
         raise ConfigError("degenerate time pair: t1 = t2 requires eps > 0")
-    v = _pairing_vec(spec, f, t1, t2, tol)
-    tau = abs(t2 - t1)
-    h = spec.hurst.h
-    return (_TWO_PI ** (-0.5 * spec.d) * tau ** (-spec.d * h)
-            * math.exp(-0.5 * float(v @ v) / tau ** (2.0 * h)))
-
-
-def s_delta_truncated(spec: DeltaSpec, t1: float, t2: float, f,
-                      tol: float = 1e-10) -> float:
-    """Same with the first N chaos orders removed via exp_N."""
-    if t1 == t2:
-        raise ConfigError("degenerate time pair: t1 = t2 requires eps > 0")
-    v = _pairing_vec(spec, f, t1, t2, tol)
-    tau = abs(t2 - t1)
-    h = spec.hurst.h
-    return (_TWO_PI ** (-0.5 * spec.d) * tau ** (-spec.d * h)
-            * float(exp_truncated(-0.5 * float(v @ v) / tau ** (2.0 * h),
-                                  spec.n_trunc)))
-
-
-def s_delta_regularized(spec: DeltaSpec, t1: float, t2: float, f,
-                        tol: float = 1e-10) -> float:
-    """Regularized variant, finite for all t1, t2 when eps > 0."""
-    if spec.eps == 0.0:
-        return s_delta_truncated(spec, t1, t2, f, tol)
     v = _pairing_vec(spec, f, t1, t2, tol) if t1 != t2 else np.zeros(spec.d)
-    tau = abs(t2 - t1)
-    h = spec.hurst.h
-    w = spec.eps + tau ** (2.0 * h)
+    w = spec.eps + abs(t2 - t1) ** (2.0 * spec.hurst.h)
     return ((_TWO_PI * w) ** (-0.5 * spec.d)
             * float(exp_truncated(-0.5 * float(v @ v) / w, spec.n_trunc)))
 

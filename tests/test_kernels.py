@@ -8,8 +8,10 @@ from loctime.kernels import (AdmissibilityResult, KernelArgument, KernelIndex,
                              admissibility, kernel_value,
                              kernel_value_regularized, odd_kernel_zero,
                              series_reconstruction)
+from loctime.cli import main
 from loctime.quadrature import triangle_power_moment
-from loctime.stransform import DeltaSpec, s_local_time
+from loctime.stransform import (DeltaSpec, is_admissible,
+                                minimal_truncation_level, s_local_time)
 from loctime.testfunctions import (VectorTestFunction, gaussian_bump,
                                    zero_bundle)
 
@@ -71,6 +73,28 @@ class TestAdmissibilityGate:
             admissibility(0.5, 0, 0)
         with pytest.raises(ConfigError):
             admissibility(0.5, 1, -1)
+        with pytest.raises(ConfigError):
+            is_admissible(0.5, 0, 0)
+        with pytest.raises(ConfigError):
+            minimal_truncation_level(0.5, 0)
+        with pytest.raises(ConfigError):
+            admissibility(0.5, 1.5, 0)
+
+    def test_one_message_everywhere(self, tmp_path, capsys):
+        messages = []
+        for call in (
+                lambda: s_local_time(DeltaSpec(0.5, 2, 0), zero_bundle(2)),
+                lambda: kernel_value(0.5, (0, 0), ((), ())),
+                lambda: series_reconstruction(DeltaSpec(0.5, 2, 0),
+                                              zero_bundle(2), 0)):
+            with pytest.raises(AdmissibilityError) as exc:
+                call()
+            messages.append(str(exc.value))
+        assert len(set(messages)) == 1
+        assert "minimal N = 1" in messages[0]
+        assert main(["kernels", "--H", "0.5", "--d", "2", "--N", "0",
+                     "--out", str(tmp_path)]) == 4
+        assert messages[0] in capsys.readouterr().err
 
     def test_inadmissible_order_raises(self):
         with pytest.raises(AdmissibilityError) as exc:

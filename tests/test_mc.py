@@ -1,11 +1,16 @@
+import itertools
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from numpy.polynomial import hermite_e
 
 from loctime.errors import ConfigError
 from loctime.fracops import Hurst, Interval, increment_kernel
 from loctime.mc import (McEstimate, PathEnsemble, WhiteNoiseGrid,
+                        _truncation_subtractor,
                         covariance_from_kernels, fbm_covariance,
                         make_midpoint_times, mc_grid_bias,
                         mc_local_time_regularized, mc_s_transform,
@@ -470,6 +475,71 @@ class TestEstimators:
         const = (_discrete_transform(ens, f, eps, 0)
                  - _discrete_transform(ens, f, eps, 1))
         assert full.mean - trunc.mean == pytest.approx(const, rel=1e-10)
+
+
+def _hermite_subtractor(n_trunc, d, eps, sigma_sq, db):
+    """Composition-sum oracle for the truncation subtractor.
+
+    Sums (2 pi w)^{-d/2} (-1/2)^k w^{-k} prod_j He_{2 m_j}^{s}(dB_j) / m_j!
+    over k < n_trunc and every half-index |m| = k, with w = eps + s and
+    He_n^{s}(x) = s^(n/2) He_n(x / sqrt(s)) (x^n at s = 0).  Returns the
+    sum and the largest magnitude of a single term.
+    """
+    w = eps + sigma_sq
+    base = (2.0 * math.pi * w) ** (-0.5 * d)
+    sig = np.sqrt(sigma_sq)
+    safe = np.where(sig == 0.0, 1.0, sig)
+    out = np.zeros(db.shape[:2])
+    largest = 0.0
+    for k in range(n_trunc):
+        for m in itertools.product(range(k + 1), repeat=d):
+            if sum(m) != k:
+                continue
+            term = base * (-0.5) ** k * w ** (-k) * np.ones(db.shape[:2])
+            for j, mj in enumerate(m):
+                coeffs = np.zeros(2 * mj + 1)
+                coeffs[-1] = 1.0
+                x = db[:, :, j]
+                he = np.where(sig == 0.0, x ** (2 * mj),
+                              safe ** (2 * mj)
+                              * hermite_e.hermeval(x / safe, coeffs))
+                term = term * he / math.factorial(mj)
+            out += term
+            largest = max(largest, float(np.max(np.abs(term))))
+    return out, largest
+
+
+class TestTruncationSubtractor:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n_trunc", [1, 2, 3, 4])
+    def test_matches_hermite_composition_sum(self, d, n_trunc):
+        rng = np.random.default_rng(10 * d + n_trunc)
+        sigma_sq = rng.uniform(0.0, 0.5, 40)
+        sigma_sq[::7] = 0.0
+        db = rng.normal(size=(5, 40, d)) * np.sqrt(sigma_sq + 0.01)[:, None]
+        eps = 0.05
+        subtract = _truncation_subtractor(n_trunc, d, eps, sigma_sq)
+        got = subtract(np.sum(db * db, axis=2))
+        want, largest = _hermite_subtractor(n_trunc, d, eps, sigma_sq, db)
+        assert np.max(np.abs(got - want)) <= 1e-10 * largest
+
+    def test_truncated_estimator_imports_no_scipy(self):
+        # Importing scipy costs more than the whole Monte Carlo setup.
+        code = (
+            "import sys\n"
+            "from loctime.mc import (WhiteNoiseGrid, make_midpoint_times,\n"
+            "                        mc_s_transform, sample_paths_whitenoise)\n"
+            "from loctime.testfunctions import hermite_bundle\n"
+            "ens = sample_paths_whitenoise(0.6, 2, make_midpoint_times(8),\n"
+            "                              WhiteNoiseGrid(n_cells=256), 64)\n"
+            "mc_s_transform(ens, hermite_bundle((0, 1)).scaled(0.5), 0.05,\n"
+            "               n_trunc=2)\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] == 'scipy'))\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestGridBias:

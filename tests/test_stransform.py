@@ -10,7 +10,6 @@ from loctime.fracops import PairingTable
 from loctime.quadrature import triangle_power_moment
 from loctime.stransform import (DeltaSpec, exp_truncated, is_admissible,
                                 minimal_truncation_level, s_char_exp, s_delta,
-                                s_delta_regularized, s_delta_truncated,
                                 s_local_time, u_estimate_check)
 from loctime.testfunctions import (VectorTestFunction, gaussian_bump,
                                    zero_bundle, zero_function)
@@ -169,7 +168,7 @@ class TestPointwiseTransforms:
         with pytest.raises(ConfigError):
             s_delta(DeltaSpec(0.5, 1), 0.4, 0.4, bump())
         with pytest.raises(ConfigError):
-            s_delta_truncated(DeltaSpec(0.5, 1, 1), 0.4, 0.4, bump())
+            s_delta(DeltaSpec(0.5, 1, 1), 0.4, 0.4, bump())
 
     def test_truncation_removes_constant_term(self):
         # exp(-y) - exp_1(-y) = 1, so the bare and once-truncated
@@ -180,7 +179,7 @@ class TestPointwiseTransforms:
         t1, t2 = 0.25, 0.65
         tau = t2 - t1
         diff = (s_delta(spec0, t1, t2, f)
-                - s_delta_truncated(spec1, t1, t2, f))
+                - s_delta(spec1, t1, t2, f))
         want = TWO_PI ** -0.5 * tau ** (-0.6)
         assert abs(diff - want) < 1e-10
 
@@ -188,19 +187,19 @@ class TestPointwiseTransforms:
         f = bump()
         spec = DeltaSpec(0.5, 1, 0, eps=1e-12)
         bare = s_delta(DeltaSpec(0.5, 1), 0.3, 0.7, f)
-        reg = s_delta_regularized(spec, 0.3, 0.7, f)
+        reg = s_delta(spec, 0.3, 0.7, f)
         assert abs(reg - bare) < 1e-9 * bare
-        # eps = 0 falls through to the truncated form
+        # eps = 0 is the same formula, not a separate branch
         spec0 = DeltaSpec(0.5, 1, 0, eps=0.0)
-        assert (s_delta_regularized(spec0, 0.3, 0.7, f)
-                == s_delta_truncated(spec0, 0.3, 0.7, f))
+        assert (s_delta(spec0, 0.3, 0.7, f)
+                == s_delta(spec0, 0.3, 0.7, f))
 
     def test_regularized_coincident_times(self):
         f = bump()
-        got = s_delta_regularized(DeltaSpec(0.5, 1, 0, eps=0.04), 0.4, 0.4, f)
+        got = s_delta(DeltaSpec(0.5, 1, 0, eps=0.04), 0.4, 0.4, f)
         assert abs(got - (TWO_PI * 0.04) ** -0.5) < 1e-12
         # truncated at N >= 1: exp_N(0) = 0
-        got1 = s_delta_regularized(DeltaSpec(0.5, 1, 1, eps=0.04), 0.4, 0.4, f)
+        got1 = s_delta(DeltaSpec(0.5, 1, 1, eps=0.04), 0.4, 0.4, f)
         assert got1 == 0.0
 
 
