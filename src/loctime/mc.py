@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, ConsistencyError
+from .errors import AccuracyError, ConfigError, ConsistencyError
 from .fracops import Hurst, Interval, _hurst, _kernel_scale, increment_kernel
 from .quadrature import integrate_interval
 
@@ -166,8 +166,7 @@ def covariance_from_kernels(h, s: float, t: float, tol: float = 1e-8) -> float:
 
 def make_midpoint_times(m: int) -> np.ndarray:
     """Time grid {0} followed by the m cell midpoints (k + 1/2)/m."""
-    if m < 1 or m != int(m):
-        raise ConfigError(f"need at least one time cell, got m = {m}")
+    m = _integer("m", m, 1)
     return np.concatenate([[0.0], (np.arange(m) + 0.5) / m])
 
 
@@ -205,8 +204,8 @@ class WhiteNoiseGrid:
             raise ConfigError(
                 f"grid must cover kernel supports up to x = 1, got "
                 f"x_hi = {self.x_hi}")
-        if self.n_cells < 8 or self.n_cells != int(self.n_cells):
-            raise ConfigError(f"need at least 8 cells, got {self.n_cells}")
+        object.__setattr__(self, "n_cells",
+                           _integer("n_cells", self.n_cells, 8))
         if self.tail_budget is not None and not self.tail_budget > 0.0:
             raise ConfigError(
                 f"tail budget must be positive, got {self.tail_budget}")
@@ -344,21 +343,38 @@ def _mc_reduce(per_path: np.ndarray) -> McEstimate:
     return McEstimate(mean=mean, stderr=stderr, n_samples=n)
 
 
-def _map_blocks(fn: Callable[[int], np.ndarray], n_blocks: int,
-                n_threads: int) -> list:
-    """Run fn over block indices, results returned in block order."""
+def _map_blocks(fn: Callable[[int, int, int], np.ndarray], n_paths: int,
+                n_threads: int, out: np.ndarray) -> np.ndarray:
+    """Fill out[lo:hi] with fn(b, lo, hi) for every path block b.
+
+    Blocks hold BLOCK paths (the last one the rest); each worker writes
+    its own rows, so ``out`` (or a view of it) is the same for any
+    thread count.
+    """
+    def run(b: int) -> None:
+        lo = b * BLOCK
+        out[lo:lo + BLOCK] = fn(b, lo, min(lo + BLOCK, n_paths))
+
+    n_blocks = -(-n_paths // BLOCK)
     if n_threads <= 1 or n_blocks <= 1:
-        return [fn(b) for b in range(n_blocks)]
-    from concurrent.futures import ThreadPoolExecutor
+        for b in range(n_blocks):
+            run(b)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=min(n_threads, n_blocks)) as ex:
-        futures = [ex.submit(fn, b) for b in range(n_blocks)]
-        return [f.result() for f in futures]
+        with ThreadPoolExecutor(max_workers=min(n_threads, n_blocks)) as ex:
+            list(ex.map(run, range(n_blocks)))
+    return out
 
 
-def _block_sizes(n_paths: int) -> list[int]:
-    full, rest = divmod(n_paths, BLOCK)
-    return [BLOCK] * full + ([rest] if rest else [])
+def _integer(name: str, value, least: int) -> int:
+    """``value`` as an int >= least; integral floats are accepted."""
+    try:
+        if value >= least and value == int(value):
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _kernel_matrix(hu: Hurst, times: np.ndarray,
@@ -393,22 +409,19 @@ def sample_paths_whitenoise(h, d: int, times, grid: WhiteNoiseGrid,
     ``fbm_covariance`` as dx -> 0 and x_lo -> -inf.
     """
     hu = _hurst(h)
-    if d < 1 or n_paths < 1:
-        raise ConfigError(f"need d >= 1 and n_paths >= 1, got {d}, {n_paths}")
+    d = _integer("d", d, 1)
+    n_paths = _integer("n_paths", n_paths, 1)
     times = np.asarray(times, dtype=float)
     grid.validate(hu)
     K = _kernel_matrix(hu, times, grid)
-    sizes = _block_sizes(n_paths)
-    out = np.empty((n_paths, times.size, d))
 
-    def one_block(b: int) -> np.ndarray:
-        dW = grid.increments(d, sizes[b], stream, b)
+    def one_block(b: int, lo: int, hi: int) -> np.ndarray:
+        dW = grid.increments(d, hi - lo, stream, b)
         # (nb, d, cells) x (times, cells) -> (nb, d, times)
         return np.einsum("jdc,tc->jtd", dW, K, optimize=False)
 
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    for b, blk in enumerate(_map_blocks(one_block, len(sizes), n_threads)):
-        out[offsets[b]:offsets[b + 1]] = blk
+    out = _map_blocks(one_block, n_paths, n_threads,
+                      np.empty((n_paths, times.size, d)))
     out[:, times == 0.0, :] = 0.0
     return PathEnsemble(hurst=hu, times=times, paths=out,
                         generator="whitenoise", grid=grid, stream=stream,
@@ -426,8 +439,8 @@ def sample_paths_cholesky(h, d: int, times, n_paths: int, stream: int = 0, *,
     variance is applied before giving up.
     """
     hu = _hurst(h)
-    if d < 1 or n_paths < 1:
-        raise ConfigError(f"need d >= 1 and n_paths >= 1, got {d}, {n_paths}")
+    d = _integer("d", d, 1)
+    n_paths = _integer("n_paths", n_paths, 1)
     times = np.asarray(times, dtype=float)
     if times[0] != 0.0:
         raise ConfigError("time grid must start at 0")
@@ -449,18 +462,15 @@ def sample_paths_cholesky(h, d: int, times, n_paths: int, stream: int = 0, *,
             f"covariance factorization failed for H={hu.h:g} with {mm} "
             "times even with relative jitter 1e-6")
 
-    sizes = _block_sizes(n_paths)
     out = np.empty((n_paths, times.size, d))
 
-    def one_block(b: int) -> np.ndarray:
+    def one_block(b: int, lo: int, hi: int) -> np.ndarray:
         ss = np.random.SeedSequence((seed, stream, b))
         rng = np.random.Generator(np.random.Philox(ss))
-        z = rng.standard_normal(size=(sizes[b], d, mm))
+        z = rng.standard_normal(size=(hi - lo, d, mm))
         return np.einsum("jdm,km->jkd", z, chol, optimize=False)
 
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    for b, blk in enumerate(_map_blocks(one_block, len(sizes), n_threads)):
-        out[offsets[b]:offsets[b + 1], 1:, :] = blk
+    _map_blocks(one_block, n_paths, n_threads, out[:, 1:, :])
     out[:, 0, :] = 0.0
     return PathEnsemble(hurst=hu, times=times, paths=out,
                         generator="cholesky", grid=None, stream=stream,
@@ -471,55 +481,44 @@ def sample_paths_cholesky(h, d: int, times, n_paths: int, stream: int = 0, *,
 # Estimators
 
 
-def _pair_layout(ens: PathEnsemble):
-    """Strict pairs (j < k) over the positive-time columns with weights."""
-    m = ens.times.size - 1
-    if m < 2:
-        raise ConfigError("need at least two positive times for pair sums")
-    ju, ku = np.triu_indices(m, k=1)
-    w = _cell_widths(ens.times[1:])
-    wpair = w[ju] * w[ku]
-    return ju + 1, ku + 1, wpair
-
-
-def _pair_sums(ens: PathEnsemble, eps: float, ju, ku, wpair,
-               subtract=None, n_threads: int = 1) -> np.ndarray:
+def _pair_sums(ens: PathEnsemble, eps: float, subtract=None,
+               n_threads: int = 1) -> np.ndarray:
     """Per-path weighted pair sums of the Gaussian kernel.
 
     Computes sum_{j<k} w_j w_k [p_eps(dB) - subtract(|dB|^2)] with
-    dB = B_k - B_j for every path, in fixed chunk order (bit-identical
-    for any thread count; reductions avoid BLAS).
+    dB = B_k - B_j over the positive-time columns for every path.  The
+    pairs are taken lag by lag, l = k - j = 1, ..., m-1, each lag as the
+    contiguous difference B[:, l:] - B[:, :-l] with weights
+    w[:-l] * w[l:]; ``subtract``, when given, holds one function per lag
+    in that order.  Each lag's row sums are added to the per-path totals
+    in increasing lag order, without BLAS, so the result is bit-identical
+    for any thread count.
     """
-    d = ens.d
-    pref = (_TWO_PI * eps) ** (-0.5 * d)
-    n = ens.n_paths
-    n_pairs = ju.size
-    chunk = max(1, int(4.0e6 / n_pairs))
-    sizes = _block_sizes(n)
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    m = ens.times.size - 1
+    if m < 2:
+        raise ConfigError("need at least two positive times for pair sums")
+    w = _cell_widths(ens.times[1:])
+    pref = (_TWO_PI * eps) ** (-0.5 * ens.d)
 
-    def one_block(b: int) -> np.ndarray:
-        lo, hi = offsets[b], offsets[b + 1]
-        vals = np.empty(hi - lo)
-        for s in range(lo, hi, chunk):
-            e = min(s + chunk, hi)
-            block = ens.paths[s:e]
-            db = block[:, ku, :] - block[:, ju, :]
+    def one_block(b: int, lo: int, hi: int) -> np.ndarray:
+        B = ens.paths[lo:hi, 1:, :]
+        vals = np.zeros(hi - lo)
+        for lag in range(1, m):
+            db = B[:, lag:, :] - B[:, :-lag, :]
             sq = np.zeros(db.shape[:2])
-            for c in range(d):
+            for c in range(ens.d):
                 sq += db[:, :, c] ** 2
             phi = pref * np.exp(-0.5 * sq / eps)
             if subtract is not None:
-                phi -= subtract(sq)
-            vals[s - lo:e - lo] = np.sum(phi * wpair[None, :], axis=1)
+                phi -= subtract[lag - 1](sq)
+            vals += np.sum(phi * (w[:-lag] * w[lag:]), axis=1)
         return vals
 
-    parts = _map_blocks(one_block, len(sizes), n_threads)
-    return np.concatenate(parts) if parts else np.zeros(0)
+    return _map_blocks(one_block, ens.n_paths, n_threads,
+                       np.empty(ens.n_paths))
 
 
-def mc_local_time_regularized(ens: PathEnsemble, eps: float,
-                              d: int | None = None, *,
+def mc_local_time_regularized(ens: PathEnsemble, eps: float, *,
                               n_threads: int = 1) -> McEstimate:
     """Estimate the expected regularized self-intersection local time.
 
@@ -532,12 +531,7 @@ def mc_local_time_regularized(ens: PathEnsemble, eps: float,
     """
     if eps <= 0.0:
         raise ConfigError(f"regularized estimator needs eps > 0, got {eps}")
-    if d is not None and d != ens.d:
-        raise ConfigError(
-            f"ensemble has d = {ens.d} components, requested {d}")
-    ju, ku, wpair = _pair_layout(ens)
-    per_path = _pair_sums(ens, eps, ju, ku, wpair, n_threads=n_threads)
-    return _mc_reduce(per_path)
+    return _mc_reduce(_pair_sums(ens, eps, n_threads=n_threads))
 
 
 def _truncation_subtractor(n_trunc: int, d: int, eps: float,
@@ -561,8 +555,6 @@ def _truncation_subtractor(n_trunc: int, d: int, eps: float,
     onto exp_N in the discrete model.  The orders are summed here into
     one polynomial in r^2 with per-pair coefficients.
     """
-    if n_trunc == 0:
-        return None
     alpha = 0.5 * d - 1.0
     w_tot = eps + sigma_sq
     base = (_TWO_PI * w_tot) ** (-0.5 * d)
@@ -595,15 +587,19 @@ def _wick_weights(ens: PathEnsemble, fvals: np.ndarray, *,
     """
     grid = ens.grid
     half_norm = 0.5 * float(np.sum(fvals * fvals)) * grid.dx
-    sizes = _block_sizes(ens.n_paths)
 
-    def one_block(b: int) -> np.ndarray:
-        dW = grid.increments(ens.d, sizes[b], ens.stream, b)
+    def one_block(b: int, lo: int, hi: int) -> np.ndarray:
+        dW = grid.increments(ens.d, hi - lo, ens.stream, b)
         dot = np.sum(dW * fvals[None, :, :], axis=(1, 2))
         return np.exp(dot - half_norm)
 
-    parts = _map_blocks(one_block, len(sizes), n_threads)
-    return np.concatenate(parts)
+    weights = _map_blocks(one_block, ens.n_paths, n_threads,
+                          np.empty(ens.n_paths))
+    if not np.any(weights):
+        raise AccuracyError(
+            f"every Wick weight underflowed to 0 over {ens.n_paths} paths "
+            f"(|f|^2/2 = {half_norm:.3g}); the estimate would read 0 +- 0")
+    return weights
 
 
 def _require_whitenoise(ens: PathEnsemble, what: str) -> None:
@@ -649,21 +645,22 @@ def mc_s_transform(ens: PathEnsemble, f, eps: float, n_trunc: int = 0, *,
     _require_whitenoise(ens, "the S-transform estimator")
     if eps <= 0.0:
         raise ConfigError(f"the estimator needs eps > 0, got {eps}")
-    if n_trunc < 0 or n_trunc != int(n_trunc):
-        raise ConfigError(f"truncation level must be >= 0, got {n_trunc}")
+    n_trunc = _integer("truncation level", n_trunc, 0)
     fvals = _f_values(ens, f)
-    ju, ku, wpair = _pair_layout(ens)
 
     subtract = None
     if n_trunc >= 1:
         K = _kernel_matrix(ens.hurst, ens.times, ens.grid)
         gram = (K * ens.grid.dx) @ K.T
-        diag = np.diag(gram)
-        sigma_sq = diag[ku] + diag[ju] - 2.0 * gram[ku, ju]
-        subtract = _truncation_subtractor(n_trunc, ens.d, eps, sigma_sq)
+        diag = np.diag(gram)[1:]
+        # Lag diagonals are read below the diagonal, from gram[k, j] with
+        # k > j: the BLAS product is symmetric only up to rounding.
+        sigma_sq = diag[:, None] + diag[None, :] - 2.0 * gram[1:, 1:]
+        subtract = [_truncation_subtractor(n_trunc, ens.d, eps,
+                                           np.diagonal(sigma_sq, -lag))
+                    for lag in range(1, diag.size)]
 
-    per_path = _pair_sums(ens, eps, ju, ku, wpair, subtract=subtract,
-                          n_threads=n_threads)
+    per_path = _pair_sums(ens, eps, subtract=subtract, n_threads=n_threads)
     if np.all(fvals == 0.0) and n_trunc == 0:
         return _mc_reduce(per_path)
     weights = _wick_weights(ens, fvals, n_threads=n_threads)

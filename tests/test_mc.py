@@ -2,12 +2,13 @@ import itertools
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.polynomial import hermite_e
 
-from loctime.errors import ConfigError
+from loctime.errors import AccuracyError, ConfigError
 from loctime.fracops import Hurst, Interval, increment_kernel
 from loctime.mc import (McEstimate, PathEnsemble, WhiteNoiseGrid,
                         _truncation_subtractor,
@@ -90,6 +91,7 @@ class TestNoiseGrid:
         dict(x_lo=2.0),
         dict(x_hi=0.5),
         dict(n_cells=4),
+        dict(n_cells="64"),
         dict(tail_budget=0.0),
         dict(tail_budget=-1e-3),
     ])
@@ -214,6 +216,12 @@ class TestSampling:
             sample_paths_cholesky(0.5, 0, times, 4)
         with pytest.raises(ConfigError):
             sample_paths_whitenoise(0.5, 1, times, WhiteNoiseGrid(), 0)
+        with pytest.raises(ConfigError):
+            sample_paths_cholesky(0.5, 1.5, times, 8)
+        with pytest.raises(ConfigError):
+            sample_paths_cholesky(0.5, 1, times, 8.5)
+        with pytest.raises(ConfigError):
+            sample_paths_whitenoise(0.5, "2", times, WhiteNoiseGrid(), 8)
 
     def test_whitenoise_restriction_matches_direct_sampling(self):
         # Path values depend only on each time's kernel row, so sampling
@@ -295,6 +303,17 @@ def _voronoi_widths(times_pos):
     return np.diff(edges)
 
 
+def _discrete_gram(ens):
+    """Kernel matrix at the noise midpoints and its discrete Gram matrix."""
+    grid = ens.grid
+    K = np.zeros((ens.times.size, grid.n_cells))
+    for k, t in enumerate(ens.times):
+        if t > 0.0:
+            K[k] = increment_kernel(ens.hurst, Interval(0.0, t),
+                                    grid.midpoints)
+    return K, (K * grid.dx) @ K.T
+
+
 def _discrete_transform(ens, f, eps, n_trunc):
     """Pair-rule expectation of the weighted estimator, computed directly.
 
@@ -304,11 +323,7 @@ def _discrete_transform(ens, f, eps, n_trunc):
     """
     grid = ens.grid
     x = grid.midpoints
-    K = np.zeros((ens.times.size, x.size))
-    for k, t in enumerate(ens.times):
-        if t > 0.0:
-            K[k] = increment_kernel(ens.hurst, Interval(0.0, t), x)
-    gram = (K * grid.dx) @ K.T
+    K, gram = _discrete_gram(ens)
     diag = np.diag(gram)
     fv = np.stack([fj.eval(x) for fj in f])
     proj = K @ fv.T * grid.dx
@@ -359,11 +374,22 @@ class TestEstimators:
         ens = sample_paths_cholesky(0.5, 1, make_midpoint_times(4), 8)
         with pytest.raises(ConfigError):
             mc_local_time_regularized(ens, 0.0)
-        with pytest.raises(ConfigError):
-            mc_local_time_regularized(ens, 0.05, d=2)
         short = sample_paths_cholesky(0.5, 1, make_midpoint_times(1), 8)
         with pytest.raises(ConfigError):
             mc_local_time_regularized(short, 0.05)
+
+    def test_pair_sums_stay_small(self):
+        # Pairs are taken lag by lag on contiguous slices, so the
+        # estimator's buffers scale with one path block, not with the
+        # number of pairs.
+        ens = sample_paths_cholesky(0.3, 2, make_midpoint_times(256), 512)
+        tracemalloc.start()
+        try:
+            mc_local_time_regularized(ens, 0.05)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
 
     def test_estimator_deterministic_across_threads(self):
         ens = sample_paths_cholesky(0.5, 2, make_midpoint_times(16), 1500)
@@ -403,6 +429,11 @@ class TestEstimators:
             mc_s_transform(ens, zero_bundle(1), -0.1)
         with pytest.raises(ConfigError):
             mc_s_transform(ens, zero_bundle(1), 0.05, n_trunc=-1)
+        with pytest.raises(ConfigError):
+            mc_s_transform(ens, zero_bundle(1), 0.05, n_trunc=1.5)
+        # An integral float is taken as the integer it equals.
+        assert (mc_s_transform(ens, zero_bundle(1), 0.05, n_trunc=1.0)
+                == mc_s_transform(ens, zero_bundle(1), 0.05, n_trunc=1))
 
     def test_zero_f_closes_onto_regularized_estimator(self):
         grid = WhiteNoiseGrid(n_cells=256)
@@ -427,6 +458,55 @@ class TestEstimators:
         est = mc_weight_check(ens, gaussian_bump(0.5, 0.3, 0.25))
         assert est.stderr > 0.0
         assert abs(est.mean - 1.0) < 5 * est.stderr
+
+    def test_underflowing_weights_raise(self):
+        # At amplitude 200 every weight exp(<dW, f> - |f|^2/2) is below
+        # the smallest double; the mean would read 0 +- 0.
+        grid = WhiteNoiseGrid()
+        ens = sample_paths_whitenoise(0.5, 1, make_midpoint_times(2),
+                                      grid, 512)
+        f = gaussian_bump(200.0, 0.3, 0.25)
+        with pytest.raises(AccuracyError, match="underflowed"):
+            mc_weight_check(ens, f)
+        with pytest.raises(AccuracyError, match="underflowed"):
+            mc_s_transform(ens, f, 0.05)
+
+    def test_truncated_pair_rule_matches_per_pair_loop(self):
+        # Non-uniform times: every lag has its own weights and its own
+        # pair variances, so a lag/diagonal mix-up changes the value.
+        times = np.array([0.0, 0.1, 0.15, 0.4, 0.7, 0.95])
+        grid = WhiteNoiseGrid(x_lo=-8.0, n_cells=256)
+        ens = sample_paths_whitenoise(0.7, 2, times, grid, 40)
+        f = VectorTestFunction((gaussian_bump(0.6, 0.3, 0.2),
+                                gaussian_bump(-0.4, 0.6, 0.3)))
+        eps, n_trunc = 0.05, 2
+        est = mc_s_transform(ens, f, eps, n_trunc=n_trunc)
+
+        _, gram = _discrete_gram(ens)
+        fv = np.stack([fj.eval(grid.midpoints) for fj in f])
+        dW = grid.increments(2, ens.n_paths, ens.stream, 0)
+        weights = np.exp(np.sum(dW * fv[None], axis=(1, 2))
+                         - 0.5 * float(np.sum(fv * fv)) * grid.dx)
+        w = _voronoi_widths(times[1:])
+        m = times.size - 1
+        vals = []
+        for p in range(ens.n_paths):
+            total = 0.0
+            for j in range(1, m + 1):
+                for k in range(j + 1, m + 1):
+                    s_jk = gram[j, j] + gram[k, k] - 2.0 * gram[k, j]
+                    subtract = _truncation_subtractor(
+                        n_trunc, 2, eps, np.array([s_jk]))
+                    db = ens.paths[p, k] - ens.paths[p, j]
+                    r_sq = float(db @ db)
+                    phi = ((2.0 * math.pi * eps) ** -1.0
+                           * math.exp(-0.5 * r_sq / eps)
+                           - subtract(np.array([r_sq]))[0])
+                    total += w[j - 1] * w[k - 1] * phi
+            vals.append(total * weights[p])
+        assert est.mean == pytest.approx(np.mean(vals), rel=1e-12)
+        assert est.stderr == pytest.approx(
+            np.std(vals, ddof=1) / math.sqrt(len(vals)), rel=1e-12)
 
     def test_weighted_estimator_matches_discrete_expectation(self):
         grid = WhiteNoiseGrid(x_lo=-12.0, n_cells=768)
