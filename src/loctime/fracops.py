@@ -402,23 +402,23 @@ class PairingTable:
         vv = self.v(t1, t2)
         return np.sum(vv * vv, axis=0)
 
-    def v_tau(self, t1, tau: float) -> np.ndarray:
-        """Pairing vectors for the interval [t1, t1 + tau], stable in tau."""
-        t1 = np.asarray(t1, dtype=float)
+    def v_tau(self, t1, tau) -> np.ndarray:
+        """Pairing vectors for the intervals [t1, t1 + tau], stable in tau;
+        ``tau`` is a scalar or an array of the shape of ``t1``."""
+        t1, tau = np.broadcast_arrays(np.asarray(t1, dtype=float),
+                                      np.asarray(tau, dtype=float))
         if self._zero:
             return np.zeros((self.d,) + t1.shape)
-        if tau >= self._LINEAR_TAU:
+        low = tau < self._LINEAR_TAU
+        if not low.any():
             return self.v(t1, t1 + tau)
-        mid = t1 + 0.5 * tau
-        rows = []
-        for dv in self._derivs:
-            if dv is None:
-                rows.append(np.zeros(t1.shape))
-            else:
-                rows.append(tau * dv(mid))
-        return np.stack(rows)
+        out = np.empty((self.d,) + t1.shape)
+        big = ~low
+        out[:, big] = self.v(t1[big], t1[big] + tau[big])
+        out[:, low] = tau[low] * self.v_rate(t1[low] + 0.5 * tau[low])
+        return out
 
-    def v_norm_sq_tau(self, t1, tau: float) -> np.ndarray:
+    def v_norm_sq_tau(self, t1, tau) -> np.ndarray:
         vv = self.v_tau(t1, tau)
         return np.sum(vv * vv, axis=0)
 

@@ -149,7 +149,7 @@ def _check_multiplicities(points: tuple[float, ...], a: float) -> None:
 
 
 def _product_factory(hu: Hurst, points: tuple[float, ...]):
-    """Vectorized t1 -> prod_i (K 1_[t1,t1+tau])(u_i) / tau at fixed tau.
+    """Vectorized (t1, tau) -> prod_i (K 1_[t1,t1+tau])(u_i) / tau.
 
     Each factor is returned as a difference quotient (divided by tau),
     the form that stays bounded and cancellation-free as tau -> 0:
@@ -162,13 +162,15 @@ def _product_factory(hu: Hurst, points: tuple[float, ...]):
     of the product grows like tau^gamma as tau -> 0 (each argument of
     multiplicity m contributes a strip of mass tau^(m a - (m-1))); the
     caller multiplies by tau^(-gamma) and shifts the outer singularity
-    by the same amount to keep the engine's bounded-factor contract.
+    by the same amount to keep the engine's bounded-factor contract;
+    and the tau in (0, 1) where the inner integral has kinks, the
+    engine's outer breakpoints.
     """
     c = _kernel_scale(hu.h)
     a = hu.a
     us = np.asarray(points, dtype=float)
 
-    def factors(t1: np.ndarray, tau: float) -> np.ndarray:
+    def factors(t1: np.ndarray, tau: np.ndarray) -> np.ndarray:
         out = np.full(t1.shape, 1.0)
         for u in us:
             b = t1 - u
@@ -176,41 +178,42 @@ def _product_factory(hu: Hurst, points: tuple[float, ...]):
             pos = b > 0.0
             strip = ~pos & (b + tau > 0.0)
             if a == 0.0:
-                q[strip] = 1.0 / tau
+                q[strip] = 1.0 / tau[strip]
             else:
-                if np.any(pos):
-                    bb = b[pos]
-                    mid = bb + 0.5 * tau
-                    qq = np.empty_like(bb)
-                    tiny = tau < 1e-3 * mid
-                    if np.any(tiny):
-                        m = mid[tiny]
-                        r = tau / m
-                        qq[tiny] = (a * m ** (a - 1.0)
-                                    * (1.0 + (a - 1.0) * (a - 2.0)
-                                       * r * r / 24.0))
-                    rest = ~tiny
-                    if np.any(rest):
-                        bbr = bb[rest]
-                        qq[rest] = ((bbr + tau) ** a - bbr ** a) / tau
-                    q[pos] = qq
-                if np.any(strip):
-                    q[strip] = (b[strip] + tau) ** a / tau
+                bb, tp = b[pos], tau[pos]
+                mid = bb + 0.5 * tp
+                qq = np.empty_like(bb)
+                tiny = tp < 1e-3 * mid
+                m, r = mid[tiny], tp[tiny] / mid[tiny]
+                qq[tiny] = (a * m ** (a - 1.0)
+                            * (1.0 + (a - 1.0) * (a - 2.0) * r * r / 24.0))
+                bb, tp = bb[~tiny], tp[~tiny]
+                qq[~tiny] = ((bb + tp) ** a - bb ** a) / tp
+                q[pos] = qq
+                ts = tau[strip]
+                q[strip] = (b[strip] + ts) ** a / ts
             out = out * (c * q)
         return out
 
+    mults = Counter(points)
+
     def marks(tau: float) -> list[tuple[float, float]]:
         sig: dict[float, float] = {}
-        for u, mult in Counter(points).items():
+        for u, mult in mults.items():
             for p in (u, u - tau):
                 sig[p] = sig.get(p, 0.0) + mult * a
         return sorted(sig.items())
 
     gamma = 0.0
-    for mult in Counter(points).values():
+    for mult in mults.values():
         gamma = min(gamma, mult * a - (mult - 1.0))
 
-    return factors, marks, gamma
+    # Kinks where two marks cross, or a mark crosses an end of the inner
+    # interval [0, 1 - tau].
+    kinks = ({abs(u - v) for u in points for v in points}
+             | {t for u in points for t in (u, 1.0 - u)})
+    breaks = tuple(sorted(t for t in kinks if 0.0 < t < 1.0))
+    return factors, marks, gamma, breaks
 
 
 def kernel_value(h, idx, arg, tol: float = 1e-8) -> float:
@@ -233,7 +236,7 @@ def kernel_value(h, idx, arg, tol: float = 1e-8) -> float:
                                      tol=tol)
         return pref * integrate_triangle_singular(spec).value
 
-    factors, marks, gamma = _product_factory(hu, points)
+    factors, marks, gamma, breaks = _product_factory(hu, points)
     alpha_eff = alpha - gamma
     if alpha_eff >= 1.0:
         raise NonIntegrableError(
@@ -249,7 +252,8 @@ def kernel_value(h, idx, arg, tol: float = 1e-8) -> float:
             return tau ** (-gamma) * factors(t1, tau)
 
     spec = SingularIntegrandSpec(alpha=alpha_eff, g=g, tol=tol,
-                                 inner_singularities=marks)
+                                 inner_singularities=marks,
+                                 outer_breakpoints=breaks)
     return pref * integrate_triangle_singular(spec).value
 
 
@@ -274,17 +278,18 @@ def kernel_value_regularized(h, idx, eps: float, arg,
     if n == 0:
         spec = SingularIntegrandSpec(
             alpha=0.0,
-            g=lambda t1, tau: np.full(t1.shape, (eps + tau ** two_h) ** power),
+            g=lambda t1, tau: (eps + tau ** two_h) ** power,
             tol=tol)
         return pref * integrate_triangle_singular(spec).value
 
-    factors, marks, _ = _product_factory(hu, points)
+    factors, marks, _, breaks = _product_factory(hu, points)
 
     def g(t1, tau):
         return (eps + tau ** two_h) ** power * tau ** (2 * n) * factors(t1, tau)
 
     spec = SingularIntegrandSpec(alpha=0.0, g=g, tol=tol,
-                                 inner_singularities=marks)
+                                 inner_singularities=marks,
+                                 outer_breakpoints=breaks)
     return pref * integrate_triangle_singular(spec).value
 
 
@@ -340,10 +345,10 @@ def series_reconstruction(spec: DeltaSpec, f, max_order: int,
         if spec.eps == 0.0:
 
             def g(t1, tau, scale=scale, n=n):
-                if tau >= PairingTable._LINEAR_TAU:
-                    vt = table.v_tau(t1, tau) / tau
-                else:
-                    vt = table.v_rate(t1 + 0.5 * tau)
+                big = tau >= PairingTable._LINEAR_TAU
+                vt = np.empty((d,) + t1.shape)
+                vt[:, big] = table.v_tau(t1[big], tau[big]) / tau[big]
+                vt[:, ~big] = table.v_rate(t1[~big] + 0.5 * tau[~big])
                 return scale * np.sum(vt * vt, axis=0) ** n
 
             alpha = -admissibility(spec.hurst, d, n).exponent

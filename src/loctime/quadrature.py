@@ -7,7 +7,11 @@ behaves like ``|x - p|^sigma`` (sigma > -1) near known points ``p``.  The
 interval is split at the marked points and each singular endpoint is
 removed exactly by the substitution ``x = p + w**(1/(1+sigma))``, which
 maps ``(x-p)^sigma dx`` to a constant multiple of ``dw``.  Panels are then
-refined adaptively with an embedded Gauss pair (order n vs 2n).
+refined adaptively with an embedded Gauss pair (order n vs 2n), by
+generations: each generation evaluates all new panels in one integrand
+call.  One call integrates a batch of intervals (arrays ``lo``, ``hi``,
+one mark list and one set of parameters ``args`` per row); a row's
+result is bit-identical whether it is integrated alone or in a batch.
 
 ``integrate_triangle_singular`` computes
 
@@ -20,10 +24,11 @@ for bounded g and alpha < 1 by reducing to the tau axis:
     G(tau) = int_0^{1-tau} g(t1, t1 + tau) dt1.
 
 The tau axis is covered by geometric panels shrinking toward tau = 0
-(ratio 1/2) with fixed-order Gauss rules per panel; the innermost panel
-is computed after the substitution tau = v**(1/(1-alpha)) which removes
-the singularity exactly for constant G.  All rules are open, so g is
-never evaluated at tau = 0 or at marked singular points.
+(ratio 1/2) and split at the integrand's outer breakpoints; the
+innermost panel is computed after the substitution tau = v**(1/(1-alpha))
+which removes the singularity exactly for constant G.  Each outer panel
+gets G at all its tau nodes from one batched inner call.  All rules are
+open, so g is never evaluated at tau = 0 or at marked singular points.
 
 Integrands must be vectorized over numpy arrays.  Panel results are
 summed in a fixed order, so repeated runs give bit-identical values.
@@ -32,14 +37,14 @@ summed in a fixed order, so repeated runs give bit-identical values.
 from __future__ import annotations
 
 import heapq
-import math
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import AccuracyError, NonIntegrableError
+from .errors import AccuracyError, ConfigError, NonIntegrableError
 
 __all__ = [
     "QuadratureResult",
@@ -57,8 +62,9 @@ class QuadratureResult:
     """Value of an integral together with an error estimate.
 
     ``error_estimate`` sums the embedded-rule differences of all panels,
-    plus any budgeted contribution of inner integrals; ``evaluations``
-    counts integrand calls (points, not vector calls).
+    plus any budgeted contribution of inner integrals (a batched
+    ``integrate_interval`` gives one value and one error per row);
+    ``evaluations`` counts integrand points, not vector calls.
     """
 
     value: float
@@ -71,8 +77,7 @@ class QuadratureResult:
 
 @lru_cache(maxsize=None)
 def _leggauss(order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
+    return np.polynomial.legendre.leggauss(order)
 
 
 def gauss_panels(edges, order: int):
@@ -90,138 +95,57 @@ def gauss_panels(edges, order: int):
     return nodes, weights
 
 
-def _panel_eval(f, lo: float, hi: float, order: int) -> float:
-    x, w = _leggauss(order)
-    half = 0.5 * (hi - lo)
-    nodes = lo + half * (x + 1.0)
-    vals = np.asarray(f(nodes), dtype=float)
-    return half * float(w @ vals)
+def _run_adaptive(branches, tol: float, max_panels: int):
+    """Heap-driven adaptive loop over ``branches``: (func, lo < hi).
 
-
-class _Counter:
-    __slots__ = ("n",)
-
-    def __init__(self):
-        self.n = 0
-
-
-def _wrap_counted(f, counter: _Counter):
-    def g(x):
-        counter.n += x.size
-        return f(x)
-
-    return g
-
-
-def _substitute(f, p: float, sigma: float, side: float):
-    """Transform away ``|x - p|^sigma`` behaviour at an endpoint.
-
-    ``side`` is +1 for the left endpoint (x = p + w**q) and -1 for the
-    right one (x = p - w**q).  Nodes whose offset ``w**q`` rounds
-    ``p + side * w**q`` back to ``p`` exactly are dropped (contribute
-    zero): the integrand cannot be evaluated at the mark itself, and
-    everything inside one ulp of ``p`` is below the resolution of
-    double-precision abscissae anyway.  Callers who need the mass of
-    that sub-ulp neighbourhood must integrate the offending strip in
-    exact distance coordinates themselves; for marks at ``p = 0`` the
-    offset is exact and only the denormal range (mass around 1e-60) is
-    lost.
+    Each panel evaluation calls its branch function once, on the 16 and
+    32 Gauss nodes together.  A panel whose width is at floating-point
+    resolution is retired: it keeps its value and error, and the loop
+    goes on refining the others.
     """
-    q = 1.0 / (1.0 + sigma)
+    order = 16
+    (gx_c, gw_c), (gx_f, gw_f) = _leggauss(order), _leggauss(2 * order)
+    unit = np.concatenate([gx_c, gx_f]) + 1.0
+    heap, retired, serial, err_total = [], [], itertools.count(), 0.0
 
-    def g(w):
-        x = p + side * w ** q
-        out = np.zeros_like(x)
-        ok = x != p
-        if np.any(ok):
-            out[ok] = f(x[ok]) * (q * w[ok] ** (q - 1.0))
-        return out
-
-    return g
-
-
-def _run_adaptive(branches, tol: float, order: int, max_panels: int,
-                  strict: bool, context: str):
-    """Shared adaptive loop.  ``branches`` is a list of (func, lo, hi)."""
-    heap = []
-    panels = {}
-    serial = 0
-    err_total = 0.0
-    for bi, (fb, lo, hi) in enumerate(branches):
-        if hi <= lo:
-            continue
-        coarse = _panel_eval(fb, lo, hi, order)
-        fine = _panel_eval(fb, lo, hi, 2 * order)
-        err = abs(fine - coarse)
-        panels[serial] = (bi, lo, hi, fine, err)
-        heapq.heappush(heap, (-err, bi, lo, serial))
+    def add(bi, lo, hi):
+        nonlocal err_total
+        half = 0.5 * (hi - lo)
+        vals = np.asarray(branches[bi][0](lo + half * unit), dtype=float)
+        fine = half * float(gw_f @ vals[order:])
+        err = abs(fine - half * float(gw_c @ vals[:order]))
+        heapq.heappush(heap, (-err, bi, lo, next(serial), hi, fine))
         err_total += err
-        serial += 1
 
-    while err_total > tol and len(panels) < max_panels and heap:
-        neg_err, bi, lo, key = heapq.heappop(heap)
-        if key not in panels:
+    for bi, (_, lo, hi) in enumerate(branches):
+        add(bi, lo, hi)
+    while err_total > tol and len(heap) + len(retired) < max_panels and heap:
+        panel = heapq.heappop(heap)
+        neg_err, bi, lo, _, hi, _ = panel
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            retired.append(panel)
             continue
-        _, plo, phi, pval, perr = panels.pop(key)
-        mid = 0.5 * (plo + phi)
-        if mid <= plo or mid >= phi:
-            # Width at floating point resolution, keep as is.
-            panels[key] = (bi, plo, phi, pval, perr)
-            break
-        err_total -= perr
-        fb = branches[bi][0]
-        for (a, b) in ((plo, mid), (mid, phi)):
-            coarse = _panel_eval(fb, a, b, order)
-            fine = _panel_eval(fb, a, b, 2 * order)
-            err = abs(fine - coarse)
-            panels[serial] = (bi, a, b, fine, err)
-            heapq.heappush(heap, (-err, bi, a, serial))
-            err_total += err
-            serial += 1
+        err_total += neg_err
+        add(bi, lo, mid)
+        add(bi, mid, hi)
 
     # Deterministic final reduction: sum panels by position, not by
     # refinement history.
-    value = 0.0
-    err_total = 0.0
-    for key in sorted(panels, key=lambda k: (panels[k][0], panels[k][1])):
-        value += panels[key][3]
-        err_total += panels[key][4]
-
-    if strict and err_total > tol:
-        raise AccuracyError(
-            f"{context}: requested tolerance {tol:.3e} not reached, "
-            f"error estimate {err_total:.3e} with {len(panels)} panels",
-            value=value, error_estimate=err_total)
+    value = err_total = 0.0
+    for neg_err, *_, val in sorted(heap + retired, key=lambda p: p[1:3]):
+        value += val
+        err_total -= neg_err
     return value, err_total
 
 
-def integrate_interval(f: Callable[[np.ndarray], np.ndarray],
-                       lo: float, hi: float, *,
-                       tol: float,
-                       singular: Sequence[tuple[float, float]] = (),
-                       order: int = 16,
-                       max_panels: int = 4096,
-                       strict: bool = True) -> QuadratureResult:
-    """Integrate ``f`` over ``[lo, hi]`` with marked algebraic singularities.
+def _branches(lo: float, hi: float, singular) -> list:
+    """Substitution branches ``(p, side, q, w_hi)`` covering ``[lo, hi]``.
 
-    Parameters
-    ----------
-    f : callable
-        Vectorized integrand; never called at marked points.
-    singular : sequence of (point, sigma)
-        Locations where the integrand behaves like ``|x - point|^sigma``
-        with sigma > -1.  ``sigma == 0`` marks a plain breakpoint (jump
-        or kink) where the interval is split without substitution.
-    tol : float
-        Absolute error target for the embedded-rule estimate.
+    A branch maps ``w`` in ``[0, w_hi]`` to ``x = p + side * w**q``; a
+    plain branch is ``q = 1``.  Exponents of coincident marks add up (a
+    product of factors that are each singular at the same point).
     """
-    if hi <= lo:
-        return QuadratureResult(0.0, 0.0, 0)
-    counter = _Counter()
-    fc = _wrap_counted(f, counter)
-
-    # Exponents of coincident marks add up (a product of factors that
-    # are each singular at the same point).
     marks: dict[float, float] = {}
     for p, sigma in singular:
         p = float(p)
@@ -234,7 +158,7 @@ def integrate_interval(f: Callable[[np.ndarray], np.ndarray],
                 "(must exceed -1)")
 
     points = sorted(set([lo, hi]) | set(marks))
-    branches = []
+    out = []
     for a, b in zip(points[:-1], points[1:]):
         sa = marks.get(a)
         sb = marks.get(b)
@@ -244,20 +168,128 @@ def integrate_interval(f: Callable[[np.ndarray], np.ndarray],
         sub_a = sa is not None and sa < 0.0
         sub_b = sb is not None and sb < 0.0
         if not (sub_a or sub_b):
-            branches.append((fc, a, b))
+            out.append((a, 1.0, 1.0, b - a))
             continue
         # Both ends singular: split at the midpoint m, one branch each.
         m = 0.5 * (a + b) if sub_a and sub_b else (b if sub_a else a)
         if sub_a:
-            branches.append((_substitute(fc, a, sa, 1.0), 0.0,
-                             (m - a) ** (1.0 + sa)))
+            out.append((a, 1.0, 1.0 / (1.0 + sa), (m - a) ** (1.0 + sa)))
         if sub_b:
-            branches.append((_substitute(fc, b, sb, -1.0), 0.0,
-                             (b - m) ** (1.0 + sb)))
+            out.append((b, -1.0, 1.0 / (1.0 + sb), (b - m) ** (1.0 + sb)))
+    return out
 
-    value, err = _run_adaptive(branches, tol, order, max_panels, strict,
-                               "integrate_interval")
-    return QuadratureResult(value, err, counter.n)
+
+def integrate_interval(f: Callable[..., np.ndarray], lo, hi, *,
+                       tol: float,
+                       singular: Sequence = (),
+                       order: int = 16,
+                       max_panels: int = 4096,
+                       strict: bool = True,
+                       args: Sequence = ()) -> QuadratureResult:
+    """Integrate ``f`` over ``[lo, hi]`` with marked algebraic singularities.
+
+    Parameters
+    ----------
+    f : callable
+        Vectorized integrand ``f(x, *args)``; never called at marked
+        points.
+    lo, hi : float, or arrays of shape (rows,) for a batch of intervals
+    singular : sequence of (point, sigma)
+        Locations where the integrand behaves like ``|x - point|^sigma``
+        with sigma > -1.  ``sigma == 0`` marks a plain breakpoint (jump
+        or kink) where the interval is split without substitution.  A
+        batch takes one such sequence per row (or none at all).
+    tol : float
+        Absolute error target for the embedded-rule estimate, per row.
+    args : sequence
+        Integrand parameters, one value per row; ``f`` receives each
+        repeated at every node of its row.
+
+    A batch returns arrays of values and errors, one entry per row;
+    ``evaluations`` is always the total number of integrand points.
+    """
+    batch = np.ndim(lo) > 0 or np.ndim(hi) > 0
+    los, his = np.broadcast_arrays(np.atleast_1d(np.asarray(lo, float)),
+                                   np.atleast_1d(np.asarray(hi, float)))
+    n_rows = los.size
+    if not batch:
+        singular = (singular,)
+    elif not singular:
+        singular = ((),) * n_rows
+    elif len(singular) != n_rows:
+        raise ConfigError(
+            f"{len(singular)} mark lists for a batch of {n_rows} intervals")
+    params = [np.broadcast_to(np.asarray(a, float), (n_rows,)) for a in args]
+
+    # One panel per branch: row, x = p + side * w**q for w in [w_lo, w_hi].
+    panels = np.array([(r,) + br for r in range(n_rows) if his[r] > los[r]
+                       for br in _branches(float(los[r]), float(his[r]),
+                                           singular[r])]).reshape(-1, 5)
+    rows = panels[:, 0].astype(np.intp)
+    p, side, q, w_hi = panels[:, 1:].T
+    w_lo, val, err = np.zeros((3, rows.size))
+    fresh = np.ones(rows.size, dtype=bool)
+    (gx_c, gw_c), (gx_f, gw_f) = _leggauss(order), _leggauss(2 * order)
+    unit = np.concatenate([gx_c, gx_f])
+    evaluations = 0
+    while fresh.any():
+        idx = np.flatnonzero(fresh)
+        half = 0.5 * (w_hi[idx] - w_lo[idx])
+        w = (w_lo[idx] + half)[:, None] + half[:, None] * unit
+        # A real array, not a broadcast view: numpy's power takes another
+        # code path, with other rounding, for a stride-0 exponent.
+        qi = np.repeat(q[idx], unit.size).reshape(w.shape)
+        pi = np.broadcast_to(p[idx][:, None], w.shape)
+        x = pi + side[idx][:, None] * w ** qi
+        # Nodes whose offset w**q rounds x back to p contribute zero: the
+        # integrand cannot be evaluated at a mark, and everything inside
+        # one ulp of p is below the resolution of the abscissae anyway.
+        # For marks at p = 0 the offset is exact and only the denormal
+        # range (mass around 1e-60) is lost.
+        ok = x != pi
+        vals = np.zeros_like(x)
+        at = np.broadcast_to(rows[idx][:, None], w.shape)[ok]
+        qo, wo = qi[ok], w[ok]
+        vals[ok] = f(x[ok], *(a[at] for a in params)) * (qo * wo ** (qo - 1.0))
+        evaluations += at.size
+        val[idx] = half * np.sum(vals[:, order:] * gw_f, axis=1)
+        err[idx] = np.abs(
+            val[idx] - half * np.sum(vals[:, :order] * gw_c, axis=1))
+
+        # Split, in every row above tol and below max_panels, the panels
+        # above the row's share of tol; one at floating-point resolution
+        # is retired.  A row whose error is rounding noise, below 50 ulp
+        # of its panel sums (QUADPACK's round-off test), stops too.
+        # Children replace their parent in place, so each row keeps its
+        # panels in position order.
+        row_n = np.bincount(rows, minlength=n_rows)
+        row_err = np.bincount(rows, weights=err, minlength=n_rows)
+        noise = 1.1e-14 * np.bincount(rows, weights=np.abs(val),
+                                      minlength=n_rows)
+        live = (row_err > np.maximum(tol, noise)) & (row_n < max_panels)
+        mid = 0.5 * (w_lo + w_hi)
+        split = (live[rows] & (err * row_n[rows] > tol)
+                 & (w_lo < mid) & (mid < w_hi))
+        reps = 1 + split
+        take = np.repeat(np.arange(rows.size), reps)
+        left = (np.cumsum(reps) - reps)[split]
+        rows, p, side, q = rows[take], p[take], side[take], q[take]
+        w_lo, w_hi, val, err = w_lo[take], w_hi[take], val[take], err[take]
+        w_hi[left] = w_lo[left + 1] = mid[split]
+        fresh = np.zeros(rows.size, dtype=bool)
+        fresh[left] = fresh[left + 1] = True
+
+    value = np.bincount(rows, weights=val, minlength=n_rows)
+    error = np.bincount(rows, weights=err, minlength=n_rows)
+    if strict and np.any(error > tol):
+        worst = int(np.argmax(error))
+        raise AccuracyError(
+            f"integrate_interval: requested tolerance {tol:.3e} not "
+            f"reached, error estimate {error[worst]:.3e}",
+            value=float(value[worst]), error_estimate=float(error[worst]))
+    if batch:
+        return QuadratureResult(value, error, evaluations)
+    return QuadratureResult(float(value[0]), float(error[0]), evaluations)
 
 
 def triangle_power_moment(alpha: float) -> float:
@@ -277,14 +309,16 @@ def triangle_power_moment(alpha: float) -> float:
 class SingularIntegrandSpec:
     """Description of a triangle integrand ``tau^(-alpha) * g(t1, tau)``.
 
-    ``g`` must be bounded and vectorized in its first argument:
-    ``g(t1_array, tau) -> array`` evaluates the bounded factor on the
-    segment t2 = t1 + tau.  The separation tau is passed exactly rather
-    than reconstructed from t2 - t1, which would round to zero once tau
-    drops below the floating-point spacing of t1 (the singular engine
-    probes tau many orders of magnitude below that).
+    ``g`` must be bounded and vectorized: ``g(t1, tau) -> array`` takes
+    ``t1`` and ``tau`` as arrays of one shape and evaluates the bounded
+    factor at the points (t1, t1 + tau).  The separation tau is passed
+    exactly rather than reconstructed from t2 - t1, which would round to
+    zero once tau drops below the floating-point spacing of t1 (the
+    singular engine probes tau many orders of magnitude below that).
     ``inner_singularities``, if given, maps tau to a list of
     ``(t1_location, sigma)`` marks for the inner integral at that tau.
+    ``outer_breakpoints`` lists the tau at which G(tau) has a kink or a
+    jump; they are added to the outer panel edges.
     """
 
     alpha: float
@@ -292,10 +326,28 @@ class SingularIntegrandSpec:
     tol: float = 1e-9
     inner_singularities: Callable[[float], list[tuple[float, float]]] | None = None
     inner_order: int = 16
+    outer_breakpoints: Sequence[float] = ()
 
-    @property
-    def integrable(self) -> bool:
-        return self.alpha < 1.0
+
+def _inner_integrals(g, tol: float, order: int, marks_of):
+    """G(tau) = int_0^{1-tau} g(t1, tau) dt1 at an array of tau, in one
+    batched ``integrate_interval`` call (zero for tau outside (0, 1)),
+    and a one-element list counting the points where g was evaluated."""
+    evaluations = [0]
+
+    def G(taus: np.ndarray) -> np.ndarray:
+        widths = np.where(taus > 0.0, 1.0 - taus, 0.0)
+        marks = ()
+        if marks_of is not None:
+            marks = [[(p, s) for p, s in marks_of(t) if 0.0 < p < w]
+                     for t, w in zip(taus.tolist(), widths.tolist())]
+        res = integrate_interval(g, np.zeros_like(taus), widths, tol=tol,
+                                 singular=marks, order=order, strict=False,
+                                 args=(taus,))
+        evaluations[0] += res.evaluations
+        return res.value
+
+    return G, evaluations
 
 
 def integrate_triangle_singular(spec: SingularIntegrandSpec) -> QuadratureResult:
@@ -305,110 +357,65 @@ def integrate_triangle_singular(spec: SingularIntegrandSpec) -> QuadratureResult
         raise NonIntegrableError(
             f"alpha = {alpha:g} >= 1: the triangle integral diverges")
     tol = spec.tol
-    counter = _Counter()
-
     moment = triangle_power_moment(alpha)
     inner_tol = 0.25 * tol / max(moment, 1.0)
-
-    def G(tau: float) -> float:
-        width = 1.0 - tau
-        if width <= 0.0:
-            return 0.0
-        sings = []
-        if spec.inner_singularities is not None:
-            for p, sigma in spec.inner_singularities(tau):
-                if 0.0 < p < width:
-                    sings.append((p, sigma))
-
-        def inner(t1):
-            counter.n += t1.size
-            return spec.g(t1, tau)
-
-        res = integrate_interval(inner, 0.0, width, tol=inner_tol,
-                                 singular=sings, order=spec.inner_order,
-                                 strict=False)
-        return res.value
+    G, evaluations = _inner_integrals(spec.g, inner_tol, spec.inner_order,
+                                      spec.inner_singularities)
 
     def outer_plain(taus):
-        out = np.empty_like(taus)
-        for i, tau in enumerate(taus):
-            out[i] = tau ** (-alpha) * G(tau)
-        return out
+        return taus ** (-alpha) * G(taus)
 
     n_geo = 18
-    tau_inner = 2.0 ** (-n_geo)
-    branches = []
+    edges = sorted({2.0 ** (k - n_geo) for k in range(n_geo)}
+                   | {float(b) for b in spec.outer_breakpoints
+                      if 0.0 < b < 1.0}) + [1.0]
     if alpha > 0.0:
+        # tau = v**expo removes the singularity exactly for constant G.
+        # tau can underflow to exactly zero; that region carries mass
+        # below 1e-300 and G gives zero there.
         expo = 1.0 / (1.0 - alpha)
-
-        def innermost(v):
-            out = np.empty_like(v)
-            for i, vi in enumerate(v):
-                tau = vi ** expo
-                # tau can underflow to exactly zero; that region carries
-                # mass below 1e-300 and the inner integral degenerates
-                # there, so drop it instead of evaluating.
-                out[i] = G(tau) * expo if tau > 0.0 else 0.0
-            return out
-
-        branches.append((innermost, 0.0, tau_inner ** (1.0 - alpha)))
+        branches = [(lambda v: G(v ** expo) * expo, 0.0,
+                     edges[0] ** (1.0 - alpha))]
     else:
-        branches.append((outer_plain, 0.0, tau_inner))
-    edges = [tau_inner * 2.0 ** k for k in range(n_geo)] + [1.0]
-    for a, b in zip(edges[:-1], edges[1:]):
-        branches.append((outer_plain, a, b))
+        branches = [(outer_plain, 0.0, edges[0])]
+    branches += [(outer_plain, a, b) for a, b in zip(edges[:-1], edges[1:])]
 
-    value, outer_err = _run_adaptive(branches, 0.5 * tol, 16, 2048,
-                                     False, "integrate_triangle_singular")
+    value, outer_err = _run_adaptive(branches, 0.5 * tol, 2048)
     err = outer_err + inner_tol * moment
     if err > tol:
         raise AccuracyError(
             f"triangle quadrature stalled at error {err:.3e} "
             f"(requested {tol:.3e})", value=value, error_estimate=err)
-    return QuadratureResult(value, err, counter.n)
+    return QuadratureResult(value, err, evaluations[0])
 
 
 def divergence_probe(alpha: float,
-                     g: Callable[[np.ndarray, float], np.ndarray],
+                     g: Callable[[np.ndarray, np.ndarray], np.ndarray],
                      cutoffs: Sequence[float], *,
                      tol: float = 1e-9) -> list[tuple[float, float]]:
     """Cutoff integrals ``int_{tau > kappa} tau^(-alpha) g`` on the triangle.
 
     ``g`` follows the ``SingularIntegrandSpec`` convention
-    ``g(t1_array, tau)``.
+    ``g(t1, tau)`` with array ``tau``.
 
     Returns ``[(kappa, value), ...]`` in the order given.  For alpha >= 1
     the values grow without bound as kappa -> 0; for alpha < 1 they
     converge to the full integral.  No integrability gate is applied.
     """
+    G, _ = _inner_integrals(g, 0.1 * tol, 16, None)
+
+    def outer(taus):
+        return taus ** (-alpha) * G(taus)
+
     results = []
     for kappa in cutoffs:
         if not 0.0 < kappa < 1.0:
             raise ValueError(f"cutoff {kappa} must lie in (0, 1)")
-        counter = _Counter()
-
-        def G(tau: float) -> float:
-            def inner(t1):
-                counter.n += t1.size
-                return g(t1, tau)
-
-            res = integrate_interval(inner, 0.0, 1.0 - tau,
-                                     tol=0.1 * tol, order=16, strict=False)
-            return res.value
-
-        def outer(taus):
-            out = np.empty_like(taus)
-            for i, tau in enumerate(taus):
-                out[i] = tau ** (-alpha) * G(tau)
-            return out
-
         # Geometric panels toward the cutoff resolve the steep growth.
-        edges = [kappa]
-        while edges[-1] * 2.0 < 1.0:
-            edges.append(edges[-1] * 2.0)
+        edges = list(itertools.takewhile(
+            lambda e: e < 1.0, (kappa * 2.0 ** k for k in itertools.count())))
         edges.append(1.0)
         branches = [(outer, a, b) for a, b in zip(edges[:-1], edges[1:])]
-        value, err = _run_adaptive(branches, 0.5 * tol, 16, 1024, False,
-                                   "divergence_probe")
+        value, _ = _run_adaptive(branches, 0.5 * tol, 1024)
         results.append((kappa, value))
     return results

@@ -253,17 +253,24 @@ def s_local_time(spec: DeltaSpec, f, tol: float = 1e-9, *,
         small = PairingTable._LINEAR_TAU
 
         def g(t1, tau):
-            if tau >= small:
-                y = -0.5 * pairing.v_norm_sq_tau(t1, tau) / tau ** two_h
-                return pref * tau ** (-comp) * exp_truncated(y, n)
+            out = np.empty_like(t1)
+            big = tau >= small
+            tb = tau[big]
+            y = -0.5 * pairing.v_norm_sq_tau(t1[big], tb) / tb ** two_h
+            out[big] = pref * tb ** (-comp) * exp_truncated(y, n)
             # Tiny separations: |v|^2 ~ tau^2 |v'|^2, and the powers of
             # tau cancel exactly against tau^(-comp) because
             # (2 - 2H) n = comp.  Evaluating through the tail ratio
             # exp_n(-y) n! / (-y)^n avoids 0 * inf and overflow.
-            rate_sq = np.sum(pairing.v_rate(t1 + 0.5 * tau) ** 2, axis=0)
-            y = 0.5 * rate_sq * tau ** (2.0 - two_h)
-            return (pref * (-0.5 * rate_sq) ** n / math.factorial(n)
-                    * _exp_tail_ratio(y, n))
+            low = ~big
+            if np.any(low):
+                ts = tau[low]
+                rate_sq = np.sum(pairing.v_rate(t1[low] + 0.5 * ts) ** 2,
+                                 axis=0)
+                y = 0.5 * rate_sq * ts ** (2.0 - two_h)
+                out[low] = (pref * (-0.5 * rate_sq) ** n / math.factorial(n)
+                            * _exp_tail_ratio(y, n))
+            return out
 
         sing = SingularIntegrandSpec(alpha=alpha, g=g, tol=tol)
     else:

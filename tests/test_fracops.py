@@ -259,6 +259,19 @@ class TestPairingTable:
             stable = table.v_tau(t1, tau)[0, 0]
             assert abs(direct - stable) < 1e-9 * max(1.0, abs(direct))
 
+    def test_array_tau_matches_scalar_tau(self):
+        # tau straddling the switch to the linear form: each element is
+        # bit-identical to a call with that tau as a scalar
+        table = PairingTable(0.35, VectorTestFunction(
+            (bump(), gaussian_bump(-0.3, 0.6, 0.25))))
+        t1 = np.array([0.1, 0.42, 0.7])
+        taus = np.array([5e-8, 0.99e-7, 1e-7, 1.01e-7, 1e-3])
+        t1_grid, tau_grid = np.meshgrid(t1, taus)
+        got = table.v_tau(t1_grid, tau_grid)
+        assert got.shape == (2,) + t1_grid.shape
+        for i, tau in enumerate(taus):
+            assert np.array_equal(got[:, i], table.v_tau(t1, tau))
+
     def test_rate_is_derivative(self):
         f = bump()
         table = PairingTable(0.55, f)

@@ -1,6 +1,9 @@
 import math
 
+import numpy as np
 import pytest
+
+import loctime.kernels as kernels_module
 
 from loctime.errors import (AdmissibilityError, ConfigError,
                             NonIntegrableError)
@@ -143,6 +146,34 @@ class TestValues:
         assert abs(got - pair_kernel_half(0.25, 0.75)) < 1e-9
         got2 = kernel_value(0.5, (1,), ((0.2, 0.5),))
         assert abs(got2 - pair_kernel_half(0.2, 0.5)) < 1e-9
+
+    def test_brownian_pair_kernel_generic_pairs(self):
+        # G(tau) has kinks at |u1 - u2|, u_i and 1 - u_i; they are outer
+        # panel edges, so generic pairs meet the tolerance too
+        tol = 1e-8
+        allowance = tol * 0.5 * TWO_PI ** -0.5
+        for u1, u2 in np.random.default_rng(0).uniform(size=(30, 2)):
+            got = kernel_value(0.5, (1,), ((u1, u2),), tol=tol)
+            assert abs(got - pair_kernel_half(u1, u2)) <= allowance
+
+    def test_integrand_calls_are_batched(self, monkeypatch):
+        calls = []
+        engine = kernels_module.integrate_triangle_singular
+
+        def counted(spec):
+            g = spec.g
+
+            def g_counted(t1, tau):
+                calls.append(t1.size)
+                return g(t1, tau)
+
+            spec.g = g_counted
+            return engine(spec)
+
+        monkeypatch.setattr(kernels_module, "integrate_triangle_singular",
+                            counted)
+        kernel_value(0.5, (1,), ((0.25, 0.75),))
+        assert 0 < len(calls) <= 64
 
     def test_brownian_pair_kernel_repeated(self):
         # coincident points: the strip contributes tau^(a-1) locally and

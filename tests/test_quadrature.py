@@ -70,6 +70,15 @@ class TestIntervalEngine:
         assert a.value == b.value
         assert a.evaluations == b.evaluations
 
+    def test_rounding_noise_stops_refinement(self):
+        # at 1e12 the embedded-rule difference of an exact panel is
+        # rounding noise far above tol, which splitting cannot lower
+        res = integrate_interval(lambda x: 1e12 * np.exp(x), 0.0, 1.0,
+                                 tol=1e-9, strict=False)
+        assert res.evaluations == 48
+        assert abs(res.value - 1e12 * math.expm1(1.0)) <= 1e-3
+        assert res.error_estimate < 1e-14 * res.value
+
     def test_budget_exhaustion_raises_when_strict(self):
         f = lambda x: np.abs(np.sin(40.0 / (x + 1e-3)))
         with pytest.raises(AccuracyError):
@@ -77,6 +86,73 @@ class TestIntervalEngine:
         res = integrate_interval(f, 0.0, 1.0, tol=1e-14, max_panels=8,
                                  strict=False)
         assert res.error_estimate > 1e-14
+
+
+class TestBatchedIntervals:
+    # (lo, hi, k, (c, s), (e, t)): the integrand cos(k x) |x-c|^s |x-e|^t,
+    # marked at c and e.  An unmarked row, an interior mark, a singular
+    # left end (sigma < 0), a kink (sigma > 0), both ends singular, and
+    # an empty row.
+    ROWS = [
+        (0.0, 1.0, 3.0, (0.3, 0.0), (0.5, 0.0)),
+        (0.0, 1.0, 5.0, (0.3, -0.4), (0.5, 0.0)),
+        (0.0, 0.7, 1.0, (0.0, -0.5), (0.5, 0.0)),
+        (0.2, 0.9, 2.0, (0.5, 0.5), (0.5, 0.0)),
+        (0.0, 1.0, 4.0, (0.0, -0.3), (1.0, -0.6)),
+        (0.5, 0.5, 1.0, (0.3, 0.0), (0.5, 0.0)),
+    ]
+
+    @staticmethod
+    def f(x, k, c, s, e, t):
+        return np.cos(k * x) * np.abs(x - c) ** s * np.abs(x - e) ** t
+
+    @staticmethod
+    def marks(row):
+        return tuple(m for m in row[3:] if m[1] != 0.0)
+
+    def batch(self, rows, counts=None):
+        def f(x, r, *params):
+            if counts is not None:
+                np.add.at(counts, r.astype(int), 1)
+            return self.f(x, *params)
+
+        picked = [self.ROWS[r] for r in rows]
+        lo, hi, k, cs, et = (np.array(col) for col in zip(*picked))
+        return integrate_interval(
+            f, lo, hi, tol=1e-10, singular=[self.marks(r) for r in picked],
+            strict=False, args=(np.array(rows, float), k, cs[:, 0], cs[:, 1],
+                                et[:, 0], et[:, 1]))
+
+    def test_rows_match_scalar_calls(self):
+        counts = np.zeros(len(self.ROWS), dtype=int)
+        res = self.batch(range(len(self.ROWS)), counts)
+        assert res.value.shape == res.error_estimate.shape == (6,)
+        assert isinstance(res.evaluations, int)
+        assert res.evaluations == counts.sum()
+        for r, row in enumerate(self.ROWS):
+            (lo, hi, k, (c, s), (e, t)) = row
+            one = integrate_interval(self.f, lo, hi, tol=1e-10,
+                                     singular=self.marks(row), strict=False,
+                                     args=(k, c, s, e, t))
+            assert isinstance(one.value, float)
+            assert res.value[r] == one.value
+            assert res.error_estimate[r] == one.error_estimate
+            assert counts[r] == one.evaluations
+        assert res.value[5] == 0.0 and counts[5] == 0
+
+    def test_rows_do_not_depend_on_the_batch(self):
+        full = self.batch(range(len(self.ROWS)))
+        order = [4, 1, 1, 3]
+        part = self.batch(order)
+        for i, r in enumerate(order):
+            assert part.value[i] == full.value[r]
+            assert part.error_estimate[i] == full.error_estimate[r]
+
+    def test_strict_batch_raises_for_any_row(self):
+        f = lambda x, k: np.abs(np.sin(k / (x + 1e-3)))
+        with pytest.raises(AccuracyError):
+            integrate_interval(f, np.zeros(2), np.ones(2), tol=1e-14,
+                               max_panels=8, args=(np.array([0.0, 40.0]),))
 
 
 class TestTrianglePowerMoment:
@@ -113,7 +189,7 @@ class TestTriangleEngine:
     def test_tau_dependent_factor(self):
         # g = sqrt(tau) turns tau^-0.75 into tau^-0.25.
         spec = SingularIntegrandSpec(
-            alpha=0.75, g=lambda t1, tau: np.full_like(t1, math.sqrt(tau)),
+            alpha=0.75, g=lambda t1, tau: np.full_like(t1, np.sqrt(tau)),
             tol=1e-10)
         res = integrate_triangle_singular(spec)
         assert abs(res.value - triangle_power_moment(0.25)) < 1e-8

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import dblquad, quad
 from scipy.special import erf
 
+import loctime.stransform as stransform_module
 from loctime.errors import AdmissibilityError, ConfigError
 from loctime.fracops import PairingTable
 from loctime.quadrature import triangle_power_moment
@@ -293,6 +294,22 @@ class TestLocalTimeTransform:
             s_local_time(DeltaSpec(0.5, 1, 0), zero_bundle(3))
         with pytest.raises(ConfigError):
             s_local_time(DeltaSpec(0.5, 1, 0), None)
+
+
+def test_eps_zero_integrand_takes_array_tau(monkeypatch):
+    # tau straddling PairingTable._LINEAR_TAU: the integrand at an array
+    # of tau equals, bit for bit, its values at one tau at a time
+    specs = []
+    monkeypatch.setattr(stransform_module, "integrate_triangle_singular",
+                        lambda spec: specs.append(spec))
+    s_local_time(DeltaSpec(0.5, 1, 0), bump())
+    g = specs[0].g
+    t1 = np.array([0.1, 0.42, 0.7])
+    taus = np.array([5e-8, 0.99e-7, 1e-7, 1.01e-7, 1e-3])
+    t1_grid, tau_grid = np.meshgrid(t1, taus)
+    got = g(t1_grid.ravel(), tau_grid.ravel()).reshape(t1_grid.shape)
+    for i, tau in enumerate(taus):
+        assert np.array_equal(got[i], g(t1, np.full(t1.shape, tau)))
 
 
 class TestGrowthEnvelope:
