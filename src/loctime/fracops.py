@@ -422,6 +422,20 @@ class PairingTable:
         vv = self.v_tau(t1, tau)
         return np.sum(vv * vv, axis=0)
 
+    def v_quotient_sq(self, t1, tau) -> np.ndarray:
+        """|v|^2 / tau^2 for the intervals [t1, t1 + tau], stable down to
+        tau = 0 (the squared rate at the midpoint below _LINEAR_TAU);
+        ``tau`` is a scalar or an array of the shape of ``t1``."""
+        t1, tau = np.broadcast_arrays(np.asarray(t1, dtype=float),
+                                      np.asarray(tau, dtype=float))
+        if self._zero:
+            return np.zeros(t1.shape)
+        vt = self.v_tau(t1, tau) / tau
+        low = tau < self._LINEAR_TAU
+        if low.any():
+            vt[:, low] = self.v_rate(t1[low] + 0.5 * tau[low])
+        return np.sum(vt * vt, axis=0)
+
     def v_rate(self, t) -> np.ndarray:
         """d/dt2 of the pairing at t2 = t, the tau -> 0 rate of v/tau."""
         t = np.asarray(t, dtype=float)

@@ -345,11 +345,7 @@ def series_reconstruction(spec: DeltaSpec, f, max_order: int,
         if spec.eps == 0.0:
 
             def g(t1, tau, scale=scale, n=n):
-                big = tau >= PairingTable._LINEAR_TAU
-                vt = np.empty((d,) + t1.shape)
-                vt[:, big] = table.v_tau(t1[big], tau[big]) / tau[big]
-                vt[:, ~big] = table.v_rate(t1[~big] + 0.5 * tau[~big])
-                return scale * np.sum(vt * vt, axis=0) ** n
+                return scale * table.v_quotient_sq(t1, tau) ** n
 
             alpha = -admissibility(spec.hurst, d, n).exponent
             sing = SingularIntegrandSpec(alpha=alpha, g=g, tol=per_order_tol)

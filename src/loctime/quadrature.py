@@ -1,17 +1,17 @@
 """Quadrature for integrals with endpoint power-law singularities.
 
-Two engines live here.
-
-``integrate_interval`` handles one-dimensional integrals whose integrand
-behaves like ``|x - p|^sigma`` (sigma > -1) near known points ``p``.  The
-interval is split at the marked points and each singular endpoint is
-removed exactly by the substitution ``x = p + w**(1/(1+sigma))``, which
-maps ``(x-p)^sigma dx`` to a constant multiple of ``dw``.  Panels are then
-refined adaptively with an embedded Gauss pair (order n vs 2n), by
-generations: each generation evaluates all new panels in one integrand
-call.  One call integrates a batch of intervals (arrays ``lo``, ``hi``,
-one mark list and one set of parameters ``args`` per row); a row's
-result is bit-identical whether it is integrated alone or in a batch.
+``integrate_interval`` is the one adaptive engine.  It handles
+one-dimensional integrals whose integrand behaves like ``|x - p|^sigma``
+(sigma > -1) near known points ``p``.  The interval is split at the
+marked points and each singular endpoint is removed exactly by the
+substitution ``x = p + w**(1/(1+sigma))``, which maps ``(x-p)^sigma dx``
+to a constant multiple of ``dw``.  Panels are then refined adaptively
+with an embedded Gauss pair (order n vs 2n), by generations: each
+generation evaluates all new panels in as few integrand calls as its
+block size allows.  One call integrates a batch of intervals (arrays
+``lo``, ``hi``, one mark list and one set of parameters ``args`` per
+row); a row's result is bit-identical whether it is integrated alone or
+in a batch, as long as the integrand is computed point by point.
 
 ``integrate_triangle_singular`` computes
 
@@ -23,12 +23,15 @@ for bounded g and alpha < 1 by reducing to the tau axis:
     I = int_0^1 tau^(-alpha) * G(tau) dtau,
     G(tau) = int_0^{1-tau} g(t1, t1 + tau) dt1.
 
-The tau axis is covered by geometric panels shrinking toward tau = 0
-(ratio 1/2) and split at the integrand's outer breakpoints; the
-innermost panel is computed after the substitution tau = v**(1/(1-alpha))
-which removes the singularity exactly for constant G.  Each outer panel
-gets G at all its tau nodes from one batched inner call.  All rules are
-open, so g is never evaluated at tau = 0 or at marked singular points.
+Both integrals run on ``integrate_interval``.  The outer one is split at
+geometric edges shrinking toward tau = 0 (ratio 1/2) and at the
+integrand's outer breakpoints; for alpha > 0 it is computed after the
+substitution tau = v**(1/(1-alpha)), which removes the singularity
+exactly for constant G.  The outer integrand gets G at its tau nodes
+from batched inner calls, 48 tau (one outer panel) per call, so
+``g(t1, tau)`` receives ``tau`` as an array of the shape of ``t1``.  All
+rules are open, so g is never evaluated at tau = 0 or at marked
+singular points.
 
 Integrands must be vectorized over numpy arrays.  Panel results are
 summed in a fixed order, so repeated runs give bit-identical values.
@@ -36,8 +39,7 @@ summed in a fixed order, so repeated runs give bit-identical values.
 
 from __future__ import annotations
 
-import heapq
-import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -75,6 +77,13 @@ class QuadratureResult:
         return self.value
 
 
+# Most panels evaluated in one call of the integrand by
+# ``integrate_interval``, and most tau in one batch of inner integrals
+# of the triangle engine (the 48 Gauss nodes of one outer panel).
+_BLOCK = 512
+_TAU_BLOCK = 48
+
+
 @lru_cache(maxsize=None)
 def _leggauss(order: int):
     return np.polynomial.legendre.leggauss(order)
@@ -93,50 +102,6 @@ def gauss_panels(edges, order: int):
     nodes = (mids[:, None] + half[:, None] * gx[None, :]).ravel()
     weights = (half[:, None] * gw[None, :]).ravel()
     return nodes, weights
-
-
-def _run_adaptive(branches, tol: float, max_panels: int):
-    """Heap-driven adaptive loop over ``branches``: (func, lo < hi).
-
-    Each panel evaluation calls its branch function once, on the 16 and
-    32 Gauss nodes together.  A panel whose width is at floating-point
-    resolution is retired: it keeps its value and error, and the loop
-    goes on refining the others.
-    """
-    order = 16
-    (gx_c, gw_c), (gx_f, gw_f) = _leggauss(order), _leggauss(2 * order)
-    unit = np.concatenate([gx_c, gx_f]) + 1.0
-    heap, retired, serial, err_total = [], [], itertools.count(), 0.0
-
-    def add(bi, lo, hi):
-        nonlocal err_total
-        half = 0.5 * (hi - lo)
-        vals = np.asarray(branches[bi][0](lo + half * unit), dtype=float)
-        fine = half * float(gw_f @ vals[order:])
-        err = abs(fine - half * float(gw_c @ vals[:order]))
-        heapq.heappush(heap, (-err, bi, lo, next(serial), hi, fine))
-        err_total += err
-
-    for bi, (_, lo, hi) in enumerate(branches):
-        add(bi, lo, hi)
-    while err_total > tol and len(heap) + len(retired) < max_panels and heap:
-        panel = heapq.heappop(heap)
-        neg_err, bi, lo, _, hi, _ = panel
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            retired.append(panel)
-            continue
-        err_total += neg_err
-        add(bi, lo, mid)
-        add(bi, mid, hi)
-
-    # Deterministic final reduction: sum panels by position, not by
-    # refinement history.
-    value = err_total = 0.0
-    for neg_err, *_, val in sorted(heap + retired, key=lambda p: p[1:3]):
-        value += val
-        err_total -= neg_err
-    return value, err_total
 
 
 def _branches(lo: float, hi: float, singular) -> list:
@@ -233,43 +198,53 @@ def integrate_interval(f: Callable[..., np.ndarray], lo, hi, *,
     unit = np.concatenate([gx_c, gx_f])
     evaluations = 0
     while fresh.any():
-        idx = np.flatnonzero(fresh)
-        half = 0.5 * (w_hi[idx] - w_lo[idx])
-        w = (w_lo[idx] + half)[:, None] + half[:, None] * unit
-        # A real array, not a broadcast view: numpy's power takes another
-        # code path, with other rounding, for a stride-0 exponent.
-        qi = np.repeat(q[idx], unit.size).reshape(w.shape)
-        pi = np.broadcast_to(p[idx][:, None], w.shape)
-        x = pi + side[idx][:, None] * w ** qi
-        # Nodes whose offset w**q rounds x back to p contribute zero: the
-        # integrand cannot be evaluated at a mark, and everything inside
-        # one ulp of p is below the resolution of the abscissae anyway.
-        # For marks at p = 0 the offset is exact and only the denormal
-        # range (mass around 1e-60) is lost.
-        ok = x != pi
-        vals = np.zeros_like(x)
-        at = np.broadcast_to(rows[idx][:, None], w.shape)[ok]
-        qo, wo = qi[ok], w[ok]
-        vals[ok] = f(x[ok], *(a[at] for a in params)) * (qo * wo ** (qo - 1.0))
-        evaluations += at.size
-        val[idx] = half * np.sum(vals[:, order:] * gw_f, axis=1)
-        err[idx] = np.abs(
-            val[idx] - half * np.sum(vals[:, :order] * gw_c, axis=1))
+        # At most _BLOCK panels per call of f bound its array sizes.
+        todo = np.flatnonzero(fresh)
+        for start in range(0, todo.size, _BLOCK):
+            idx = todo[start:start + _BLOCK]
+            half = 0.5 * (w_hi[idx] - w_lo[idx])
+            w = (w_lo[idx] + half)[:, None] + half[:, None] * unit
+            # A real array, not a broadcast view: numpy's power takes
+            # another code path, with other rounding, for a stride-0
+            # exponent.
+            qi = np.repeat(q[idx], unit.size).reshape(w.shape)
+            pi = np.broadcast_to(p[idx][:, None], w.shape)
+            x = pi + side[idx][:, None] * w ** qi
+            # Nodes whose offset w**q rounds x back to p contribute zero:
+            # the integrand cannot be evaluated at a mark, and everything
+            # inside one ulp of p is below the resolution of the abscissae
+            # anyway.  For marks at p = 0 the offset is exact and only the
+            # denormal range (mass around 1e-60) is lost.
+            ok = x != pi
+            vals = np.zeros_like(x)
+            at = np.broadcast_to(rows[idx][:, None], w.shape)[ok]
+            qo, wo = qi[ok], w[ok]
+            vals[ok] = (f(x[ok], *(a[at] for a in params))
+                        * (qo * wo ** (qo - 1.0)))
+            evaluations += at.size
+            val[idx] = half * np.sum(vals[:, order:] * gw_f, axis=1)
+            err[idx] = np.abs(
+                val[idx] - half * np.sum(vals[:, :order] * gw_c, axis=1))
 
-        # Split, in every row above tol and below max_panels, the panels
-        # above the row's share of tol; one at floating-point resolution
-        # is retired.  A row whose error is rounding noise, below 50 ulp
-        # of its panel sums (QUADPACK's round-off test), stops too.
-        # Children replace their parent in place, so each row keeps its
-        # panels in position order.
+        # Split, in every row above tol, the panels above the row's share
+        # of tol, largest error first and no more than keep the row at
+        # max_panels; one at floating-point resolution is retired.  A row
+        # whose error is rounding noise, below 50 ulp of its panel sums
+        # (QUADPACK's round-off test), stops too.  Children replace their
+        # parent in place, so each row keeps its panels in position order.
         row_n = np.bincount(rows, minlength=n_rows)
         row_err = np.bincount(rows, weights=err, minlength=n_rows)
         noise = 1.1e-14 * np.bincount(rows, weights=np.abs(val),
                                       minlength=n_rows)
-        live = (row_err > np.maximum(tol, noise)) & (row_n < max_panels)
+        live = row_err > np.maximum(tol, noise)
         mid = 0.5 * (w_lo + w_hi)
         split = (live[rows] & (err * row_n[rows] > tol)
                  & (w_lo < mid) & (mid < w_hi))
+        cand = np.flatnonzero(split)
+        cand = cand[np.lexsort((-err[cand], rows[cand]))]
+        first = np.searchsorted(rows[cand], rows[cand])
+        rank = np.arange(cand.size) - first
+        split[cand[rank >= (max_panels - row_n)[rows[cand]]]] = False
         reps = 1 + split
         take = np.repeat(np.arange(rows.size), reps)
         left = (np.cumsum(reps) - reps)[split]
@@ -330,22 +305,28 @@ class SingularIntegrandSpec:
 
 
 def _inner_integrals(g, tol: float, order: int, marks_of):
-    """G(tau) = int_0^{1-tau} g(t1, tau) dt1 at an array of tau, in one
-    batched ``integrate_interval`` call (zero for tau outside (0, 1)),
-    and a one-element list counting the points where g was evaluated."""
+    """G(tau) = int_0^{1-tau} g(t1, tau) dt1 at an array of tau (zero for
+    tau outside (0, 1)), and a one-element list counting the points where
+    g was evaluated.  Each block of _TAU_BLOCK tau is one batched
+    ``integrate_interval`` call; the block bounds the refinement state
+    held at once, which grows with the number of rows."""
     evaluations = [0]
 
     def G(taus: np.ndarray) -> np.ndarray:
-        widths = np.where(taus > 0.0, 1.0 - taus, 0.0)
-        marks = ()
-        if marks_of is not None:
-            marks = [[(p, s) for p, s in marks_of(t) if 0.0 < p < w]
-                     for t, w in zip(taus.tolist(), widths.tolist())]
-        res = integrate_interval(g, np.zeros_like(taus), widths, tol=tol,
-                                 singular=marks, order=order, strict=False,
-                                 args=(taus,))
-        evaluations[0] += res.evaluations
-        return res.value
+        out = np.empty_like(taus)
+        for start in range(0, taus.size, _TAU_BLOCK):
+            t = taus[start:start + _TAU_BLOCK]
+            widths = np.where(t > 0.0, 1.0 - t, 0.0)
+            marks = ()
+            if marks_of is not None:
+                marks = [[(p, s) for p, s in marks_of(tau) if 0.0 < p < w]
+                         for tau, w in zip(t.tolist(), widths.tolist())]
+            res = integrate_interval(g, np.zeros_like(t), widths, tol=tol,
+                                     singular=marks, order=order,
+                                     strict=False, args=(t,))
+            evaluations[0] += res.evaluations
+            out[start:start + _TAU_BLOCK] = res.value
+        return out
 
     return G, evaluations
 
@@ -362,25 +343,30 @@ def integrate_triangle_singular(spec: SingularIntegrandSpec) -> QuadratureResult
     G, evaluations = _inner_integrals(spec.g, inner_tol, spec.inner_order,
                                       spec.inner_singularities)
 
-    def outer_plain(taus):
-        return taus ** (-alpha) * G(taus)
-
+    # Geometric edges toward tau = 0 (ratio 1/2) and the breakpoints of G
+    # split the tau axis.
     n_geo = 18
     edges = sorted({2.0 ** (k - n_geo) for k in range(n_geo)}
                    | {float(b) for b in spec.outer_breakpoints
-                      if 0.0 < b < 1.0}) + [1.0]
+                      if 0.0 < b < 1.0})
     if alpha > 0.0:
-        # tau = v**expo removes the singularity exactly for constant G.
-        # tau can underflow to exactly zero; that region carries mass
-        # below 1e-300 and G gives zero there.
+        # tau = v**expo turns tau^(-alpha) dtau into expo dv, a bounded
+        # integrand; tau^(-alpha) itself overflows near tau = 1e-310 for
+        # alpha close to 1.  tau can underflow to exactly zero, where G
+        # gives zero.
         expo = 1.0 / (1.0 - alpha)
-        branches = [(lambda v: G(v ** expo) * expo, 0.0,
-                     edges[0] ** (1.0 - alpha))]
-    else:
-        branches = [(outer_plain, 0.0, edges[0])]
-    branches += [(outer_plain, a, b) for a, b in zip(edges[:-1], edges[1:])]
+        edges = [e ** (1.0 - alpha) for e in edges]
 
-    value, outer_err = _run_adaptive(branches, 0.5 * tol, 2048)
+        def outer(v):
+            return expo * G(v ** expo)
+    else:
+
+        def outer(taus):
+            return taus ** (-alpha) * G(taus)
+
+    res = integrate_interval(outer, 0.0, 1.0, tol=0.5 * tol, max_panels=2048,
+                             singular=[(e, 0.0) for e in edges], strict=False)
+    value, outer_err = res.value, res.error_estimate
     err = outer_err + inner_tol * moment
     if err > tol:
         raise AccuracyError(
@@ -407,15 +393,13 @@ def divergence_probe(alpha: float,
     def outer(taus):
         return taus ** (-alpha) * G(taus)
 
-    results = []
     for kappa in cutoffs:
         if not 0.0 < kappa < 1.0:
             raise ValueError(f"cutoff {kappa} must lie in (0, 1)")
-        # Geometric panels toward the cutoff resolve the steep growth.
-        edges = list(itertools.takewhile(
-            lambda e: e < 1.0, (kappa * 2.0 ** k for k in itertools.count())))
-        edges.append(1.0)
-        branches = [(outer, a, b) for a, b in zip(edges[:-1], edges[1:])]
-        value, _ = _run_adaptive(branches, 0.5 * tol, 1024)
-        results.append((kappa, value))
-    return results
+    kappas = np.array(cutoffs, dtype=float)
+    # Geometric panels toward each cutoff resolve the steep growth.
+    marks = [[(k * 2.0 ** j, 0.0) for j in range(1, int(-math.log2(k)) + 1)]
+             for k in kappas.tolist()]
+    res = integrate_interval(outer, kappas, 1.0, tol=0.5 * tol,
+                             singular=marks, max_panels=1024, strict=False)
+    return list(zip(kappas.tolist(), res.value.tolist()))

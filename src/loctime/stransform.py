@@ -135,13 +135,27 @@ class DeltaSpec:
 def _tail_integral(xs: np.ndarray, n: int) -> np.ndarray:
     """int_0^1 e^{x u} (1-u)^(n-1) du for n >= 1, vectorized over x.
 
-    Fixed 48-point Gauss panels on [0, 1], split so each panel spans
-    |x u| <= 50, keep 1e-12 relative accuracy.
+    48-point Gauss panels that each span |x u| <= 50 keep 1e-12 relative
+    accuracy.  For x > 50, [0, 1] is split into ceil(x / 50) panels; for
+    x < -50 only [0, -50 / x] is kept, beyond which the integrand is
+    below e^-50 of its value at 0.  The rule is chosen for each x alone,
+    so a value does not depend on the other points.
     """
-    amax = float(np.max(np.abs(xs))) if xs.size else 0.0
-    n_panels = max(1, int(math.ceil(amax / 50.0)))
-    u, w = gauss_panels(np.linspace(0.0, 1.0, n_panels + 1), 48)
-    return (np.exp(xs[:, None] * u[None, :]) * (1.0 - u[None, :]) ** (n - 1)) @ w
+    out = np.empty(xs.shape)
+    far = xs < -50.0
+    if far.any():
+        u, w = gauss_panels((0.0, 1.0), 48)
+        length = -50.0 / xs[far]
+        s = length[:, None] * u
+        out[far] = length * np.sum(
+            np.exp(xs[far, None] * s) * (1.0 - s) ** (n - 1) * w, axis=1)
+    n_panels = np.ceil(xs / 50.0).clip(min=1.0)
+    for k in np.unique(n_panels[~far]):
+        at = ~far & (n_panels == k)
+        u, w = gauss_panels(np.linspace(0.0, 1.0, int(k) + 1), 48)
+        out[at] = np.sum(np.exp(xs[at, None] * u) * ((1.0 - u) ** (n - 1) * w),
+                         axis=1)
+    return out
 
 
 def exp_truncated(x, n: int):
@@ -249,28 +263,16 @@ def s_local_time(spec: DeltaSpec, f, tol: float = 1e-9, *,
 
     if spec.eps == 0.0:
         alpha = spec.singular_exponent
-        comp = 2.0 * n * (1.0 - h)
-        small = PairingTable._LINEAR_TAU
 
         def g(t1, tau):
-            out = np.empty_like(t1)
-            big = tau >= small
-            tb = tau[big]
-            y = -0.5 * pairing.v_norm_sq_tau(t1[big], tb) / tb ** two_h
-            out[big] = pref * tb ** (-comp) * exp_truncated(y, n)
-            # Tiny separations: |v|^2 ~ tau^2 |v'|^2, and the powers of
-            # tau cancel exactly against tau^(-comp) because
-            # (2 - 2H) n = comp.  Evaluating through the tail ratio
-            # exp_n(-y) n! / (-y)^n avoids 0 * inf and overflow.
-            low = ~big
-            if np.any(low):
-                ts = tau[low]
-                rate_sq = np.sum(pairing.v_rate(t1[low] + 0.5 * ts) ** 2,
-                                 axis=0)
-                y = 0.5 * rate_sq * ts ** (2.0 - two_h)
-                out[low] = (pref * (-0.5 * rate_sq) ** n / math.factorial(n)
-                            * _exp_tail_ratio(y, n))
-            return out
+            # |v|^2 ~ tau^2 as tau -> 0, and tau^(-2N(1-H)) cancels
+            # exactly against exp_N(-y) ~ y^N, y = |v|^2 / (2 tau^(2H)).
+            # Written through r = |v|^2 / tau^2 and the tail ratio
+            # exp_N(-y) N! / (-y)^N, nothing is 0 * inf or overflows.
+            r = pairing.v_quotient_sq(t1, tau)
+            y = 0.5 * r * tau ** (2.0 - two_h)
+            return (pref * (-0.5 * r) ** n / math.factorial(n)
+                    * _exp_tail_ratio(y, n))
 
         sing = SingularIntegrandSpec(alpha=alpha, g=g, tol=tol)
     else:

@@ -272,6 +272,25 @@ class TestPairingTable:
         for i, tau in enumerate(taus):
             assert np.array_equal(got[:, i], table.v_tau(t1, tau))
 
+    def test_quotient_matches_its_two_forms(self):
+        # |v|^2 / tau^2 from the difference above the switch to the
+        # linear form, from the midpoint rate below; array tau gives each
+        # element bit-identical to a call with that tau as a scalar
+        table = PairingTable(0.35, VectorTestFunction(
+            (bump(), gaussian_bump(-0.3, 0.6, 0.25))))
+        t1 = np.array([0.1, 0.42, 0.7])
+        taus = np.array([5e-8, 0.99e-7, 1e-7, 1.01e-7, 1e-3])
+        t1_grid, tau_grid = np.meshgrid(t1, taus)
+        got = table.v_quotient_sq(t1_grid, tau_grid)
+        assert got.shape == t1_grid.shape
+        for i, tau in enumerate(taus):
+            assert np.array_equal(got[i], table.v_quotient_sq(t1, tau))
+            if tau >= 1e-7:
+                want = np.sum((table.v_tau(t1, tau) / tau) ** 2, axis=0)
+            else:
+                want = np.sum(table.v_rate(t1 + 0.5 * tau) ** 2, axis=0)
+            assert np.array_equal(got[i], want)
+
     def test_rate_is_derivative(self):
         f = bump()
         table = PairingTable(0.55, f)

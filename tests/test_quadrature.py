@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from loctime import quadrature
 from loctime.errors import AccuracyError, NonIntegrableError
 from loctime.quadrature import (SingularIntegrandSpec, divergence_probe,
                                 integrate_interval,
@@ -153,6 +154,33 @@ class TestBatchedIntervals:
         with pytest.raises(AccuracyError):
             integrate_interval(f, np.zeros(2), np.ones(2), tol=1e-14,
                                max_panels=8, args=(np.array([0.0, 40.0]),))
+
+    def test_max_panels_caps_every_row(self):
+        # Rows that never reach tol end at exactly max_panels panels: each
+        # split adds 2 x 48 points to a row's first 48, so p panels cost
+        # 48 (2p - 1).  Refining all panels of a row at once would have
+        # gone from 512 to 1,024.  The 1,024 fresh panels of the two
+        # oscillating rows also take two blocks of f calls.
+        sizes = []
+        counts = np.zeros(3, dtype=int)
+
+        def f(x, r, k):
+            sizes.append(x.size)
+            np.add.at(counts, r.astype(int), 1)
+            return np.sin(k * x)
+
+        ks = np.array([1e5, 2e5, 1.0])
+        res = integrate_interval(f, np.zeros(3), np.ones(3), tol=1e-13,
+                                 max_panels=600, strict=False,
+                                 args=(np.arange(3.0), ks))
+        assert list((counts // 48 + 1) // 2) == [600, 600, 1]
+        assert max(sizes) <= quadrature._BLOCK * 48
+        for r, k in enumerate(ks):
+            one = integrate_interval(lambda x, k: np.sin(k * x), 0.0, 1.0,
+                                     tol=1e-13, max_panels=600, strict=False,
+                                     args=(k,))
+            assert res.value[r] == one.value
+            assert counts[r] == one.evaluations
 
 
 class TestTrianglePowerMoment:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,6 +117,19 @@ class TestExpTruncated:
 
     def test_scalar_in_float_out(self):
         assert isinstance(exp_truncated(0.3, 2), float)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_points_do_not_depend_on_the_array(self, n):
+        # each value is bit-identical to a call on that point alone, also
+        # next to arguments far beyond the 50 that one panel spans
+        xs = np.array([-1.0, -3.7, -49.9, -50.1, -200.0, -1e4, 3.0, 60.0,
+                       120.0, 0.0])
+        got = exp_truncated(xs, n)
+        for x, v in zip(xs, got):
+            assert v == exp_truncated(x, n)
+        # far below zero, exp_n(x) is minus the first n terms of the series
+        want = -sum((-1e4) ** k / math.factorial(k) for k in range(n))
+        assert abs(got[5] - want) < 1e-12 * abs(want)
 
 
 class TestCharacteristicTransform:
@@ -310,6 +324,22 @@ def test_eps_zero_integrand_takes_array_tau(monkeypatch):
     got = g(t1_grid.ravel(), tau_grid.ravel()).reshape(t1_grid.shape)
     for i, tau in enumerate(taus):
         assert np.array_equal(got[i], g(t1, np.full(t1.shape, tau)))
+
+
+def test_large_bump_keeps_memory_small():
+    # |v|^2 / (2 tau) reaches thousands for an amplitude-100 bump; the
+    # truncated exponential's rule costs the same for every such point
+    spec = DeltaSpec(0.5, 1, 1)
+    f = gaussian_bump(100.0, 0.45, 0.2)
+    table = PairingTable(spec.hurst, VectorTestFunction((f,)))
+    tracemalloc.start()
+    try:
+        res = s_local_time(spec, f, tol=1e-5, pairing=table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(res.value)
+    assert peak < 24 * 2 ** 20
 
 
 class TestGrowthEnvelope:
