@@ -13,8 +13,10 @@ precedence over defaults.  A manifest written by a previous run is
 itself accepted as a config document, so any run can be reproduced from
 its artifacts.  Exit codes: 0 success, 2 invalid configuration,
 3 accuracy/consistency failure, 4 inadmissible or non-integrable
-combination.  The environment variable LOCTIME_THREADS caps worker
-parallelism of the Monte Carlo layer.
+combination.  The Monte Carlo layer runs on LOCTIME_THREADS worker
+threads, or by default on the usable CPUs (at most 4); its values are
+bit-identical for every thread count, and the manifest records the
+count used next to the CPU count.
 """
 
 from __future__ import annotations
@@ -45,7 +47,8 @@ from .kernels import odd_kernel_zero, series_reconstruction
 from .mc import (WhiteNoiseGrid, covariance_from_kernels, fbm_covariance,
                  make_midpoint_times, mc_grid_bias,
                  mc_local_time_regularized, mc_s_transform, mc_weight_check,
-                 sample_paths_cholesky, sample_paths_whitenoise)
+                 resolve_threads, sample_paths_cholesky,
+                 sample_paths_whitenoise)
 from .quadrature import (SingularIntegrandSpec, integrate_interval,
                          integrate_triangle_singular, triangle_power_moment)
 from .stransform import (DeltaSpec, exp_truncated, is_admissible,
@@ -208,6 +211,8 @@ class ResultRecord:
     wall_time_s: float
     version: str
     created_utc: str
+    threads: int
+    cpu_count: int | None
 
     def csv_text(self) -> str:
         cfg = self.config
@@ -234,21 +239,9 @@ class ResultRecord:
             "wall_time_s": self.wall_time_s,
             "version": self.version,
             "created_utc": self.created_utc,
+            "threads": self.threads,
+            "cpu_count": self.cpu_count,
         }
-
-
-def _threads() -> int:
-    raw = os.environ.get("LOCTIME_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(
-            f"LOCTIME_THREADS must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise ConfigError(f"LOCTIME_THREADS must be >= 1, got {n}")
-    return n
 
 
 def _test_bundle(cfg: ExperimentConfig) -> VectorTestFunction:
@@ -477,7 +470,7 @@ _RUNNERS = {
 def run(config: ExperimentConfig) -> ResultRecord:
     """Execute one experiment and persist its artifacts."""
     config.validate()
-    threads = _threads()
+    threads = resolve_threads()
     start = time.perf_counter()
     rows, plot = _RUNNERS[config.kind](config, threads)
     wall = time.perf_counter() - start
@@ -486,7 +479,8 @@ def run(config: ExperimentConfig) -> ResultRecord:
         experiment=config.kind, run_id=run_id, config=config,
         rows=tuple(rows), wall_time_s=wall, version=__version__,
         created_utc=datetime.now(timezone.utc).isoformat(
-            timespec="seconds"))
+            timespec="seconds"),
+        threads=threads, cpu_count=os.cpu_count())
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "results.csv").write_text(record.csv_text())

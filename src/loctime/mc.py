@@ -21,7 +21,9 @@ order, so results are bit-identical for any worker count.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -44,14 +46,24 @@ __all__ = [
     "mc_s_transform",
     "mc_weight_check",
     "mc_grid_bias",
+    "resolve_threads",
 ]
 
 _TWO_PI = 2.0 * math.pi
 
-# Paths are generated and reduced in blocks of this size; the RNG key of
-# a block is (seed, stream, block index), so the ensemble is independent
-# of how many blocks are processed concurrently.
+# Paths are generated in blocks of this size; the RNG key of a block is
+# (seed, stream, block index), so the ensemble is independent of how
+# many blocks are processed concurrently.
 BLOCK = 512
+
+# Row tiles.  A pair-sum tile holds about TILE_BYTES of path data, which
+# stays in cache through its whole lag loop.  No tile is cut below
+# TILE_FLOOR bytes (of path data in the pair sums, of output in
+# _map_blocks) to give more threads a share: with pair-sum tiles of
+# 256 KiB, two threads ran slower than one on a 2-CPU host, because the
+# short numpy calls of a small tile contend for the interpreter lock.
+TILE_BYTES = 1 << 20
+TILE_FLOOR = 1 << 19
 
 
 def fbm_covariance(h, s: float, t: float) -> float:
@@ -312,17 +324,17 @@ class PathEnsemble:
         return self.paths.shape[2]
 
     def restrict_times(self, indices) -> "PathEnsemble":
-        """View of the ensemble on a subset of its time columns.
+        """The ensemble on a subset of its time columns.
 
-        ``indices`` must keep index 0 (the anchor B(0) = 0).  Paths are
-        not copied; the noise coordinates stay those of the full
-        ensemble.
+        ``indices`` must keep index 0 (the anchor B(0) = 0).  The paths
+        are copied in C order, so each path's columns stay contiguous;
+        the noise coordinates stay those of the full ensemble.
         """
         idx = np.asarray(indices, dtype=int)
         if idx.size == 0 or idx[0] != 0:
             raise ConfigError("time subset must keep the t = 0 anchor")
         return PathEnsemble(hurst=self.hurst, times=self.times[idx],
-                            paths=self.paths[:, idx, :],
+                            paths=np.take(self.paths, idx, axis=1),
                             generator=self.generator, grid=self.grid,
                             stream=self.stream, seed=self.seed)
 
@@ -343,27 +355,120 @@ def _mc_reduce(per_path: np.ndarray) -> McEstimate:
     return McEstimate(mean=mean, stderr=stderr, n_samples=n)
 
 
-def _map_blocks(fn: Callable[[int, int, int], np.ndarray], n_paths: int,
-                n_threads: int, out: np.ndarray) -> np.ndarray:
-    """Fill out[lo:hi] with fn(b, lo, hi) for every path block b.
+def resolve_threads(n_threads: int | None = None) -> int:
+    """Worker threads of the Monte Carlo layer.
 
-    Blocks hold BLOCK paths (the last one the rest); each worker writes
-    its own rows, so ``out`` (or a view of it) is the same for any
-    thread count.
+    An explicit count is validated and returned; None reads
+    LOCTIME_THREADS, or else takes the usable CPUs, at most 4.  Values
+    are bit-identical for every count, so the choice only sets speed.
     """
-    def run(b: int) -> None:
-        lo = b * BLOCK
-        out[lo:lo + BLOCK] = fn(b, lo, min(lo + BLOCK, n_paths))
+    if n_threads is not None:
+        return _integer("n_threads", n_threads, 1)
+    raw = os.environ.get("LOCTIME_THREADS", "").strip()
+    if not raw:
+        try:
+            cpus = len(os.sched_getaffinity(0))
+        except AttributeError:  # no affinity call on this platform
+            cpus = os.cpu_count() or 1
+        return min(cpus, 4)
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ConfigError(
+            f"LOCTIME_THREADS must be an integer, got {raw!r}") from None
+    return _integer("LOCTIME_THREADS", value, 1)
 
-    n_blocks = -(-n_paths // BLOCK)
-    if n_threads <= 1 or n_blocks <= 1:
-        for b in range(n_blocks):
-            run(b)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=min(n_threads, n_blocks)) as ex:
-            list(ex.map(run, range(n_blocks)))
+class _Pool:
+    """Runs lists of tasks on up to ``n_threads`` threads.
+
+    A list of one task runs inline.  The executor is made for the first
+    list of two or more, so a call whose every list holds one task
+    starts no thread, and importing loctime loads no thread pool.
+    """
+
+    def __init__(self, n_threads: int | None):
+        self.n_threads = resolve_threads(n_threads)
+        self._ex = None
+
+    def run(self, tasks: list[Callable[[], object]]) -> list:
+        if self.n_threads == 1 or len(tasks) == 1:
+            return [task() for task in tasks]
+        if self._ex is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            self._ex = ThreadPoolExecutor(max_workers=self.n_threads)
+        return [f.result() for f in [self._ex.submit(t) for t in tasks]]
+
+    def __enter__(self) -> "_Pool":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._ex is not None:
+            self._ex.shutdown()
+
+
+def _tiles(lo: int, hi: int, rows: int) -> list[tuple[int, int]]:
+    """Consecutive row ranges of at most ``rows`` rows covering [lo, hi)."""
+    return [(a, min(a + rows, hi)) for a in range(lo, hi, rows)]
+
+
+def _tile_rows(n_rows: int, row_bytes: int, n_threads: int,
+               budget: int | None = None) -> int:
+    """Rows per tile: a thread's share of ``n_rows``, capped at ``budget``
+    bytes, but never split below TILE_FLOOR bytes for the sake of threads.
+    """
+    rows = max(-(-n_rows // n_threads), TILE_FLOOR // row_bytes)
+    if budget is not None:
+        rows = min(rows, budget // row_bytes)
+    return max(rows, 1)
+
+
+def _map_rows(fn: Callable[[int, int], np.ndarray],
+              tiles: list[tuple[int, int]], pool: _Pool,
+              out: np.ndarray) -> np.ndarray:
+    """Fill out[lo:hi] with fn(lo, hi) for every tile (lo, hi).
+
+    Each task writes its own rows, so ``out`` (or a view of it) is the
+    same for any thread count.
+    """
+    def fill(lo: int, hi: int) -> None:
+        out[lo:hi] = fn(lo, hi)
+
+    pool.run([functools.partial(fill, lo, hi) for lo, hi in tiles])
+    return out
+
+
+def _map_blocks(draw: Callable[[int, int], np.ndarray],
+                apply: Callable[[np.ndarray], np.ndarray], n_paths: int,
+                n_threads: int | None, out: np.ndarray) -> np.ndarray:
+    """Fill out with apply(draw(b, n)) over the RNG blocks b of n paths.
+
+    Blocks hold BLOCK paths (the last one the rest) and ``draw`` keys its
+    generator by b, so the draws do not depend on the thread count.
+    Blocks go in waves of one per thread: the wave's draws run in
+    parallel, then ``apply`` on row tiles of the drawn blocks, split so
+    that every thread has a share even when there is a single block;
+    the floor is counted in bytes of ``out``, which tracks the work of
+    ``apply``.  ``apply`` must give each row the same bits in a tile of
+    any size.
+    """
+    blocks = _tiles(0, n_paths, BLOCK)
+    with _Pool(n_threads) as pool:
+        width = pool.n_threads
+        for w in range(0, len(blocks), width):
+            wave = blocks[w:w + width]
+            drawn = pool.run([functools.partial(draw, b, hi - lo)
+                              for b, (lo, hi) in enumerate(wave, w)])
+
+            def fn(lo: int, hi: int) -> np.ndarray:
+                start = lo // BLOCK * BLOCK
+                return apply(drawn[lo // BLOCK - w][lo - start:hi - start])
+
+            rows = _tile_rows(wave[-1][1] - wave[0][0], out[:1].nbytes,
+                              width)
+            _map_rows(fn, [t for lo, hi in wave for t in _tiles(lo, hi, rows)],
+                      pool, out)
     return out
 
 
@@ -400,7 +505,7 @@ def _kernel_matrix(hu: Hurst, times: np.ndarray,
 
 def sample_paths_whitenoise(h, d: int, times, grid: WhiteNoiseGrid,
                             n_paths: int, stream: int = 0, *,
-                            n_threads: int = 1) -> PathEnsemble:
+                            n_threads: int | None = None) -> PathEnsemble:
     """Simulate fBm paths from discretized white noise.
 
     B_j(t_k) = sum_i K(t_k, x_i) dW_{j,i} with independent components
@@ -415,12 +520,14 @@ def sample_paths_whitenoise(h, d: int, times, grid: WhiteNoiseGrid,
     grid.validate(hu)
     K = _kernel_matrix(hu, times, grid)
 
-    def one_block(b: int, lo: int, hi: int) -> np.ndarray:
-        dW = grid.increments(d, hi - lo, stream, b)
-        # (nb, d, cells) x (times, cells) -> (nb, d, times)
+    def draw(b: int, n: int) -> np.ndarray:
+        return grid.increments(d, n, stream, b)
+
+    def apply(dW: np.ndarray) -> np.ndarray:
+        # (rows, d, cells) x (times, cells) -> (rows, times, d)
         return np.einsum("jdc,tc->jtd", dW, K, optimize=False)
 
-    out = _map_blocks(one_block, n_paths, n_threads,
+    out = _map_blocks(draw, apply, n_paths, n_threads,
                       np.empty((n_paths, times.size, d)))
     out[:, times == 0.0, :] = 0.0
     return PathEnsemble(hurst=hu, times=times, paths=out,
@@ -429,7 +536,8 @@ def sample_paths_whitenoise(h, d: int, times, grid: WhiteNoiseGrid,
 
 
 def sample_paths_cholesky(h, d: int, times, n_paths: int, stream: int = 0, *,
-                          seed: int = 0, n_threads: int = 1) -> PathEnsemble:
+                          seed: int = 0,
+                          n_threads: int | None = None) -> PathEnsemble:
     """Simulate fBm paths with the exact covariance factorization.
 
     The reference generator: no x-truncation or cell-size bias, but
@@ -464,13 +572,15 @@ def sample_paths_cholesky(h, d: int, times, n_paths: int, stream: int = 0, *,
 
     out = np.empty((n_paths, times.size, d))
 
-    def one_block(b: int, lo: int, hi: int) -> np.ndarray:
+    def draw(b: int, n: int) -> np.ndarray:
         ss = np.random.SeedSequence((seed, stream, b))
         rng = np.random.Generator(np.random.Philox(ss))
-        z = rng.standard_normal(size=(hi - lo, d, mm))
+        return rng.standard_normal(size=(n, d, mm))
+
+    def apply(z: np.ndarray) -> np.ndarray:
         return np.einsum("jdm,km->jkd", z, chol, optimize=False)
 
-    _map_blocks(one_block, n_paths, n_threads, out[:, 1:, :])
+    _map_blocks(draw, apply, n_paths, n_threads, out[:, 1:, :])
     out[:, 0, :] = 0.0
     return PathEnsemble(hurst=hu, times=times, paths=out,
                         generator="cholesky", grid=None, stream=stream,
@@ -482,7 +592,7 @@ def sample_paths_cholesky(h, d: int, times, n_paths: int, stream: int = 0, *,
 
 
 def _pair_sums(ens: PathEnsemble, eps: float, subtract=None,
-               n_threads: int = 1) -> np.ndarray:
+               n_threads: int | None = None) -> np.ndarray:
     """Per-path weighted pair sums of the Gaussian kernel.
 
     Computes sum_{j<k} w_j w_k [p_eps(dB) - subtract(|dB|^2)] with
@@ -490,36 +600,53 @@ def _pair_sums(ens: PathEnsemble, eps: float, subtract=None,
     pairs are taken lag by lag, l = k - j = 1, ..., m-1, each lag as the
     contiguous difference B[:, l:] - B[:, :-l] with weights
     w[:-l] * w[l:]; ``subtract``, when given, holds one function per lag
-    in that order.  Each lag's row sums are added to the per-path totals
-    in increasing lag order, without BLAS, so the result is bit-identical
-    for any thread count.
+    in that order.  Paths go in row tiles of about TILE_BYTES, each with
+    three buffers reused across its lags.  Each lag's row sums are added
+    to the per-path totals in increasing lag order, without BLAS, so a
+    path's sum is bit-identical for any tiling and thread count.
     """
     m = ens.times.size - 1
     if m < 2:
         raise ConfigError("need at least two positive times for pair sums")
+    d = ens.d
     w = _cell_widths(ens.times[1:])
-    pref = (_TWO_PI * eps) ** (-0.5 * ens.d)
+    pref = (_TWO_PI * eps) ** (-0.5 * d)
+    B = ens.paths[:, 1:, :]
 
-    def one_block(b: int, lo: int, hi: int) -> np.ndarray:
-        B = ens.paths[lo:hi, 1:, :]
-        vals = np.zeros(hi - lo)
+    def tile(lo: int, hi: int) -> np.ndarray:
+        n = hi - lo
+        db_buf = np.empty(n * m * d)
+        sq_buf = np.empty(n * m)
+        phi_buf = np.empty(n * m)
+        vals = np.zeros(n)
         for lag in range(1, m):
-            db = B[:, lag:, :] - B[:, :-lag, :]
-            sq = np.zeros(db.shape[:2])
-            for c in range(ens.d):
-                sq += db[:, :, c] ** 2
-            phi = pref * np.exp(-0.5 * sq / eps)
+            k = m - lag
+            db = db_buf[:n * k * d].reshape(n, k, d)
+            sq = sq_buf[:n * k].reshape(n, k)
+            phi = phi_buf[:n * k].reshape(n, k)
+            np.subtract(B[lo:hi, lag:, :], B[lo:hi, :-lag, :], out=db)
+            np.square(db[:, :, 0], out=sq)
+            for c in range(1, d):
+                sq += np.square(db[:, :, c], out=db[:, :, c])
+            np.multiply(sq, -0.5, out=phi)
+            phi /= eps
+            np.exp(phi, out=phi)
+            phi *= pref
             if subtract is not None:
                 phi -= subtract[lag - 1](sq)
-            vals += np.sum(phi * (w[:-lag] * w[lag:]), axis=1)
+            phi *= w[:-lag] * w[lag:]
+            vals += np.sum(phi, axis=1)
         return vals
 
-    return _map_blocks(one_block, ens.n_paths, n_threads,
-                       np.empty(ens.n_paths))
+    with _Pool(n_threads) as pool:
+        rows = _tile_rows(ens.n_paths, m * d * B.itemsize, pool.n_threads,
+                          TILE_BYTES)
+        return _map_rows(tile, _tiles(0, ens.n_paths, rows), pool,
+                         np.empty(ens.n_paths))
 
 
 def mc_local_time_regularized(ens: PathEnsemble, eps: float, *,
-                              n_threads: int = 1) -> McEstimate:
+                              n_threads: int | None = None) -> McEstimate:
     """Estimate the expected regularized self-intersection local time.
 
     Per path, the time triangle is integrated by the midpoint pair rule
@@ -578,7 +705,7 @@ def _truncation_subtractor(n_trunc: int, d: int, eps: float,
 
 
 def _wick_weights(ens: PathEnsemble, fvals: np.ndarray, *,
-                  n_threads: int = 1) -> np.ndarray:
+                  n_threads: int | None = None) -> np.ndarray:
     """Per-path Wick exponential exp(<noise, f> - |f|^2/2), discretized.
 
     ``fvals`` holds f_j at the grid midpoints, shape (d, n_cells).  The
@@ -588,12 +715,14 @@ def _wick_weights(ens: PathEnsemble, fvals: np.ndarray, *,
     grid = ens.grid
     half_norm = 0.5 * float(np.sum(fvals * fvals)) * grid.dx
 
-    def one_block(b: int, lo: int, hi: int) -> np.ndarray:
-        dW = grid.increments(ens.d, hi - lo, ens.stream, b)
+    def draw(b: int, n: int) -> np.ndarray:
+        return grid.increments(ens.d, n, ens.stream, b)
+
+    def apply(dW: np.ndarray) -> np.ndarray:
         dot = np.sum(dW * fvals[None, :, :], axis=(1, 2))
         return np.exp(dot - half_norm)
 
-    weights = _map_blocks(one_block, ens.n_paths, n_threads,
+    weights = _map_blocks(draw, apply, ens.n_paths, n_threads,
                           np.empty(ens.n_paths))
     if not np.any(weights):
         raise AccuracyError(
@@ -618,7 +747,7 @@ def _f_values(ens: PathEnsemble, f) -> np.ndarray:
 
 
 def mc_weight_check(ens: PathEnsemble, f, *,
-                    n_threads: int = 1) -> McEstimate:
+                    n_threads: int | None = None) -> McEstimate:
     """Sample mean of the Wick weight; the exact expectation is 1."""
     _require_whitenoise(ens, "the weight check")
     fvals = _f_values(ens, f)
@@ -626,7 +755,7 @@ def mc_weight_check(ens: PathEnsemble, f, *,
 
 
 def mc_s_transform(ens: PathEnsemble, f, eps: float, n_trunc: int = 0, *,
-                   n_threads: int = 1) -> McEstimate:
+                   n_threads: int | None = None) -> McEstimate:
     """Estimate the S-transform of the (truncated) regularized local time.
 
     Each path's pair-rule functional is weighted by the Wick exponential
@@ -670,7 +799,8 @@ def mc_s_transform(ens: PathEnsemble, f, eps: float, n_trunc: int = 0, *,
 def mc_grid_bias(h, d: int, eps: float, m: int, n_paths: int,
                  grid: WhiteNoiseGrid | None = None, stream: int = 0, *,
                  seed: int = 0, generator: str = "cholesky",
-                 n_threads: int = 1) -> tuple[McEstimate, McEstimate, float]:
+                 n_threads: int | None = None
+                 ) -> tuple[McEstimate, McEstimate, float]:
     """Time-grid bias of the pair rule, measured on shared paths.
 
     Paths are sampled once on the union of the m- and 2m-midpoint

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import os
 import random
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from loctime.cli import (CSV_HEADER, FAMILIES, GENERATORS, KINDS,
                          ExperimentConfig, ResultRow, build_parser,
                          _config_from_args, main, run)
 from loctime.errors import ConfigError
+from loctime.mc import resolve_threads
 from loctime.svg import Series, line_plot
 
 
@@ -297,15 +299,24 @@ class TestRunArtifacts:
 
     def test_threads_deterministic_through_cli(self, tmp_path, monkeypatch):
         outs = []
-        for n, name in (("1", "t1"), ("4", "t4")):
+        for n, name in (("1", "t1"), ("4", "t4"), (None, "default")):
             out = tmp_path / name
-            monkeypatch.setenv("LOCTIME_THREADS", n)
+            if n is None:
+                monkeypatch.delenv("LOCTIME_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("LOCTIME_THREADS", n)
             assert main(["mc", "--H", "0.6", "--eps", "0.1", "--m", "8",
                          "--paths", "1500", "--generator", "whitenoise",
                          "--f", "gauss", "--scale", "0.2", "--tol", "1e-6",
                          "--out", str(out)]) == 0
             outs.append((out / "results.csv").read_bytes())
-        assert outs[0] == outs[1]
+            manifest_text = (out / "manifest.json").read_text()
+            manifest = json.loads(manifest_text)
+            assert manifest["threads"] == (resolve_threads() if n is None
+                                           else int(n))
+            assert manifest["cpu_count"] == os.cpu_count()
+            assert ExperimentConfig.parse(manifest_text).n_paths == 1500
+        assert outs[0] == outs[1] == outs[2]
 
 
 class TestExitCodes:

@@ -2,21 +2,23 @@ import itertools
 import math
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.polynomial import hermite_e
 
+import loctime.mc as mc
 from loctime.errors import AccuracyError, ConfigError
 from loctime.fracops import Hurst, Interval, increment_kernel
-from loctime.mc import (McEstimate, PathEnsemble, WhiteNoiseGrid,
-                        _truncation_subtractor,
+from loctime.mc import (BLOCK, McEstimate, PathEnsemble, WhiteNoiseGrid,
+                        _pair_sums, _truncation_subtractor,
                         covariance_from_kernels, fbm_covariance,
                         make_midpoint_times, mc_grid_bias,
                         mc_local_time_regularized, mc_s_transform,
-                        mc_weight_check, sample_paths_cholesky,
-                        sample_paths_whitenoise)
+                        mc_weight_check, resolve_threads,
+                        sample_paths_cholesky, sample_paths_whitenoise)
 from loctime.stransform import exp_truncated
 from loctime.testfunctions import (VectorTestFunction, gaussian_bump,
                                    zero_bundle, zero_function)
@@ -181,6 +183,7 @@ class TestEnsembleValidation:
         sub = ens.restrict_times([0, 2, 4])
         assert sub.times.size == 3
         assert np.array_equal(sub.paths, ens.paths[:, [0, 2, 4], :])
+        assert sub.paths.flags.c_contiguous
         with pytest.raises(ConfigError):
             ens.restrict_times([1, 2])
 
@@ -651,6 +654,92 @@ class TestGridBias:
         _, _, coarse = mc_grid_bias(0.5, 1, 0.05, 4, 4000)
         _, _, fine = mc_grid_bias(0.5, 1, 0.05, 32, 4000)
         assert fine < coarse
+
+
+THREAD_COUNTS = (1, 2, 3, None)
+# (TILE_BYTES, TILE_FLOOR): the defaults, under which the calls below
+# split into tiles only on two or more threads, and pair-sum tiles of 16
+# to 32 rows with no floor on the samplers' thread shares.
+TILE_SETTINGS = ((mc.TILE_BYTES, mc.TILE_FLOOR), (1 << 14, 1))
+
+
+@pytest.fixture(params=TILE_SETTINGS, ids=("default_tiles", "tiny_tiles"))
+def tiles(request, monkeypatch):
+    monkeypatch.setattr(mc, "TILE_BYTES", request.param[0])
+    monkeypatch.setattr(mc, "TILE_FLOOR", request.param[1])
+
+
+class TestRowTiles:
+    """Every Monte Carlo output is the same for any tiling and threads."""
+
+    def test_pair_sums_identical_across_threads(self, tiles):
+        # 1,100 paths: a multiple of neither BLOCK nor any tile size.
+        ens = sample_paths_cholesky(0.4, 2, make_midpoint_times(64), 1100,
+                                    n_threads=1)
+        sub = ens.restrict_times(np.arange(0, 65, 2))
+        ref = [_pair_sums(e, 0.03, n_threads=1) for e in (ens, sub)]
+        for n in THREAD_COUNTS:
+            for e, want in zip((ens, sub), ref):
+                assert np.array_equal(_pair_sums(e, 0.03, n_threads=n), want)
+
+    def test_truncated_s_transform_identical_across_threads(self, tiles):
+        grid = WhiteNoiseGrid(n_cells=128, seed=4)
+        ens = sample_paths_whitenoise(0.6, 2, make_midpoint_times(48), grid,
+                                      700, n_threads=1)
+        f = VectorTestFunction((gaussian_bump(0.4, 0.3, 0.3),
+                                gaussian_bump(0.2, 0.6, 0.3)))
+        sub = ens.restrict_times([0, 2, 3, 5, 8, 12, 30, 48])
+        for e in (ens, sub):
+            ref = mc_s_transform(e, f, 0.05, 1, n_threads=1)
+            for n in THREAD_COUNTS:
+                assert mc_s_transform(e, f, 0.05, 1, n_threads=n) == ref
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_samplers_identical_within_one_block(self, tiles, d):
+        # At most one RNG block, so only the row tiles inside it differ.
+        times = make_midpoint_times(128)
+        grid = WhiteNoiseGrid(n_cells=256, seed=2)
+        for n_paths in (BLOCK, 301):
+            chol = sample_paths_cholesky(0.3, d, times, n_paths, n_threads=1)
+            wn = sample_paths_whitenoise(0.7, d, times, grid, n_paths,
+                                         n_threads=1)
+            for n in THREAD_COUNTS:
+                assert np.array_equal(
+                    sample_paths_cholesky(0.3, d, times, n_paths,
+                                          n_threads=n).paths, chol.paths)
+                assert np.array_equal(
+                    sample_paths_whitenoise(0.7, d, times, grid, n_paths,
+                                            n_threads=n).paths, wn.paths)
+
+    def test_small_calls_start_no_thread(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        times = make_midpoint_times(16)
+        grid = WhiteNoiseGrid(n_cells=64)
+        f = VectorTestFunction((gaussian_bump(0.3, 0.5, 0.3),))
+        ens = sample_paths_cholesky(0.5, 1, times, 8, n_threads=4)
+        mc_local_time_regularized(ens, 0.05, n_threads=4)
+        wn = sample_paths_whitenoise(0.7, 1, times, grid, 8, n_threads=4)
+        mc_s_transform(wn, f, 0.05, 1, n_threads=4)
+        mc_grid_bias(0.5, 1, 0.05, 8, 8, n_threads=4)
+
+    def test_thread_count_validation(self, monkeypatch):
+        monkeypatch.delenv("LOCTIME_THREADS", raising=False)
+        assert 1 <= resolve_threads() <= 4
+        assert resolve_threads(3) == 3
+        assert resolve_threads(2.0) == 2
+        ens = sample_paths_cholesky(0.5, 1, make_midpoint_times(4), 8)
+        for bad in ("2", 0, -3, 2.5):
+            with pytest.raises(ConfigError, match="n_threads"):
+                mc_local_time_regularized(ens, 0.05, n_threads=bad)
+        monkeypatch.setenv("LOCTIME_THREADS", "3")
+        assert resolve_threads() == 3
+        for bad in ("abc", "0", "-2", "2.5"):
+            monkeypatch.setenv("LOCTIME_THREADS", bad)
+            with pytest.raises(ConfigError, match="LOCTIME_THREADS"):
+                mc_local_time_regularized(ens, 0.05)
 
 
 class TestErrorScaling:
