@@ -41,7 +41,7 @@ from . import __version__
 from .errors import (AccuracyError, AdmissibilityError, ConfigError,
                      ConsistencyError, NonIntegrableError,
                      SingularPointError)
-from .fracops import (Interval, bound_ratio, increment_kernel,
+from .fracops import (Interval, PairingTable, bound_ratio, increment_kernel,
                       normalization_constant, pairing_indicator)
 from .kernels import odd_kernel_zero, series_reconstruction
 from .mc import (WhiteNoiseGrid, covariance_from_kernels, fbm_covariance,
@@ -355,12 +355,13 @@ def _run_convergence(cfg, threads):
             "convergence needs an eps schedule, e.g. --eps 1e-1,1e-2,1e-3")
     schedule = tuple(sorted(set(schedule), reverse=True))
     fb = _test_bundle(cfg)
-    base = s_local_time(_delta_spec(cfg, 0.0), fb, tol=cfg.tol)
+    table = PairingTable(cfg.hurst, fb)
+    base = s_local_time(_delta_spec(cfg, 0.0), fb, tol=cfg.tol, pairing=table)
     rows = [ResultRow("value_eps=0", base.value, base.error_estimate,
                       eps=0.0)]
     values = []
     for e in schedule:
-        r = s_local_time(_delta_spec(cfg, e), fb, tol=cfg.tol)
+        r = s_local_time(_delta_spec(cfg, e), fb, tol=cfg.tol, pairing=table)
         values.append(r.value)
         rows.append(ResultRow(f"value_eps={e:g}", r.value,
                               r.error_estimate, eps=e))

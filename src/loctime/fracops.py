@@ -332,11 +332,20 @@ def bound_ratio(h, f, iv, tol: float = 1e-10) -> float:
     return float(np.linalg.norm(v) / (ivl.tau * norm))
 
 
+# U(t) is splined on _GRID_POINTS times in [0, 1] and built in blocks of
+# _BUILD_ROWS grid rows, whose temporaries (about 300 KiB) stay in cache.
+_GRID_POINTS = 2049
+_BUILD_ROWS = 32
+
+
 class PairingTable:
     """Fast pairing evaluations v(t1, t2) for a fixed (H, f).
 
-    Precomputes  U_j(t) = c_H int f_j(x) (t-x)_+^a dx  on a dense grid
-    and interpolates with a cubic spline; then
+    Precomputes  U_j(t) = c_H int f_j(x) (t-x)_+^a dx  on a dense grid,
+    ``_BUILD_ROWS`` grid rows at a time with the remainder folded into
+    the last block (a 1-row block takes another BLAS path and can move U
+    by an ulp), and interpolates all d components with one vector cubic
+    spline, a zero component being a zero column; then
     v_j(t1, t2) = U_j(t2) - U_j(t1) exactly, because the closed-form
     kernel of [t1, t2] is the difference of the [0, t] kernels.
 
@@ -344,7 +353,7 @@ class PairingTable:
     pairing is needed at many thousands of (t1, t2) nodes.
     """
 
-    def __init__(self, h, f, *, grid_points: int = 2049):
+    def __init__(self, h, f):
         from scipy.interpolate import CubicSpline
 
         hu = _hurst(h)
@@ -353,30 +362,26 @@ class PairingTable:
         self.d = len(comps)
         self._zero = all(fj.is_zero for fj in comps)
         if self._zero:
-            self._splines = None
             return
         a = hu.a
         c = _kernel_scale(hu.h)
         R = max(fj.support_radius for fj in comps)
-        t_grid = np.linspace(0.0, 1.0, grid_points)
+        t_grid = np.linspace(0.0, 1.0, _GRID_POINTS)
         # U(t) = (c/(1+a)) int_0^W f(t - w^(1/(1+a))) dw after u^(1+a) = w;
         # the substitution removes the u^a weight exactly.
         q = 1.0 / (1.0 + a)
         W = (1.0 + R) ** (1.0 + a)
         w_nodes, w_weights = gauss_panels(_halving_edges(0.0, W, 48), 24)
         u = w_nodes ** q
-        self._splines = []
-        self._derivs = []
-        for fj in comps:
-            if fj.is_zero:
-                self._splines.append(None)
-                self._derivs.append(None)
-                continue
-            vals = fj.eval(t_grid[:, None] - u[None, :])
-            U = (c * q) * (vals @ w_weights)
-            sp = CubicSpline(t_grid, U)
-            self._splines.append(sp)
-            self._derivs.append(sp.derivative())
+        U = np.empty((_GRID_POINTS, self.d))
+        edges = [*range(0, _GRID_POINTS - _BUILD_ROWS + 1, _BUILD_ROWS),
+                 _GRID_POINTS]
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            x = t_grid[lo:hi, None] - u[None, :]
+            for j, fj in enumerate(comps):
+                U[lo:hi, j] = (c * q) * (fj.eval(x) @ w_weights)
+        self._spline = CubicSpline(t_grid, U, axis=0)
+        self._deriv = self._spline.derivative()
 
     # Below this width, U(t1+tau) - U(t1) loses all significant digits
     # to cancellation; the midpoint-derivative form tau*U'(t1 + tau/2)
@@ -388,15 +393,8 @@ class PairingTable:
         t1 = np.asarray(t1, dtype=float)
         t2 = np.asarray(t2, dtype=float)
         if self._zero:
-            shape = np.broadcast(t1, t2).shape
-            return np.zeros((self.d,) + shape)
-        rows = []
-        for sp in self._splines:
-            if sp is None:
-                rows.append(np.zeros(np.broadcast(t1, t2).shape))
-            else:
-                rows.append(sp(t2) - sp(t1))
-        return np.stack(rows)
+            return np.zeros((self.d,) + np.broadcast(t1, t2).shape)
+        return np.moveaxis(self._spline(t2) - self._spline(t1), -1, 0)
 
     def v_norm_sq(self, t1, t2) -> np.ndarray:
         vv = self.v(t1, t2)
@@ -441,7 +439,4 @@ class PairingTable:
         t = np.asarray(t, dtype=float)
         if self._zero:
             return np.zeros((self.d,) + t.shape)
-        rows = []
-        for dv in self._derivs:
-            rows.append(np.zeros(t.shape) if dv is None else dv(t))
-        return np.stack(rows)
+        return np.moveaxis(self._deriv(t), -1, 0)

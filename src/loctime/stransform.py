@@ -250,7 +250,8 @@ def s_local_time(spec: DeltaSpec, f, tol: float = 1e-9, *,
     singular factor tau^(-alpha), alpha = dH - 2N(1-H), is handed to the
     singular quadrature engine; the bounded remainder carries the
     truncated exponential.  For eps > 0 the integrand is bounded and
-    alpha = 0.
+    alpha = 0.  A prebuilt ``pairing`` table of f saves its build; one
+    for another H or d raises ``ConfigError``.
     """
     spec.require_admissible()
     h = spec.hurst.h
@@ -258,6 +259,9 @@ def s_local_time(spec: DeltaSpec, f, tol: float = 1e-9, *,
     n = spec.n_trunc
     if pairing is None:
         pairing = PairingTable(spec.hurst, _as_bundle(f, d))
+    elif (pairing.hurst.h, pairing.d) != (h, d):
+        raise ConfigError(f"pairing table for H = {pairing.hurst.h:g}, d = "
+                          f"{pairing.d} given for H = {h:g}, d = {d}")
     pref = _TWO_PI ** (-0.5 * d)
     two_h = 2.0 * h
 

@@ -16,6 +16,7 @@ from loctime.cli import (CSV_HEADER, FAMILIES, GENERATORS, KINDS,
                          ExperimentConfig, ResultRow, build_parser,
                          _config_from_args, main, run)
 from loctime.errors import ConfigError
+from loctime.fracops import PairingTable
 from loctime.mc import resolve_threads
 from loctime.svg import Series, line_plot
 
@@ -231,6 +232,24 @@ class TestRunArtifacts:
         svg = (out / "plot.svg").read_text()
         assert svg.startswith("<svg")
         ET.fromstring(svg)
+
+    def test_convergence_builds_one_pairing_table(self, tmp_path,
+                                                  monkeypatch):
+        argv = ["convergence", "--H", "0.5", "--eps", "0.1,0.01,0.001",
+                "--f", "gauss", "--scale", "0.2", "--tol", "1e-7"]
+        assert main(argv + ["--out", str(tmp_path / "plain")]) == 0
+        builds = []
+        init = PairingTable.__init__
+
+        def counted(self, *args, **kwargs):
+            builds.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(PairingTable, "__init__", counted)
+        assert main(argv + ["--out", str(tmp_path / "counted")]) == 0
+        assert len(builds) == 1
+        assert ((tmp_path / "plain" / "results.csv").read_bytes()
+                == (tmp_path / "counted" / "results.csv").read_bytes())
 
     def test_convergence_single_eps_has_no_plot(self, tmp_path):
         out = tmp_path / "conv1"

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -304,3 +308,96 @@ class TestPairingTable:
         assert np.all(table.v(0.1, 0.9) == 0.0)
         assert np.all(table.v_tau(np.array([0.1, 0.5]), 1e-9) == 0.0)
         assert np.all(table.v_rate(np.array([0.3])) == 0.0)
+
+    def test_build_memory_is_bounded(self):
+        # the grid is built in row blocks: each temporary is a block of
+        # _BUILD_ROWS rows, not the whole 2,049 x 1,176 grid (73.7 MiB)
+        f = VectorTestFunction((bump(), gaussian_bump(-0.3, 0.6, 0.25)))
+        tracemalloc.start()
+        try:
+            PairingTable(0.35, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+
+    def test_row_blocks_match_one_shot_build(self, tmp_path):
+        # The reference evaluates U on the whole grid at once.  That
+        # one-shot product moves by an ulp with BLAS's thread split, so
+        # it is taken on one BLAS thread; the row-block build must equal
+        # it there and be the same on two BLAS threads.
+        got = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"coeffs{threads}.npz"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-c", _ONE_SHOT_SCRIPT,
+                                   str(out)], env=env, capture_output=True,
+                                  text=True)
+            assert proc.returncode == 0, proc.stderr
+            got[threads] = dict(np.load(out))
+        one = got["1"]
+        assert len(one) == 2 * 5 * 3
+        for key in one:
+            if key.startswith("table"):
+                ref = one["one_shot" + key[len("table"):]]
+                assert np.array_equal(one[key], ref), key
+                assert np.array_equal(got["2"][key], one[key]), key
+
+    def test_zero_component_is_an_exact_zero_column(self):
+        g = gaussian_bump(-0.3, 0.6, 0.25)
+        table = PairingTable(0.35, VectorTestFunction((zero_function(), g)))
+        alone = PairingTable(0.35, g)
+        t1 = np.array([0.1, 0.42, 0.7])
+        tau = PairingTable._LINEAR_TAU
+        for got, want in [
+                (table.v(t1, t1 + 0.2), alone.v(t1, t1 + 0.2)),
+                (table.v_tau(t1, 0.5 * tau), alone.v_tau(t1, 0.5 * tau)),
+                (table.v_tau(t1, 2.0 * tau), alone.v_tau(t1, 2.0 * tau)),
+                (table.v_rate(t1), alone.v_rate(t1))]:
+            assert got.shape == (2, 3)
+            assert np.all(got[0] == 0.0)
+            assert np.array_equal(got[1], want[0])
+        for s in (0.5, 2.0):
+            assert np.array_equal(table.v_quotient_sq(t1, s * tau),
+                                  alone.v_quotient_sq(t1, s * tau))
+
+
+# Writes the spline coefficients of PairingTable and of a one-shot build
+# of U on the whole grid (the formula the row blocks replace) to argv[1].
+_ONE_SHOT_SCRIPT = """
+import sys
+import numpy as np
+from scipy.interpolate import CubicSpline
+from loctime.fracops import (PairingTable, _halving_edges, _kernel_scale,
+                             gauss_panels)
+from loctime.testfunctions import VectorTestFunction, gaussian_bump
+
+def one_shot(h, comps):
+    a = h - 0.5
+    c = _kernel_scale(h)
+    R = max(fj.support_radius for fj in comps)
+    t_grid = np.linspace(0.0, 1.0, 2049)
+    q = 1.0 / (1.0 + a)
+    W = (1.0 + R) ** (1.0 + a)
+    w_nodes, w_weights = gauss_panels(_halving_edges(0.0, W, 48), 24)
+    u = w_nodes ** q
+    return np.stack([
+        CubicSpline(t_grid, (c * q) * (fj.eval(t_grid[:, None] - u[None, :])
+                                       @ w_weights)).c
+        for fj in comps], axis=-1)
+
+bundles = {
+    "d1": (gaussian_bump(0.7, 0.2, 0.4),),
+    "d2": (gaussian_bump(0.7, 0.2, 0.4), gaussian_bump(-0.3, 0.6, 0.25)),
+    "amp100": (gaussian_bump(100.0, 0.45, 0.2),),
+}
+out = {}
+for h in (0.02, 0.3, 0.5, 0.7, 0.98):
+    for name, comps in bundles.items():
+        key = f"_{h}_{name}"
+        table = PairingTable(h, VectorTestFunction(comps))
+        out["table" + key] = table._spline.c
+        out["one_shot" + key] = one_shot(h, comps)
+np.savez(sys.argv[1], **out)
+"""

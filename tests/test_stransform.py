@@ -297,6 +297,17 @@ class TestLocalTimeTransform:
         b = s_local_time(spec, f, tol=1e-10, pairing=table)
         assert a.value == b.value
 
+    @pytest.mark.parametrize("h, g", [
+        (0.5, VectorTestFunction((bump(), bump()))),  # a d = 2 table
+        (0.7, VectorTestFunction((bump(),))),
+    ])
+    def test_mismatched_pairing_table_rejected(self, h, g):
+        # used unchecked, these tables would give 0.52095 and 0.52738
+        # against the true 0.52636
+        with pytest.raises(ConfigError):
+            s_local_time(DeltaSpec(0.5, 1, 0), bump(),
+                         pairing=PairingTable(h, g))
+
     def test_error_estimate_within_tolerance(self):
         res = s_local_time(DeltaSpec(0.4, 1, 0), bump(), tol=1e-9)
         assert res.error_estimate <= 1e-9
