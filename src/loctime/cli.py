@@ -67,6 +67,21 @@ CSV_HEADER = ("experiment", "id", "H", "d", "N", "eps", "f", "tol", "m",
               "n_paths", "seed", "value", "err", "units")
 
 
+def _number(name: str, value, kind: type):
+    """Config field ``name`` as a float or an int (``kind``); an int
+    takes only integral values, such as 2 or "2", never 1.5."""
+    try:
+        out = kind(value)
+        exact = kind is float or out == float(value)
+    except (TypeError, ValueError, OverflowError):
+        exact = False
+    if not exact:
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"config field {name!r} must be {what}, "
+                          f"got {value!r}")
+    return out
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated description of one experiment run."""
@@ -160,16 +175,23 @@ class ExperimentConfig:
         if "kind" not in data:
             raise ConfigError("config needs an experiment kind")
         kw = dict(data)
+        for name in ("kind", "family", "generator", "out"):
+            if not isinstance(kw.get(name, ""), str):
+                raise ConfigError(f"config field {name!r} must be a string, "
+                                  f"got {kw[name]!r}")
         for name in ("hurst", "eps", "scale", "tol"):
             if name in kw:
-                kw[name] = float(kw[name])
+                kw[name] = _number(name, kw[name], float)
         for name in ("d", "n_trunc", "m", "n_paths", "seed"):
             if name in kw:
-                kw[name] = int(kw[name])
-        if "eps_schedule" in kw:
-            kw["eps_schedule"] = tuple(float(e) for e in kw["eps_schedule"])
-        if "indices" in kw:
-            kw["indices"] = tuple(int(i) for i in kw["indices"])
+                kw[name] = _number(name, kw[name], int)
+        for name, kind in (("eps_schedule", float), ("indices", int)):
+            if name in kw:
+                if not isinstance(kw[name], (list, tuple)):
+                    raise ConfigError(
+                        f"config field {name!r} must be a list, "
+                        f"got {kw[name]!r}")
+                kw[name] = tuple(_number(name, x, kind) for x in kw[name])
         return ExperimentConfig(**kw)
 
     @staticmethod

@@ -334,6 +334,8 @@ def bound_ratio(h, f, iv, tol: float = 1e-10) -> float:
 
 # U(t) is splined on _GRID_POINTS times in [0, 1] and built in blocks of
 # _BUILD_ROWS grid rows, whose temporaries (about 300 KiB) stay in cache.
+# _GRID_POINTS - 1 must be a power of two: the knots are then exact and
+# PairingTable.v_rate locates a time's piece and offset without rounding.
 _GRID_POINTS = 2049
 _BUILD_ROWS = 32
 
@@ -341,16 +343,19 @@ _BUILD_ROWS = 32
 class PairingTable:
     """Fast pairing evaluations v(t1, t2) for a fixed (H, f).
 
-    Precomputes  U_j(t) = c_H int f_j(x) (t-x)_+^a dx  on a dense grid,
-    ``_BUILD_ROWS`` grid rows at a time with the remainder folded into
-    the last block (a 1-row block takes another BLAS path and can move U
-    by an ulp), and interpolates all d components with one vector cubic
-    spline, a zero component being a zero column; then
-    v_j(t1, t2) = U_j(t2) - U_j(t1) exactly, because the closed-form
-    kernel of [t1, t2] is the difference of the [0, t] kernels.
+    Precomputes  U_j(t) = c_H int f_j(x) (t-x)_+^a dx  on the grid of
+    knots k / n, n = _GRID_POINTS - 1, ``_BUILD_ROWS`` grid rows at a
+    time with the remainder folded into the last block (a 1-row block
+    takes another BLAS path and can move U by an ulp), and interpolates
+    all d components with one vector cubic spline, a zero component
+    being a zero column; then v_j(t1, t2) = U_j(t2) - U_j(t1) exactly,
+    because the closed-form kernel of [t1, t2] is the difference of the
+    [0, t] kernels.
 
-    Used by the S-transform and chaos-kernel quadratures where the
-    pairing is needed at many thousands of (t1, t2) nodes.
+    The quadratures need v over [t1, t1 + tau] down to tau far below
+    the spacing of t1, where U(t1 + tau) - U(t1) is all cancellation.
+    ``v_rate`` is the one evaluation they use: the mean rate v / tau
+    taken from the spline's own pieces, exact to rounding for every tau.
     """
 
     def __init__(self, h, f):
@@ -381,12 +386,10 @@ class PairingTable:
             for j, fj in enumerate(comps):
                 U[lo:hi, j] = (c * q) * (fj.eval(x) @ w_weights)
         self._spline = CubicSpline(t_grid, U, axis=0)
-        self._deriv = self._spline.derivative()
-
-    # Below this width, U(t1+tau) - U(t1) loses all significant digits
-    # to cancellation; the midpoint-derivative form tau*U'(t1 + tau/2)
-    # is exact to O(tau^2) relative and stays stable down to tau = 0.
-    _LINEAR_TAU = 1e-7
+        # Piece k is c0 s^3 + c1 s^2 + c2 s + U(k / n) at s = t - k / n;
+        # (3, d, n) and (d, n + 1), so a gather gives (d,) + shape.
+        self._c = np.ascontiguousarray(np.moveaxis(self._spline.c[:3], 2, 1))
+        self._knots = np.ascontiguousarray(U.T)
 
     def v(self, t1, t2) -> np.ndarray:
         """Pairing vectors, shape (d,) + broadcast shape of (t1, t2)."""
@@ -396,47 +399,47 @@ class PairingTable:
             return np.zeros((self.d,) + np.broadcast(t1, t2).shape)
         return np.moveaxis(self._spline(t2) - self._spline(t1), -1, 0)
 
-    def v_norm_sq(self, t1, t2) -> np.ndarray:
-        vv = self.v(t1, t2)
-        return np.sum(vv * vv, axis=0)
-
     def v_tau(self, t1, tau) -> np.ndarray:
-        """Pairing vectors for the intervals [t1, t1 + tau], stable in tau;
-        ``tau`` is a scalar or an array of the shape of ``t1``."""
-        t1, tau = np.broadcast_arrays(np.asarray(t1, dtype=float),
-                                      np.asarray(tau, dtype=float))
-        if self._zero:
-            return np.zeros((self.d,) + t1.shape)
-        low = tau < self._LINEAR_TAU
-        if not low.any():
-            return self.v(t1, t1 + tau)
-        out = np.empty((self.d,) + t1.shape)
-        big = ~low
-        out[:, big] = self.v(t1[big], t1[big] + tau[big])
-        out[:, low] = tau[low] * self.v_rate(t1[low] + 0.5 * tau[low])
-        return out
+        """Pairing vectors for the intervals [t1, t1 + tau], stable in tau."""
+        return tau * self.v_rate(t1, tau)
 
     def v_norm_sq_tau(self, t1, tau) -> np.ndarray:
-        vv = self.v_tau(t1, tau)
+        vv = tau * self.v_rate(t1, tau)
         return np.sum(vv * vv, axis=0)
 
     def v_quotient_sq(self, t1, tau) -> np.ndarray:
         """|v|^2 / tau^2 for the intervals [t1, t1 + tau], stable down to
-        tau = 0 (the squared rate at the midpoint below _LINEAR_TAU);
-        ``tau`` is a scalar or an array of the shape of ``t1``."""
-        t1, tau = np.broadcast_arrays(np.asarray(t1, dtype=float),
-                                      np.asarray(tau, dtype=float))
-        if self._zero:
-            return np.zeros(t1.shape)
-        vt = self.v_tau(t1, tau) / tau
-        low = tau < self._LINEAR_TAU
-        if low.any():
-            vt[:, low] = self.v_rate(t1[low] + 0.5 * tau[low])
+        tau = 0."""
+        vt = self.v_rate(t1, tau)
         return np.sum(vt * vt, axis=0)
 
-    def v_rate(self, t) -> np.ndarray:
-        """d/dt2 of the pairing at t2 = t, the tau -> 0 rate of v/tau."""
-        t = np.asarray(t, dtype=float)
+    def v_rate(self, t, tau=0.0) -> np.ndarray:
+        """Mean rate (U(t + tau) - U(t)) / tau over [t, t + tau], U'(t) at
+        tau = 0; shape (d,) + broadcast shape of (t, tau).
+
+        The length a of the interval inside t's piece, at offset s,
+        contributes a (c0 (3s^2 + 3sa + a^2) + c1 (2s + a) + c2); the
+        length b = tau - a past it contributes the knot values it crosses
+        and its part r of the last piece, r (c0 r^2 + c1 r + c2).  Nothing
+        cancels as tau -> 0.
+        """
+        t, tau = np.broadcast_arrays(np.asarray(t, dtype=float),
+                                     np.asarray(tau, dtype=float))
         if self._zero:
             return np.zeros((self.d,) + t.shape)
-        return np.moveaxis(self._deriv(t), -1, 0)
+        n = _GRID_POINTS - 1
+        x = t * n
+        i = np.clip(np.floor(x), 0.0, n - 1.0)
+        s = (x - i) / n
+        a = np.minimum(tau, (i + 1.0 - x) / n)
+        b = tau - a
+        j = np.minimum(i + 1.0 + np.floor(b * n), n - 1.0)
+        r = b - (j - i - 1.0) / n
+        i, j = i.astype(np.intp), j.astype(np.intp)
+        c0, c1, c2 = np.take(self._c, i, axis=2)
+        rate = c0 * (3.0 * s * (s + a) + a * a) + c1 * (2.0 * s + a) + c2
+        c0, c1, c2 = np.take(self._c, j, axis=2)
+        tail = (np.take(self._knots, j, axis=1)
+                - np.take(self._knots, i + 1, axis=1)
+                + r * ((c0 * r + c1) * r + c2))
+        return np.divide(a * rate + tail, tau, out=rate, where=b > 0.0)

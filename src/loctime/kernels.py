@@ -152,11 +152,10 @@ def _product_factory(hu: Hurst, points: tuple[float, ...]):
     """Vectorized (t1, tau) -> prod_i (K 1_[t1,t1+tau])(u_i) / tau.
 
     Each factor is returned as a difference quotient (divided by tau),
-    the form that stays bounded and cancellation-free as tau -> 0:
-    where both kernel terms are positive the quotient switches to a
-    midpoint Taylor expansion once tau is small against the distance
-    from the singularity, and on the width-tau strip t1 in (u - tau, u)
-    only one term is nonzero, so nothing cancels.
+    the form that stays bounded as tau -> 0: where both kernel terms are
+    positive, ((b + tau)^a - b^a) / tau = b^a expm1(a log1p(tau / b)) / tau
+    with b = t1 - u, exact to rounding for every tau; on the width-tau
+    strip t1 in (u - tau, u) only one term is nonzero, so nothing cancels.
 
     Also returns the exponent gamma <= 0 such that the inner integral
     of the product grows like tau^gamma as tau -> 0 (each argument of
@@ -181,15 +180,7 @@ def _product_factory(hu: Hurst, points: tuple[float, ...]):
                 q[strip] = 1.0 / tau[strip]
             else:
                 bb, tp = b[pos], tau[pos]
-                mid = bb + 0.5 * tp
-                qq = np.empty_like(bb)
-                tiny = tp < 1e-3 * mid
-                m, r = mid[tiny], tp[tiny] / mid[tiny]
-                qq[tiny] = (a * m ** (a - 1.0)
-                            * (1.0 + (a - 1.0) * (a - 2.0) * r * r / 24.0))
-                bb, tp = bb[~tiny], tp[~tiny]
-                qq[~tiny] = ((bb + tp) ** a - bb ** a) / tp
-                q[pos] = qq
+                q[pos] = bb ** a * np.expm1(a * np.log1p(tp / bb)) / tp
                 ts = tau[strip]
                 q[strip] = (b[strip] + ts) ** a / ts
             out = out * (c * q)

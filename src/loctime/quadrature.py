@@ -79,9 +79,11 @@ class QuadratureResult:
 
 # Most panels evaluated in one call of the integrand by
 # ``integrate_interval``, and most tau in one batch of inner integrals
-# of the triangle engine (the 48 Gauss nodes of one outer panel).
+# of the triangle engine (the 48 Gauss nodes of one outer panel), and
+# the Gauss order of the inner panels.
 _BLOCK = 512
 _TAU_BLOCK = 48
+_INNER_ORDER = 16
 
 
 @lru_cache(maxsize=None)
@@ -300,11 +302,10 @@ class SingularIntegrandSpec:
     g: Callable[[np.ndarray, np.ndarray], np.ndarray]
     tol: float = 1e-9
     inner_singularities: Callable[[float], list[tuple[float, float]]] | None = None
-    inner_order: int = 16
     outer_breakpoints: Sequence[float] = ()
 
 
-def _inner_integrals(g, tol: float, order: int, marks_of):
+def _inner_integrals(g, tol: float, marks_of):
     """G(tau) = int_0^{1-tau} g(t1, tau) dt1 at an array of tau (zero for
     tau outside (0, 1)), and a one-element list counting the points where
     g was evaluated.  Each block of _TAU_BLOCK tau is one batched
@@ -322,7 +323,7 @@ def _inner_integrals(g, tol: float, order: int, marks_of):
                 marks = [[(p, s) for p, s in marks_of(tau) if 0.0 < p < w]
                          for tau, w in zip(t.tolist(), widths.tolist())]
             res = integrate_interval(g, np.zeros_like(t), widths, tol=tol,
-                                     singular=marks, order=order,
+                                     singular=marks, order=_INNER_ORDER,
                                      strict=False, args=(t,))
             evaluations[0] += res.evaluations
             out[start:start + _TAU_BLOCK] = res.value
@@ -340,7 +341,7 @@ def integrate_triangle_singular(spec: SingularIntegrandSpec) -> QuadratureResult
     tol = spec.tol
     moment = triangle_power_moment(alpha)
     inner_tol = 0.25 * tol / max(moment, 1.0)
-    G, evaluations = _inner_integrals(spec.g, inner_tol, spec.inner_order,
+    G, evaluations = _inner_integrals(spec.g, inner_tol,
                                       spec.inner_singularities)
 
     # Geometric edges toward tau = 0 (ratio 1/2) and the breakpoints of G
@@ -388,7 +389,7 @@ def divergence_probe(alpha: float,
     the values grow without bound as kappa -> 0; for alpha < 1 they
     converge to the full integral.  No integrability gate is applied.
     """
-    G, _ = _inner_integrals(g, 0.1 * tol, 16, None)
+    G, _ = _inner_integrals(g, 0.1 * tol, None)
 
     def outer(taus):
         return taus ** (-alpha) * G(taus)

@@ -353,6 +353,18 @@ class TestExitCodes:
         path.write_text('{"kind": "ops", "turbo": true}')
         assert main(["ops", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("field", [
+        '"d": "abc"', '"hurst": null', '"eps_schedule": 5', '"d": 1.5',
+        '"out": 5'])
+    def test_malformed_config_field(self, tmp_path, capsys, field):
+        # these ended in a ValueError or TypeError traceback, and d = 1.5
+        # ran as d = 1
+        path = tmp_path / "cfg.json"
+        path.write_text('{"kind": "ops", ' + field + '}')
+        assert main(["ops", "--config", str(path), "--out",
+                     str(tmp_path / "out")]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_mc_requires_positive_eps(self, tmp_path):
         assert main(["mc", "--out", str(tmp_path)]) == 2
 

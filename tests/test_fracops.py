@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -237,12 +238,6 @@ class TestPairingTable:
             got = table.v(t1, t2)[0]
             assert abs(got - want) < 1e-7
 
-    def test_norm_squared_consistency(self):
-        f = VectorTestFunction((bump(), gaussian_bump(0.4, 0.5, 0.3)))
-        table = PairingTable(0.6, f)
-        v = table.v(0.2, 0.7)
-        assert abs(table.v_norm_sq(0.2, 0.7) - np.sum(v ** 2)) < 1e-15
-
     def test_small_tau_form_is_continuous(self):
         f = bump()
         table = PairingTable(0.35, f)
@@ -276,24 +271,20 @@ class TestPairingTable:
         for i, tau in enumerate(taus):
             assert np.array_equal(got[:, i], table.v_tau(t1, tau))
 
-    def test_quotient_matches_its_two_forms(self):
-        # |v|^2 / tau^2 from the difference above the switch to the
-        # linear form, from the midpoint rate below; array tau gives each
-        # element bit-identical to a call with that tau as a scalar
-        table = PairingTable(0.35, VectorTestFunction(
-            (bump(), gaussian_bump(-0.3, 0.6, 0.25))))
-        t1 = np.array([0.1, 0.42, 0.7])
-        taus = np.array([5e-8, 0.99e-7, 1e-7, 1.01e-7, 1e-3])
-        t1_grid, tau_grid = np.meshgrid(t1, taus)
-        got = table.v_quotient_sq(t1_grid, tau_grid)
-        assert got.shape == t1_grid.shape
-        for i, tau in enumerate(taus):
-            assert np.array_equal(got[i], table.v_quotient_sq(t1, tau))
-            if tau >= 1e-7:
-                want = np.sum((table.v_tau(t1, tau) / tau) ** 2, axis=0)
-            else:
-                want = np.sum(table.v_rate(t1 + 0.5 * tau) ** 2, axis=0)
-            assert np.array_equal(got[i], want)
+    @pytest.mark.parametrize("h", [0.3, 0.5, 0.7])
+    @pytest.mark.parametrize("amp", [0.7, 100.0])
+    def test_quotient_is_exact_divided_difference(self, h, amp):
+        # |v|^2 / tau^2 against the divided difference of the table's
+        # own pieces in 50-digit arithmetic, across a knot or not; a plain
+        # difference of two spline values would be off by up to 1e-6 at
+        # tau = 1e-7
+        table = PairingTable(h, gaussian_bump(amp, 0.45, 0.2))
+        t1 = np.random.default_rng(3).uniform(0.0, 0.98, 24)
+        for tau in (1e-12, 1e-9, 1e-7, 1e-5, 4e-4, 1e-2):
+            got = table.v_quotient_sq(t1, np.full_like(t1, tau))
+            err = max(_quotient_error(table, t, tau, g)
+                      for g, t in zip(got, t1))
+            assert err < 2e-15, (tau, err)
 
     def test_rate_is_derivative(self):
         f = bump()
@@ -349,18 +340,44 @@ class TestPairingTable:
         table = PairingTable(0.35, VectorTestFunction((zero_function(), g)))
         alone = PairingTable(0.35, g)
         t1 = np.array([0.1, 0.42, 0.7])
-        tau = PairingTable._LINEAR_TAU
         for got, want in [
                 (table.v(t1, t1 + 0.2), alone.v(t1, t1 + 0.2)),
-                (table.v_tau(t1, 0.5 * tau), alone.v_tau(t1, 0.5 * tau)),
-                (table.v_tau(t1, 2.0 * tau), alone.v_tau(t1, 2.0 * tau)),
+                (table.v_tau(t1, 5e-8), alone.v_tau(t1, 5e-8)),
+                (table.v_tau(t1, 2e-7), alone.v_tau(t1, 2e-7)),
                 (table.v_rate(t1), alone.v_rate(t1))]:
             assert got.shape == (2, 3)
             assert np.all(got[0] == 0.0)
             assert np.array_equal(got[1], want[0])
-        for s in (0.5, 2.0):
-            assert np.array_equal(table.v_quotient_sq(t1, s * tau),
-                                  alone.v_quotient_sq(t1, s * tau))
+        for tau in (5e-8, 2e-7):
+            assert np.array_equal(table.v_quotient_sq(t1, tau),
+                                  alone.v_quotient_sq(t1, tau))
+
+
+@mpmath.workdps(50)
+def _quotient_error(table, t, tau, got):
+    """Relative error of ``got`` against |v|^2 / tau^2 over [t, t + tau]
+    from the table's spline pieces in 50-digit arithmetic: in-piece
+    differences of the pieces the interval meets at either end, and the
+    knot values in between."""
+    n = 2048
+    c = table._spline.c
+    T, TAU = mpmath.mpf(t), mpmath.mpf(tau)
+    i = min(int(mpmath.floor(T * n)), n - 1)
+    s = T - mpmath.mpf(i) / n
+    a = min(TAU, mpmath.mpf(i + 1) / n - T)
+    b = TAU - a
+    total = mpmath.mpf(0)
+    for col in range(c.shape[2]):
+        c0, c1, c2, _ = (mpmath.mpf(float(x)) for x in c[:, i, col])
+        v = a * (c0 * (3 * s * s + 3 * s * a + a * a) + c1 * (2 * s + a) + c2)
+        if b > 0:
+            j = min(i + 1 + int(mpmath.floor(b * n)), n - 1)
+            r = b - mpmath.mpf(j - i - 1) / n
+            d0, d1, d2, yj = (mpmath.mpf(float(x)) for x in c[:, j, col])
+            v += yj - mpmath.mpf(float(c[3, i + 1, col])) + r * (
+                d0 * r * r + d1 * r + d2)
+        total += (v / TAU) ** 2
+    return float(abs(got / total - 1))
 
 
 # Writes the spline coefficients of PairingTable and of a one-shot build

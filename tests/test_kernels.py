@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,6 +13,7 @@ from loctime.kernels import (AdmissibilityResult, KernelArgument, KernelIndex,
                              kernel_value_regularized, odd_kernel_zero,
                              series_reconstruction)
 from loctime.cli import main
+from loctime.fracops import Hurst, _kernel_scale
 from loctime.quadrature import triangle_power_moment
 from loctime.stransform import (DeltaSpec, is_admissible,
                                 minimal_truncation_level, s_local_time)
@@ -174,6 +176,27 @@ class TestValues:
                             counted)
         kernel_value(0.5, (1,), ((0.25, 0.75),))
         assert 0 < len(calls) <= 64
+
+    @pytest.mark.parametrize("a", [-0.45, -0.2, 0.2, 0.45])
+    def test_factor_is_exact_difference_quotient(self, a):
+        # c ((b + tau)^a - b^a) / tau against 50-digit arithmetic, b from
+        # 1e-6 to 1 and tau from 1e-12 to 1: exact to rounding for every
+        # tau, with no switch to a truncated series
+        hu = Hurst(a + 0.5)
+        factors = kernels_module._product_factory(hu, (0.0,))[0]
+        b, tau = (x.ravel() for x in np.meshgrid(np.logspace(-6, 0, 13),
+                                                 np.logspace(-12, 0, 25)))
+        got = factors(b, tau)
+
+        def exact(y, x):
+            y, x = mpmath.mpf(y), mpmath.mpf(x)
+            return (mpmath.mpf(_kernel_scale(hu.h))
+                    * ((y + x) ** hu.a - y ** hu.a) / x)
+
+        with mpmath.workdps(50):
+            err = max(float(abs(g / exact(y, x) - 1))
+                      for g, y, x in zip(got, b, tau))
+        assert err < 2e-15
 
     def test_brownian_pair_kernel_repeated(self):
         # coincident points: the strip contributes tau^(a-1) locally and

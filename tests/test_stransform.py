@@ -322,8 +322,8 @@ class TestLocalTimeTransform:
 
 
 def test_eps_zero_integrand_takes_array_tau(monkeypatch):
-    # tau straddling PairingTable._LINEAR_TAU: the integrand at an array
-    # of tau equals, bit for bit, its values at one tau at a time
+    # tau from 5e-8 to 1e-3: the integrand at an array of tau equals, bit
+    # for bit, its values at one tau at a time
     specs = []
     monkeypatch.setattr(stransform_module, "integrate_triangle_singular",
                         lambda spec: specs.append(spec))
@@ -351,6 +351,18 @@ def test_large_bump_keeps_memory_small():
         tracemalloc.stop()
     assert math.isfinite(res.value)
     assert peak < 24 * 2 ** 20
+
+
+def test_large_bump_work_is_bounded():
+    # the pairing quotient v / tau is exact for every tau, so the inner
+    # rule has no rounding noise to chase: 2.4M evaluations, against
+    # 15.2M with the plain difference of two spline values
+    spec = DeltaSpec(0.5, 1, 1)
+    f = gaussian_bump(100.0, 0.45, 0.2)
+    table = PairingTable(spec.hurst, VectorTestFunction((f,)))
+    res = s_local_time(spec, f, tol=1e-8, pairing=table)
+    assert res.error_estimate <= 1e-8
+    assert res.evaluations <= 3_000_000
 
 
 class TestGrowthEnvelope:
