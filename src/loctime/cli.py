@@ -16,7 +16,7 @@ its artifacts.  Exit codes: 0 success, 2 invalid configuration,
 combination.  The Monte Carlo layer runs on LOCTIME_THREADS worker
 threads, or by default on the usable CPUs (at most 4); its values are
 bit-identical for every thread count, and the manifest records the
-count used next to the CPU count.
+count used next to the CPU count and the Python and numpy versions.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import io
 import json
 import math
 import os
+import platform
 import sys
 import time
 from dataclasses import dataclass
@@ -235,6 +236,7 @@ class ResultRecord:
     created_utc: str
     threads: int
     cpu_count: int | None
+    versions: dict[str, str]
 
     def csv_text(self) -> str:
         cfg = self.config
@@ -263,6 +265,7 @@ class ResultRecord:
             "created_utc": self.created_utc,
             "threads": self.threads,
             "cpu_count": self.cpu_count,
+            "versions": self.versions,
         }
 
 
@@ -317,14 +320,15 @@ def _run_kernels(cfg, threads):
     # Gate before building the test function: exit code 4 comes first.
     spec.require_admissible()
     fb = _test_bundle(cfg)
+    table = PairingTable(cfg.hurst, fb)
     rep = series_reconstruction(spec, fb, max_order=cfg.n_trunc + 2,
-                                tol=cfg.tol)
+                                tol=cfg.tol, pairing=table)
     rows = [ResultRow(f"order_{2 * n}", c, e)
             for n, c, e in zip(rep.orders, rep.contributions,
                                rep.error_estimates)]
     rows.append(ResultRow("partial_sum", rep.partial_sum,
                           sum(rep.error_estimates)))
-    direct = s_local_time(spec, fb, tol=cfg.tol)
+    direct = s_local_time(spec, fb, tol=cfg.tol, pairing=table)
     rows.append(ResultRow("s_local_time", direct.value,
                           direct.error_estimate))
     rows.append(ResultRow("series_gap",
@@ -503,7 +507,9 @@ def run(config: ExperimentConfig) -> ResultRecord:
         rows=tuple(rows), wall_time_s=wall, version=__version__,
         created_utc=datetime.now(timezone.utc).isoformat(
             timespec="seconds"),
-        threads=threads, cpu_count=os.cpu_count())
+        threads=threads, cpu_count=os.cpu_count(),
+        versions={"python": platform.python_version(),
+                  "numpy": np.__version__})
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "results.csv").write_text(record.csv_text())

@@ -33,6 +33,7 @@ constructions converge; ``bound_ratio`` measures the constant.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -340,6 +341,63 @@ _GRID_POINTS = 2049
 _BUILD_ROWS = 32
 
 
+@lru_cache(maxsize=None)
+def _slope_elimination(n: int):
+    """Multipliers, super-diagonal and pivots of the elimination of
+    ``_not_a_knot``'s slope system on n + 1 knots, in LAPACK gtsv's
+    order; the system needs no row exchange."""
+    upper = (2.0,) + (1.0,) * (n - 1)
+    lower = (1.0,) * (n - 1) + (2.0,)
+    pivot = [1.0] + [4.0] * (n - 1) + [1.0]
+    fact = []
+    for i in range(n):
+        fact.append(lower[i] / pivot[i])
+        pivot[i + 1] -= fact[i] * upper[i]
+    return tuple(fact), upper, tuple(pivot)
+
+
+def _not_a_knot(U: np.ndarray) -> np.ndarray:
+    """Pieces of the not-a-knot cubic spline through the columns of U,
+    sampled at the knots k / n, n = _GRID_POINTS - 1; shape (3, d, n).
+
+    The knot slopes s solve (de Boor, A Practical Guide to Splines,
+    ch. IV) s0 + 2 s1 = (5 m0 + m1) / 2, s(i-1) + 4 s(i) + s(i+1) =
+    3 (m(i-1) + m(i)) and 2 s(n-1) + s(n) = (m(n-2) + 5 m(n-1)) / 2,
+    with m the secant slopes, by elimination with data-free factors
+    computed at the first fit.  Piece i is c0 x^3 + c1 x^2 + c2 x + U(i / n) at
+    x = t - i / n.  Each step is the arithmetic of scipy's CubicSpline,
+    whose tridiagonal solve is LAPACK's gtsv, with the system divided by
+    the knot spacing, a power of two; so the pieces equal scipy's to the
+    bit unless that LAPACK fuses multiply-adds.
+    """
+    n = U.shape[0] - 1
+    fact, upper, pivot = _slope_elimination(n)
+    m = np.diff(U.T, axis=1) * n
+    rhs = np.empty((U.shape[1], n + 1))
+    rhs[:, 0] = 0.5 * (5.0 * m[:, 0] + m[:, 1])
+    rhs[:, 1:-1] = 3.0 * (m[:, :-1] + m[:, 1:])
+    rhs[:, -1] = 0.5 * (m[:, -2] + 5.0 * m[:, -1])
+    s = np.empty_like(rhs)
+    for j, r in enumerate(rhs.tolist()):
+        for i in range(n):
+            r[i + 1] -= fact[i] * r[i]
+        p = r[n] = r[n] / pivot[n]
+        for i in range(n - 1, -1, -1):
+            p = r[i] = (r[i] - upper[i] * p) / pivot[i]
+        s[j] = r
+    t = (s[:, :-1] + s[:, 1:] - 2.0 * m) * n
+    return np.stack([t * n, (m - s[:, :-1]) * n - t, s[:, :-1]])
+
+
+def _piece(t):
+    """x = t n, t's piece i (a float; the end pieces extend past [0, 1])
+    and t's exact offset s = t - i / n in it, n = _GRID_POINTS - 1."""
+    n = _GRID_POINTS - 1
+    x = t * n
+    i = np.clip(np.floor(x), 0.0, n - 1.0)
+    return x, i, (x - i) / n
+
+
 class PairingTable:
     """Fast pairing evaluations v(t1, t2) for a fixed (H, f).
 
@@ -347,10 +405,10 @@ class PairingTable:
     knots k / n, n = _GRID_POINTS - 1, ``_BUILD_ROWS`` grid rows at a
     time with the remainder folded into the last block (a 1-row block
     takes another BLAS path and can move U by an ulp), and interpolates
-    all d components with one vector cubic spline, a zero component
-    being a zero column; then v_j(t1, t2) = U_j(t2) - U_j(t1) exactly,
-    because the closed-form kernel of [t1, t2] is the difference of the
-    [0, t] kernels.
+    each of the d components with a not-a-knot cubic spline fitted in
+    numpy (``_not_a_knot``), a zero component being a zero column; then
+    v_j(t1, t2) = U_j(t2) - U_j(t1) exactly, because the closed-form
+    kernel of [t1, t2] is the difference of the [0, t] kernels.
 
     The quadratures need v over [t1, t1 + tau] down to tau far below
     the spacing of t1, where U(t1 + tau) - U(t1) is all cancellation.
@@ -359,8 +417,6 @@ class PairingTable:
     """
 
     def __init__(self, h, f):
-        from scipy.interpolate import CubicSpline
-
         hu = _hurst(h)
         comps = f.components if isinstance(f, VectorTestFunction) else (f,)
         self.hurst = hu
@@ -385,19 +441,32 @@ class PairingTable:
             x = t_grid[lo:hi, None] - u[None, :]
             for j, fj in enumerate(comps):
                 U[lo:hi, j] = (c * q) * (fj.eval(x) @ w_weights)
-        self._spline = CubicSpline(t_grid, U, axis=0)
-        # Piece k is c0 s^3 + c1 s^2 + c2 s + U(k / n) at s = t - k / n;
         # (3, d, n) and (d, n + 1), so a gather gives (d,) + shape.
-        self._c = np.ascontiguousarray(np.moveaxis(self._spline.c[:3], 2, 1))
+        self._c = _not_a_knot(U)
         self._knots = np.ascontiguousarray(U.T)
+
+    def scaled(self, z: float) -> "PairingTable":
+        """The table of z f: U is linear in f, so its pieces scale by z."""
+        out = copy.copy(self)
+        if not self._zero:
+            out._c = self._c * z
+            out._knots = self._knots * z
+        return out
+
+    def _values(self, t) -> np.ndarray:
+        """U(t), shape (d,) + t.shape, by Horner on t's piece."""
+        _, i, s = _piece(t)
+        i = i.astype(np.intp)
+        c0, c1, c2 = np.take(self._c, i, axis=2)
+        return ((c0 * s + c1) * s + c2) * s + np.take(self._knots, i, axis=1)
 
     def v(self, t1, t2) -> np.ndarray:
         """Pairing vectors, shape (d,) + broadcast shape of (t1, t2)."""
-        t1 = np.asarray(t1, dtype=float)
-        t2 = np.asarray(t2, dtype=float)
+        t1, t2 = np.broadcast_arrays(np.asarray(t1, dtype=float),
+                                     np.asarray(t2, dtype=float))
         if self._zero:
-            return np.zeros((self.d,) + np.broadcast(t1, t2).shape)
-        return np.moveaxis(self._spline(t2) - self._spline(t1), -1, 0)
+            return np.zeros((self.d,) + t1.shape)
+        return self._values(t2) - self._values(t1)
 
     def v_tau(self, t1, tau) -> np.ndarray:
         """Pairing vectors for the intervals [t1, t1 + tau], stable in tau."""
@@ -428,9 +497,7 @@ class PairingTable:
         if self._zero:
             return np.zeros((self.d,) + t.shape)
         n = _GRID_POINTS - 1
-        x = t * n
-        i = np.clip(np.floor(x), 0.0, n - 1.0)
-        s = (x - i) / n
+        x, i, s = _piece(t)
         a = np.minimum(tau, (i + 1.0 - x) / n)
         b = tau - a
         j = np.minimum(i + 1.0 + np.floor(b * n), n - 1.0)

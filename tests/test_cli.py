@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import os
+import platform
 import random
 import subprocess
 import sys
@@ -251,6 +252,20 @@ class TestRunArtifacts:
         assert ((tmp_path / "plain" / "results.csv").read_bytes()
                 == (tmp_path / "counted" / "results.csv").read_bytes())
 
+    def test_kernels_builds_one_pairing_table(self, tmp_path, monkeypatch):
+        # the series and the direct transform share the run's table
+        builds = []
+        init = PairingTable.__init__
+
+        def counted(self, *args, **kwargs):
+            builds.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(PairingTable, "__init__", counted)
+        assert main(["kernels", "--f", "gauss", "--tol", "1e-7",
+                     "--out", str(tmp_path)]) == 0
+        assert len(builds) == 1
+
     def test_convergence_single_eps_has_no_plot(self, tmp_path):
         out = tmp_path / "conv1"
         code = main(["convergence", "--H", "0.5", "--eps", "0.1",
@@ -334,6 +349,9 @@ class TestRunArtifacts:
             assert manifest["threads"] == (resolve_threads() if n is None
                                            else int(n))
             assert manifest["cpu_count"] == os.cpu_count()
+            assert manifest["versions"] == {
+                "python": platform.python_version(),
+                "numpy": np.__version__}
             assert ExperimentConfig.parse(manifest_text).n_paths == 1500
         assert outs[0] == outs[1] == outs[2]
 

@@ -335,6 +335,50 @@ class TestPairingTable:
                 assert np.array_equal(one[key], ref), key
                 assert np.array_equal(got["2"][key], one[key]), key
 
+    @pytest.mark.parametrize("h", [0.02, 0.3, 0.5, 0.7, 0.98])
+    @pytest.mark.parametrize("amp", [0.7, 100.0])
+    def test_fit_matches_scipy_not_a_knot(self, h, amp):
+        # the in-house fit against scipy's CubicSpline through the same
+        # knot values: U and U' at 10^4 uniform times
+        from scipy.interpolate import CubicSpline
+
+        table = PairingTable(h, gaussian_bump(amp, 0.45, 0.2))
+        ref = CubicSpline(np.linspace(0.0, 1.0, 2049), table._knots[0])
+        t = np.linspace(0.0, 1.0, 10_001)
+        u, du = ref(t), ref(t, 1)
+        assert (np.max(np.abs(table._values(t)[0] - u))
+                <= 4e-16 * np.max(np.abs(u)))
+        assert (np.max(np.abs(table.v_rate(t)[0] - du))
+                <= 1.5e-15 * np.max(np.abs(du)))
+
+    def test_analytic_path_imports_no_scipy(self):
+        # the table fits its spline in numpy; importing scipy would cost
+        # more than half a second of every S-transform's set-up
+        code = (
+            "import runpy, sys, tempfile\n"
+            "from loctime import PairingTable, s_local_time\n"
+            "from loctime.kernels import kernel_value, series_reconstruction\n"
+            "from loctime.stransform import DeltaSpec\n"
+            "from loctime.testfunctions import gaussian_bump\n"
+            "f = gaussian_bump(0.7, 0.45, 0.2)\n"
+            "spec = DeltaSpec(0.5, 1, 1)\n"
+            "table = PairingTable(0.5, f)\n"
+            "s_local_time(spec, f, tol=1e-7, pairing=table)\n"
+            "series_reconstruction(spec, f, 2, tol=1e-6)\n"
+            "kernel_value(0.5, (1,), ((0.25, 0.75),), tol=1e-6)\n"
+            "sys.argv = ['loctime', 'kernels', '--f', 'gauss', '--tol',\n"
+            "            '1e-6', '--out', tempfile.mkdtemp()]\n"
+            "try:\n"
+            "    runpy.run_module('loctime', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] == 'scipy'))\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "[]"
+
     def test_zero_component_is_an_exact_zero_column(self):
         g = gaussian_bump(-0.3, 0.6, 0.25)
         table = PairingTable(0.35, VectorTestFunction((zero_function(), g)))
@@ -360,34 +404,35 @@ def _quotient_error(table, t, tau, got):
     differences of the pieces the interval meets at either end, and the
     knot values in between."""
     n = 2048
-    c = table._spline.c
+    c, knots = table._c, table._knots
     T, TAU = mpmath.mpf(t), mpmath.mpf(tau)
     i = min(int(mpmath.floor(T * n)), n - 1)
     s = T - mpmath.mpf(i) / n
     a = min(TAU, mpmath.mpf(i + 1) / n - T)
     b = TAU - a
     total = mpmath.mpf(0)
-    for col in range(c.shape[2]):
-        c0, c1, c2, _ = (mpmath.mpf(float(x)) for x in c[:, i, col])
+    for col in range(c.shape[1]):
+        c0, c1, c2 = (mpmath.mpf(float(x)) for x in c[:, col, i])
         v = a * (c0 * (3 * s * s + 3 * s * a + a * a) + c1 * (2 * s + a) + c2)
         if b > 0:
             j = min(i + 1 + int(mpmath.floor(b * n)), n - 1)
             r = b - mpmath.mpf(j - i - 1) / n
-            d0, d1, d2, yj = (mpmath.mpf(float(x)) for x in c[:, j, col])
-            v += yj - mpmath.mpf(float(c[3, i + 1, col])) + r * (
+            d0, d1, d2 = (mpmath.mpf(float(x)) for x in c[:, col, j])
+            yj, yi = (mpmath.mpf(float(knots[col, k])) for k in (j, i + 1))
+            v += yj - yi + r * (
                 d0 * r * r + d1 * r + d2)
         total += (v / TAU) ** 2
     return float(abs(got / total - 1))
 
 
-# Writes the spline coefficients of PairingTable and of a one-shot build
-# of U on the whole grid (the formula the row blocks replace) to argv[1].
+# Writes the spline pieces and knot values of PairingTable and of a
+# one-shot build of U on the whole grid (the formula the row blocks
+# replace), each flattened into one array, to argv[1].
 _ONE_SHOT_SCRIPT = """
 import sys
 import numpy as np
-from scipy.interpolate import CubicSpline
 from loctime.fracops import (PairingTable, _halving_edges, _kernel_scale,
-                             gauss_panels)
+                             _not_a_knot, gauss_panels)
 from loctime.testfunctions import VectorTestFunction, gaussian_bump
 
 def one_shot(h, comps):
@@ -399,10 +444,9 @@ def one_shot(h, comps):
     W = (1.0 + R) ** (1.0 + a)
     w_nodes, w_weights = gauss_panels(_halving_edges(0.0, W, 48), 24)
     u = w_nodes ** q
-    return np.stack([
-        CubicSpline(t_grid, (c * q) * (fj.eval(t_grid[:, None] - u[None, :])
-                                       @ w_weights)).c
-        for fj in comps], axis=-1)
+    U = np.stack([(c * q) * (fj.eval(t_grid[:, None] - u[None, :])
+                             @ w_weights) for fj in comps], axis=-1)
+    return np.concatenate([_not_a_knot(U).ravel(), U.T.ravel()])
 
 bundles = {
     "d1": (gaussian_bump(0.7, 0.2, 0.4),),
@@ -414,7 +458,8 @@ for h in (0.02, 0.3, 0.5, 0.7, 0.98):
     for name, comps in bundles.items():
         key = f"_{h}_{name}"
         table = PairingTable(h, VectorTestFunction(comps))
-        out["table" + key] = table._spline.c
+        out["table" + key] = np.concatenate([table._c.ravel(),
+                                             table._knots.ravel()])
         out["one_shot" + key] = one_shot(h, comps)
 np.savez(sys.argv[1], **out)
 """

@@ -376,6 +376,34 @@ class TestGrowthEnvelope:
         # the transform shrinks as z grows: exp of a negative quadratic
         assert rep.s_values[0] > rep.s_values[-1]
 
+    def test_one_table_serves_every_z(self, monkeypatch):
+        # U is linear in f: the samples use one table scaled by z and
+        # agree with a table built for each z f within their estimates
+        spec = DeltaSpec(0.5, 1, 0)
+        zs = [0.5, 1.0, 2.0]
+        builds, results = [], []
+        init = PairingTable.__init__
+        direct = s_local_time
+
+        def counted(self, *args, **kwargs):
+            builds.append(args)
+            init(self, *args, **kwargs)
+
+        def recorded(*args, **kwargs):
+            results.append(direct(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(PairingTable, "__init__", counted)
+        monkeypatch.setattr(stransform_module, "s_local_time", recorded)
+        rep = u_estimate_check(spec, bump(), zs, tol=1e-9)
+        assert len(builds) == 1
+        assert len(results) == 3
+        for z, got, value in zip(zs, results, rep.s_values):
+            want = direct(spec, bump().scaled(z), tol=1e-9)
+            assert abs(got.value - want.value) <= (got.error_estimate
+                                                   + want.error_estimate)
+            assert abs(value - got.value) <= 1e-14 * got.value
+
     def test_needs_two_samples(self):
         with pytest.raises(ConfigError):
             u_estimate_check(DeltaSpec(0.5, 1, 0), bump(), [1.0])
