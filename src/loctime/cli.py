@@ -320,15 +320,14 @@ def _run_kernels(cfg, threads):
     # Gate before building the test function: exit code 4 comes first.
     spec.require_admissible()
     fb = _test_bundle(cfg)
-    table = PairingTable(cfg.hurst, fb)
     rep = series_reconstruction(spec, fb, max_order=cfg.n_trunc + 2,
-                                tol=cfg.tol, pairing=table)
+                                tol=cfg.tol)
     rows = [ResultRow(f"order_{2 * n}", c, e)
             for n, c, e in zip(rep.orders, rep.contributions,
                                rep.error_estimates)]
     rows.append(ResultRow("partial_sum", rep.partial_sum,
                           sum(rep.error_estimates)))
-    direct = s_local_time(spec, fb, tol=cfg.tol, pairing=table)
+    direct = s_local_time(spec, fb, tol=cfg.tol)
     rows.append(ResultRow("s_local_time", direct.value,
                           direct.error_estimate))
     rows.append(ResultRow("series_gap",

@@ -33,7 +33,6 @@ constructions converge; ``bound_ratio`` measures the constant.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -341,11 +340,12 @@ _GRID_POINTS = 2049
 _BUILD_ROWS = 32
 
 
-@lru_cache(maxsize=None)
-def _slope_elimination(n: int):
+@lru_cache(maxsize=1)
+def _slope_elimination():
     """Multipliers, super-diagonal and pivots of the elimination of
-    ``_not_a_knot``'s slope system on n + 1 knots, in LAPACK gtsv's
-    order; the system needs no row exchange."""
+    ``_not_a_knot``'s slope system, in LAPACK gtsv's order; the system
+    needs no row exchange."""
+    n = _GRID_POINTS - 1
     upper = (2.0,) + (1.0,) * (n - 1)
     lower = (1.0,) * (n - 1) + (2.0,)
     pivot = [1.0] + [4.0] * (n - 1) + [1.0]
@@ -364,14 +364,14 @@ def _not_a_knot(U: np.ndarray) -> np.ndarray:
     ch. IV) s0 + 2 s1 = (5 m0 + m1) / 2, s(i-1) + 4 s(i) + s(i+1) =
     3 (m(i-1) + m(i)) and 2 s(n-1) + s(n) = (m(n-2) + 5 m(n-1)) / 2,
     with m the secant slopes, by elimination with data-free factors
-    computed at the first fit.  Piece i is c0 x^3 + c1 x^2 + c2 x + U(i / n) at
-    x = t - i / n.  Each step is the arithmetic of scipy's CubicSpline,
-    whose tridiagonal solve is LAPACK's gtsv, with the system divided by
-    the knot spacing, a power of two; so the pieces equal scipy's to the
-    bit unless that LAPACK fuses multiply-adds.
+    computed at the first fit.  Piece i is c0 x^3 + c1 x^2 + c2 x +
+    U(i / n) at x = t - i / n.  Each step is the arithmetic of scipy's
+    CubicSpline, whose tridiagonal solve is LAPACK's gtsv, with the
+    system divided by the knot spacing, a power of two; so the pieces
+    equal scipy's to the bit unless that LAPACK fuses multiply-adds.
     """
-    n = U.shape[0] - 1
-    fact, upper, pivot = _slope_elimination(n)
+    n = _GRID_POINTS - 1
+    fact, upper, pivot = _slope_elimination()
     m = np.diff(U.T, axis=1) * n
     rhs = np.empty((U.shape[1], n + 1))
     rhs[:, 0] = 0.5 * (5.0 * m[:, 0] + m[:, 1])
@@ -414,12 +414,15 @@ class PairingTable:
     the spacing of t1, where U(t1 + tau) - U(t1) is all cancellation.
     ``v_rate`` is the one evaluation they use: the mean rate v / tau
     taken from the spline's own pieces, exact to rounding for every tau.
+    ``components`` keeps the test functions the table was built from, so
+    that a caller handed a prebuilt table can check it is one of its f.
     """
 
     def __init__(self, h, f):
         hu = _hurst(h)
         comps = f.components if isinstance(f, VectorTestFunction) else (f,)
         self.hurst = hu
+        self.components = comps
         self.d = len(comps)
         self._zero = all(fj.is_zero for fj in comps)
         if self._zero:
@@ -444,14 +447,6 @@ class PairingTable:
         # (3, d, n) and (d, n + 1), so a gather gives (d,) + shape.
         self._c = _not_a_knot(U)
         self._knots = np.ascontiguousarray(U.T)
-
-    def scaled(self, z: float) -> "PairingTable":
-        """The table of z f: U is linear in f, so its pieces scale by z."""
-        out = copy.copy(self)
-        if not self._zero:
-            out._c = self._c * z
-            out._knots = self._knots * z
-        return out
 
     def _values(self, t) -> np.ndarray:
         """U(t), shape (d,) + t.shape, by Horner on t's piece."""

@@ -31,7 +31,7 @@ import numpy as np
 from .errors import ConfigError, NonIntegrableError
 from .fracops import Hurst, PairingTable, _hurst, _kernel_scale
 from .quadrature import SingularIntegrandSpec, integrate_triangle_singular
-from .stransform import (AdmissibilityResult, DeltaSpec, _pairing_table,
+from .stransform import (AdmissibilityResult, DeltaSpec, _as_bundle,
                          _require_admissible, admissibility)
 
 __all__ = [
@@ -302,9 +302,7 @@ class SeriesReport:
 
 
 def series_reconstruction(spec: DeltaSpec, f, max_order: int,
-                          tol: float = 1e-8, *,
-                          pairing: PairingTable | None = None
-                          ) -> SeriesReport:
+                          tol: float = 1e-8) -> SeriesReport:
     """Sum the chaos contributions of orders N..max_order paired with f.
 
     Each order n contributes
@@ -317,15 +315,14 @@ def series_reconstruction(spec: DeltaSpec, f, max_order: int,
     and v the pairing vector of f with the increment kernel.  The sum
     converges to s_local_time(spec, f); an insufficient max_order is
     reported through ``converged``/``last_term`` rather than raised.
-    A prebuilt ``pairing`` table of f saves its build; one for another
-    H or d raises ``ConfigError``.
     """
     if max_order < spec.n_trunc:
         raise ConfigError(
             f"max_order {max_order} is below the truncation level "
             f"{spec.n_trunc}")
     spec.require_admissible()
-    table = _pairing_table(spec, f, pairing)
+    bundle = _as_bundle(f, spec.d)
+    table = PairingTable(spec.hurst, bundle)
     d = spec.d
     two_h = 2.0 * spec.hurst.h
     pref = _TWO_PI ** (-0.5 * d)

@@ -251,13 +251,21 @@ def s_local_time(spec: DeltaSpec, f, tol: float = 1e-9, *,
     singular quadrature engine; the bounded remainder carries the
     truncated exponential.  For eps > 0 the integrand is bounded and
     alpha = 0.  A prebuilt ``pairing`` table of f saves its build; one
-    for another H or d raises ``ConfigError``.
+    for another H, d or f raises ``ConfigError``.
     """
     spec.require_admissible()
     h = spec.hurst.h
     d = spec.d
     n = spec.n_trunc
-    pairing = _pairing_table(spec, f, pairing)
+    bundle = _as_bundle(f, d)
+    if pairing is None:
+        pairing = PairingTable(spec.hurst, bundle)
+    elif (pairing.hurst.h, pairing.d) != (h, d):
+        raise ConfigError(f"pairing table for H = {pairing.hurst.h:g}, d = "
+                          f"{pairing.d} given for H = {h:g}, d = {d}")
+    elif pairing.components != bundle.components:
+        raise ConfigError("pairing table built from another test function "
+                          "than f")
     pref = _TWO_PI ** (-0.5 * d)
     two_h = 2.0 * h
 
@@ -284,19 +292,6 @@ def s_local_time(spec: DeltaSpec, f, tol: float = 1e-9, *,
 
         sing = SingularIntegrandSpec(alpha=0.0, g=g, tol=tol)
     return integrate_triangle_singular(sing)
-
-
-def _pairing_table(spec: DeltaSpec, f,
-                   pairing: PairingTable | None) -> PairingTable:
-    """``pairing``, or a new table of f when it is None; a table for
-    another H or d than ``spec`` raises ``ConfigError``."""
-    if pairing is None:
-        return PairingTable(spec.hurst, _as_bundle(f, spec.d))
-    if (pairing.hurst.h, pairing.d) != (spec.hurst.h, spec.d):
-        raise ConfigError(f"pairing table for H = {pairing.hurst.h:g}, d = "
-                          f"{pairing.d} given for H = {spec.hurst.h:g}, "
-                          f"d = {spec.d}")
-    return pairing
 
 
 def _as_bundle(f, d: int) -> VectorTestFunction:
@@ -331,20 +326,16 @@ def u_estimate_check(spec: DeltaSpec, f, z_values, tol: float = 1e-8) -> UEstima
     The constants are empirical: K2 is the (floored) least-squares slope
     against |z|^2 |||f|||^2 and K1 closes the envelope over the sample.
     Sample points violating the fitted envelope (beyond tiny slack) are
-    flagged; with a sane quadrature there should be none.  U is linear
-    in f, so one pairing table of f, scaled by each z, serves every z.
+    flagged; with a sane quadrature there should be none.
     """
     bundle = _as_bundle(f, spec.d)
     zs = [float(z) for z in z_values]
     if len(zs) < 2:
         raise ConfigError("need at least two z samples for an envelope")
-    spec.require_admissible()
     norm_sq = bundle.norm ** 2
-    table = PairingTable(spec.hurst, bundle)
     xs, ys = [], []
     for z in zs:
-        res = s_local_time(spec, bundle.scaled(z), tol=tol,
-                           pairing=table.scaled(z))
+        res = s_local_time(spec, bundle.scaled(z), tol=tol)
         if res.value <= 0.0:
             raise ConfigError(
                 "S-transform sample vanished; envelope fit undefined")

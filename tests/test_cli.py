@@ -252,20 +252,6 @@ class TestRunArtifacts:
         assert ((tmp_path / "plain" / "results.csv").read_bytes()
                 == (tmp_path / "counted" / "results.csv").read_bytes())
 
-    def test_kernels_builds_one_pairing_table(self, tmp_path, monkeypatch):
-        # the series and the direct transform share the run's table
-        builds = []
-        init = PairingTable.__init__
-
-        def counted(self, *args, **kwargs):
-            builds.append(args)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(PairingTable, "__init__", counted)
-        assert main(["kernels", "--f", "gauss", "--tol", "1e-7",
-                     "--out", str(tmp_path)]) == 0
-        assert len(builds) == 1
-
     def test_convergence_single_eps_has_no_plot(self, tmp_path):
         out = tmp_path / "conv1"
         code = main(["convergence", "--H", "0.5", "--eps", "0.1",

@@ -13,7 +13,7 @@ from loctime.kernels import (AdmissibilityResult, KernelArgument, KernelIndex,
                              kernel_value_regularized, odd_kernel_zero,
                              series_reconstruction)
 from loctime.cli import main
-from loctime.fracops import Hurst, PairingTable, _kernel_scale
+from loctime.fracops import Hurst, _kernel_scale
 from loctime.quadrature import triangle_power_moment
 from loctime.stransform import (DeltaSpec, is_admissible,
                                 minimal_truncation_level, s_local_time)
@@ -287,24 +287,6 @@ class TestSeries:
         rep = series_reconstruction(spec, f, 6, tol=1e-9)
         want = s_local_time(spec, f, tol=1e-10).value
         assert abs(rep.partial_sum - want) < 5e-8
-
-    def test_prebuilt_pairing_table_matches(self):
-        f = gaussian_bump(0.5, 0.45, 0.2)
-        spec = DeltaSpec(0.5, 1, 0)
-        table = PairingTable(spec.hurst, f)
-        a = series_reconstruction(spec, f, 2, tol=1e-8)
-        b = series_reconstruction(spec, f, 2, tol=1e-8, pairing=table)
-        assert a.contributions == b.contributions
-
-    @pytest.mark.parametrize("h, g", [
-        (0.5, VectorTestFunction((gaussian_bump(0.5, 0.45, 0.2),) * 2)),
-        (0.7, gaussian_bump(0.5, 0.45, 0.2)),
-    ])
-    def test_mismatched_pairing_table_rejected(self, h, g):
-        with pytest.raises(ConfigError):
-            series_reconstruction(DeltaSpec(0.5, 1, 0),
-                                  gaussian_bump(0.5, 0.45, 0.2), 2,
-                                  pairing=PairingTable(h, g))
 
     def test_max_order_below_truncation_rejected(self):
         with pytest.raises(ConfigError):
