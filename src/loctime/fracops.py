@@ -10,10 +10,13 @@ indicators the image has the closed form
 
 with the scale c_H fixed so that |K 1_[0,1]|_L2 = 1, i.e.
 
-    c_H = ( 1/(2H) + int_0^infty ((1+u)^a - u^a)^2 du )^(-1/2).
+    c_H = ( 1/(2H) + int_0^infty ((1+u)^a - u^a)^2 du )^(-1/2)
+        = sqrt( Gamma(2H+1) sin(pi H) ) / Gamma(H + 1/2),
 
-``normalization_constant`` returns K_H = Gamma(H + 1/2) * c_H, the
-prefactor of the defining integral representations.
+the closed form by the Mandelbrot-Van Ness (1968) identity, exact to a
+few rounding errors with no quadrature.  ``normalization_constant``
+returns K_H = Gamma(H + 1/2) * c_H, the prefactor of the defining
+integral representations.
 
 The dual operator acts on smooth functions:
 
@@ -39,8 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (AccuracyError, ConfigError, ConsistencyError,
-                     SingularPointError)
+from .errors import ConfigError, ConsistencyError, SingularPointError
 from .quadrature import QuadratureResult, gauss_panels, integrate_interval
 from .testfunctions import TestFunction, VectorTestFunction
 
@@ -72,14 +74,6 @@ class Hurst:
     def a(self) -> float:
         return self.h - 0.5
 
-    @property
-    def regime(self) -> str:
-        if self.h < 0.5:
-            return "antipersistent"
-        if self.h == 0.5:
-            return "brownian"
-        return "persistent"
-
 
 def _hurst(h) -> Hurst:
     return h if isinstance(h, Hurst) else Hurst(float(h))
@@ -109,35 +103,10 @@ def _interval(iv) -> Interval:
     return Interval(float(s), float(t))
 
 
-@lru_cache(maxsize=None)
 def _kernel_scale(h: float) -> float:
-    """c_H = (1/(2H) + int_0^inf ((1+u)^a - u^a)^2 du)^(-1/2)."""
-    a = h - 0.5
-    if a == 0.0:
-        return 1.0
-
-    def body(u):
-        return ((1.0 + u) ** a - u ** a) ** 2
-
-    near = integrate_interval(body, 0.0, 1.0, tol=1e-13,
-                              singular=[(0.0, 2.0 * a)] if a < 0 else [],
-                              order=24)
-    # Map [1, inf) to (0, 1]; the image integrand behaves like u^(-2a)
-    # at the origin.  Written via expm1 because (1+s)^a - s^a loses all
-    # precision to cancellation for large s.
-
-    def far_body(u):
-        return np.expm1(a * np.log1p(u)) ** 2 * u ** (-2.0 * a - 2.0)
-
-    far = integrate_interval(far_body, 0.0, 1.0, tol=1e-13,
-                             singular=[(0.0, -2.0 * a)] if a > 0 else [],
-                             order=24)
-    total_err = near.error_estimate + far.error_estimate
-    if total_err > 1e-10:
-        raise AccuracyError(
-            f"normalization integral for H={h} did not converge",
-            value=near.value + far.value, error_estimate=total_err)
-    return (0.5 / h + near.value + far.value) ** -0.5
+    """c_H = sqrt(Gamma(2H+1) sin(pi H)) / Gamma(H+1/2), in closed form."""
+    return (math.sqrt(math.gamma(2.0 * h + 1.0) * math.sin(math.pi * h))
+            / math.gamma(h + 0.5))
 
 
 def normalization_constant(h) -> float:
@@ -466,10 +435,6 @@ class PairingTable:
     def v_tau(self, t1, tau) -> np.ndarray:
         """Pairing vectors for the intervals [t1, t1 + tau], stable in tau."""
         return tau * self.v_rate(t1, tau)
-
-    def v_norm_sq_tau(self, t1, tau) -> np.ndarray:
-        vv = tau * self.v_rate(t1, tau)
-        return np.sum(vv * vv, axis=0)
 
     def v_quotient_sq(self, t1, tau) -> np.ndarray:
         """|v|^2 / tau^2 for the intervals [t1, t1 + tau], stable down to

@@ -32,7 +32,7 @@ from .errors import ConfigError, NonIntegrableError
 from .fracops import Hurst, PairingTable, _hurst, _kernel_scale
 from .quadrature import SingularIntegrandSpec, integrate_triangle_singular
 from .stransform import (AdmissibilityResult, DeltaSpec, _as_bundle,
-                         _require_admissible, admissibility)
+                         _order_weight, admissibility)
 
 __all__ = [
     "KernelIndex",
@@ -96,6 +96,9 @@ class KernelArgument:
         blocks = tuple(tuple(float(u) for u in b) for b in self.blocks)
         if any(len(b) % 2 for b in blocks):
             raise ConfigError("kernel argument blocks must have even sizes")
+        if not all(math.isfinite(u) for b in blocks for u in b):
+            raise ConfigError(f"kernel argument points must be finite, "
+                              f"got {blocks}")
         object.__setattr__(self, "blocks", blocks)
 
     @property
@@ -209,78 +212,54 @@ def _product_factory(hu: Hurst, points: tuple[float, ...]):
 
 def kernel_value(h, idx, arg, tol: float = 1e-8) -> float:
     """Kernel of order 2n at block-grouped points, prefactor included."""
-    hu = _hurst(h)
-    idx = _index(idx)
-    arg = _argument(arg, idx)
-    d = idx.d
-    n = idx.total
-    alpha = -_require_admissible(hu, d, n).exponent
-    points = arg.points
-    if any(u >= 1.0 for u in points):
-        return 0.0
-    _check_multiplicities(points, hu.a)
-
-    pref = (_TWO_PI ** (-0.5 * d) * (-0.5) ** n / idx.factorial_weight)
-    if n == 0:
-        spec = SingularIntegrandSpec(alpha=alpha,
-                                     g=lambda t1, tau: np.ones_like(t1),
-                                     tol=tol)
-        return pref * integrate_triangle_singular(spec).value
-
-    factors, marks, gamma, breaks = _product_factory(hu, points)
-    alpha_eff = alpha - gamma
-    if alpha_eff >= 1.0:
-        raise NonIntegrableError(
-            f"kernel at these points is not integrable in time: near "
-            f"coincidence the inner integral grows like tau^({gamma:g}) "
-            f"against the factor tau^(-{alpha:g})")
-
-    if gamma == 0.0:
-        g = factors
-    else:
-
-        def g(t1, tau):
-            return tau ** (-gamma) * factors(t1, tau)
-
-    spec = SingularIntegrandSpec(alpha=alpha_eff, g=g, tol=tol,
-                                 inner_singularities=marks,
-                                 outer_breakpoints=breaks)
-    return pref * integrate_triangle_singular(spec).value
+    return _kernel(h, idx, arg, 0.0, tol)
 
 
 def kernel_value_regularized(h, idx, eps: float, arg,
                              tol: float = 1e-8) -> float:
     """Regularized kernel, defined for every order when eps > 0."""
+    if not 0.0 < eps < math.inf:
+        raise ConfigError(
+            f"regularized kernel needs a finite eps > 0, got {eps}")
+    return _kernel(h, idx, arg, eps, tol)
+
+
+def _kernel(h, idx, arg, eps: float, tol: float) -> float:
+    """(1/n!) (2pi)^(-d/2) (-1/2)^n int_Delta weight_n prod_i (K 1)(u_i),
+    with the order-n time weight of ``_order_weight``."""
     hu = _hurst(h)
     idx = _index(idx)
     arg = _argument(arg, idx)
-    if eps <= 0.0:
-        raise ConfigError(f"regularized kernel needs eps > 0, got {eps}")
     d = idx.d
     n = idx.total
+    alpha, weight = _order_weight(hu, d, n, eps)
     points = arg.points
     if any(u >= 1.0 for u in points):
         return 0.0
     _check_multiplicities(points, hu.a)
 
-    pref = (_TWO_PI ** (-0.5 * d) * (-0.5) ** n / idx.factorial_weight)
-    two_h = 2.0 * hu.h
-    power = -(n + 0.5 * d)
-    if n == 0:
-        spec = SingularIntegrandSpec(
-            alpha=0.0,
-            g=lambda t1, tau: (eps + tau ** two_h) ** power,
-            tol=tol)
-        return pref * integrate_triangle_singular(spec).value
+    factors, marks, gamma, breaks = _product_factory(hu, points)
+    if eps == 0.0 and gamma < 0.0:
+        # Near coincident points the inner integral grows like tau^gamma;
+        # at eps = 0, where the weight is 1, that growth moves to the
+        # outer singularity.  At eps > 0 the weight's tau^(2n) bounds it.
+        if alpha - gamma >= 1.0:
+            raise NonIntegrableError(
+                f"kernel at these points is not integrable in time: near "
+                f"coincidence the inner integral grows like tau^({gamma:g}) "
+                f"against the factor tau^(-{alpha:g})")
+        alpha -= gamma
 
-    factors, marks, _, breaks = _product_factory(hu, points)
+        def weight(tau):
+            return tau ** (-gamma)
 
     def g(t1, tau):
-        return (eps + tau ** two_h) ** power * tau ** (2 * n) * factors(t1, tau)
+        return weight(tau) * factors(t1, tau)
 
-    spec = SingularIntegrandSpec(alpha=0.0, g=g, tol=tol,
+    spec = SingularIntegrandSpec(alpha=alpha, g=g, tol=tol,
                                  inner_singularities=marks,
                                  outer_breakpoints=breaks)
+    pref = (_TWO_PI ** (-0.5 * d) * (-0.5) ** n / idx.factorial_weight)
     return pref * integrate_triangle_singular(spec).value
 
 
@@ -323,9 +302,7 @@ def series_reconstruction(spec: DeltaSpec, f, max_order: int,
     spec.require_admissible()
     bundle = _as_bundle(f, spec.d)
     table = PairingTable(spec.hurst, bundle)
-    d = spec.d
-    two_h = 2.0 * spec.hurst.h
-    pref = _TWO_PI ** (-0.5 * d)
+    pref = _TWO_PI ** (-0.5 * spec.d)
     orders = tuple(range(spec.n_trunc, max_order + 1))
     per_order_tol = tol / (2.0 * len(orders))
 
@@ -333,21 +310,12 @@ def series_reconstruction(spec: DeltaSpec, f, max_order: int,
     errors = []
     for n in orders:
         scale = pref * (-0.5) ** n / math.factorial(n)
-        if spec.eps == 0.0:
+        alpha, weight = _order_weight(spec.hurst, spec.d, n, spec.eps)
 
-            def g(t1, tau, scale=scale, n=n):
-                return scale * table.v_quotient_sq(t1, tau) ** n
+        def g(t1, tau, scale=scale, n=n, weight=weight):
+            return scale * weight(tau) * table.v_quotient_sq(t1, tau) ** n
 
-            alpha = -admissibility(spec.hurst, d, n).exponent
-            sing = SingularIntegrandSpec(alpha=alpha, g=g, tol=per_order_tol)
-        else:
-            power = -(n + 0.5 * d)
-
-            def g(t1, tau, scale=scale, n=n, power=power):
-                return (scale * (spec.eps + tau ** two_h) ** power
-                        * table.v_norm_sq_tau(t1, tau) ** n)
-
-            sing = SingularIntegrandSpec(alpha=0.0, g=g, tol=per_order_tol)
+        sing = SingularIntegrandSpec(alpha=alpha, g=g, tol=per_order_tol)
         res = integrate_triangle_singular(sing)
         contributions.append(res.value)
         errors.append(res.error_estimate)

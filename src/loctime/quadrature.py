@@ -175,6 +175,9 @@ def integrate_interval(f: Callable[..., np.ndarray], lo, hi, *,
     A batch returns arrays of values and errors, one entry per row;
     ``evaluations`` is always the total number of integrand points.
     """
+    if not 0.0 < tol < math.inf:
+        raise ConfigError(
+            f"quadrature tolerance must be positive and finite, got {tol}")
     batch = np.ndim(lo) > 0 or np.ndim(hi) > 0
     los, his = np.broadcast_arrays(np.atleast_1d(np.asarray(lo, float)),
                                    np.atleast_1d(np.asarray(hi, float)))

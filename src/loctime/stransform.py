@@ -92,6 +92,22 @@ def _require_admissible(h, d: int, n_trunc: int) -> AdmissibilityResult:
     return gate
 
 
+def _order_weight(hurst, d: int, n: int, eps: float):
+    """Time weight w^(-d/2) (tau^2 / w)^n of chaos order n, w = eps +
+    tau^(2H), split as tau^(-alpha) * weight(tau).
+
+    At eps = 0 the weight is the power tau^(-alpha), alpha = dH -
+    2n(1-H), so the order must pass the admissibility gate and
+    weight(tau) = 1.  At eps > 0 it is bounded: alpha = 0 and weight(tau)
+    is the whole weight.
+    """
+    if eps == 0.0:
+        return -_require_admissible(hurst, d, n).exponent, lambda tau: 1.0
+    two_h = 2.0 * _hurst(hurst).h
+    power = -(n + 0.5 * d)
+    return 0.0, lambda tau: (eps + tau ** two_h) ** power * tau ** (2 * n)
+
+
 def is_admissible(h, d: int, n_trunc: int) -> bool:
     """True when tau^(2N(1-H) - dH) is integrable on the triangle."""
     return admissibility(h, d, n_trunc).admissible
@@ -173,6 +189,8 @@ def exp_truncated(x, n: int):
     xs = np.asarray(x, dtype=float)
     scalar = xs.ndim == 0
     xs = np.atleast_1d(xs).astype(float)
+    if not np.isfinite(xs).all():
+        raise ConfigError("exp_truncated needs finite arguments")
     if n == 0:
         out = np.exp(xs)
         return float(out[0]) if scalar else out
@@ -287,7 +305,7 @@ def s_local_time(spec: DeltaSpec, f, tol: float = 1e-9, *,
 
         def g(t1, tau):
             w = spec.eps + tau ** two_h
-            y = -0.5 * pairing.v_norm_sq_tau(t1, tau) / w
+            y = -0.5 * tau ** 2 * pairing.v_quotient_sq(t1, tau) / w
             return pref * w ** (-0.5 * d) * exp_truncated(y, n)
 
         sing = SingularIntegrandSpec(alpha=0.0, g=g, tol=tol)

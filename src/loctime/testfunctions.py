@@ -70,6 +70,14 @@ class TestFunction:
 
     __test__ = False  # keep pytest from collecting this as a test class
 
+    def __post_init__(self):
+        if not all(math.isfinite(x) for x in (
+                self.sup_norm, self.sup_deriv_norm, self.l2_norm,
+                self.support_radius)):
+            raise ConfigError(
+                f"test function {self.label} needs finite norms and support "
+                "radius")
+
     def __call__(self, x):
         return self.eval(np.asarray(x, dtype=float))
 

@@ -10,8 +10,8 @@ import pytest
 from scipy.integrate import quad
 
 from loctime.errors import ConfigError, SingularPointError
-from loctime.fracops import (Hurst, Interval, PairingTable, bound_ratio,
-                             dual_apply, increment_kernel,
+from loctime.fracops import (Hurst, Interval, PairingTable, _kernel_scale,
+                             bound_ratio, dual_apply, increment_kernel,
                              normalization_constant, pairing_closed_form,
                              pairing_indicator)
 from loctime.testfunctions import (VectorTestFunction, gaussian_bump,
@@ -109,6 +109,31 @@ class TestNormalization:
         want = math.gamma(h + 0.5) * c
         got = normalization_constant(h)
         assert abs(got - want) < 5e-9 + 20.0 * (near_err + far_err)
+
+    @pytest.mark.parametrize("h", [0.02, 0.3, 0.51, 0.6, 0.75, 0.98])
+    def test_scale_matches_defining_integral(self, h):
+        # c_H^-2 = 1/(2H) + int_0^inf ((1+u)^a - u^a)^2 du at 40 digits,
+        # with u = v^p on [0, 1] and u = v^(-q) beyond, which remove the
+        # endpoint powers u^(2a) (a < 0) and u^(-2a-2) at infinity (a > 0)
+        with mpmath.workdps(40):
+            big_h = mpmath.mpf(h)
+            a = big_h - mpmath.mpf(1) / 2
+            p = 1 / (1 + 2 * min(a, 0))
+            q = 1 / (1 - 2 * max(a, 0))
+
+            def near(v):
+                u = v ** p
+                return p * v ** (p - 1) * ((1 + u) ** a - u ** a) ** 2
+
+            def far(v):
+                s = v ** q
+                return (q * v ** (q - 1) * s ** (-2 * a - 2)
+                        * mpmath.expm1(a * mpmath.log1p(s)) ** 2)
+
+            total = 1 / (2 * big_h) + mpmath.quad(near, [0, 1]) \
+                + mpmath.quad(far, [0, 1])
+            want = float(total ** mpmath.mpf(-0.5))
+        assert abs(_kernel_scale(h) / want - 1.0) <= 2e-15
 
 
 class TestDualOperator:

@@ -225,8 +225,13 @@ class TestValues:
         assert abs(a - b) < 1e-12
 
     def test_regularized_pinned(self):
-        got = kernel_value_regularized(0.75, (1,), 0.01, ((0.2, 0.5),))
-        assert abs(got - -0.09988418685443298) < 1e-7
+        # the coincident pair's value is its closed form at H = 1/2; it
+        # takes no shift of the outer singularity when eps > 0
+        for h, eps, pts, want in (
+                (0.75, 0.01, (0.2, 0.5), -0.09988418685443298),
+                (0.5, 0.05, (0.3, 0.3), -0.16702237812208276)):
+            got = kernel_value_regularized(h, (1,), eps, (pts,))
+            assert abs(got - want) < 1e-7
 
     def test_regularized_needs_positive_eps(self):
         with pytest.raises(ConfigError):

@@ -9,12 +9,15 @@ from scipy.special import erf
 import loctime.stransform as stransform_module
 from loctime.errors import AdmissibilityError, ConfigError
 from loctime.fracops import PairingTable
-from loctime.quadrature import triangle_power_moment
+from loctime.kernels import (kernel_value, kernel_value_regularized,
+                             series_reconstruction)
+from loctime.quadrature import integrate_interval, triangle_power_moment
 from loctime.stransform import (DeltaSpec, exp_truncated, is_admissible,
                                 minimal_truncation_level, s_char_exp, s_delta,
                                 s_local_time, u_estimate_check)
 from loctime.testfunctions import (VectorTestFunction, gaussian_bump,
-                                   zero_bundle, zero_function)
+                                   hermite_function, zero_bundle,
+                                   zero_function)
 
 TWO_PI = 2.0 * math.pi
 
@@ -343,6 +346,35 @@ def test_eps_zero_integrand_takes_array_tau(monkeypatch):
     got = g(t1_grid.ravel(), tau_grid.ravel()).reshape(t1_grid.shape)
     for i, tau in enumerate(taus):
         assert np.array_equal(got[i], g(t1, np.full(t1.shape, tau)))
+
+
+NAN = float("nan")
+INF = float("inf")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: s_local_time(DeltaSpec(0.5, 1, 0), bump(), tol=NAN),
+    lambda: kernel_value(0.5, (1,), ((0.25, 0.75),), tol=NAN),
+    lambda: series_reconstruction(DeltaSpec(0.5, 1, 0), bump(), 2, tol=NAN),
+    lambda: integrate_interval(np.ones_like, 0.0, 1.0, tol=-1.0),
+    lambda: integrate_interval(np.ones_like, 0.0, 1.0, tol=INF),
+    lambda: kernel_value_regularized(0.5, (1,), NAN, ((0.25, 0.75),)),
+    lambda: kernel_value_regularized(0.5, (1,), INF, ((0.25, 0.75),)),
+    lambda: kernel_value(0.5, (1,), ((NAN, 0.75),)),
+    lambda: exp_truncated(NAN, 2),
+    lambda: exp_truncated(np.array([0.5, INF]), 2),
+    lambda: exp_truncated(-INF, 2),
+    lambda: gaussian_bump(NAN, 0.4, 0.2),
+    lambda: gaussian_bump(1.0, 0.4, NAN),
+    lambda: bump().scaled(NAN),
+    lambda: hermite_function(0, shift=NAN),
+], ids=["s_local_time tol", "kernel tol", "series tol", "negative tol",
+        "infinite tol", "eps nan", "eps inf", "kernel point",
+        "exp_N nan", "exp_N inf", "exp_N -inf", "bump amplitude",
+        "bump width", "scaled", "hermite shift"])
+def test_bad_input_is_a_config_error(call):
+    with pytest.raises(ConfigError):
+        call()
 
 
 def test_large_bump_keeps_memory_small():
