@@ -25,9 +25,8 @@ from .mc import (BLOCK, McEstimate, PathEnsemble, WhiteNoiseGrid,
                  mc_local_time_regularized, mc_s_transform,
                  mc_weight_check, sample_paths_cholesky,
                  sample_paths_whitenoise)
-from .quadrature import (QuadratureResult, SingularIntegrandSpec,
-                         divergence_probe, integrate_interval,
-                         integrate_triangle_singular,
+from .quadrature import (QuadratureResult, divergence_probe,
+                         integrate_interval, integrate_triangle_singular,
                          triangle_power_moment)
 from .stransform import (AdmissibilityResult, DeltaSpec, UEstimateReport,
                          admissibility, exp_truncated, is_admissible,
@@ -54,9 +53,8 @@ __all__ = [
     "increment_kernel", "dual_apply", "pairing_indicator",
     "pairing_closed_form", "bound_ratio",
     # quadrature
-    "QuadratureResult", "SingularIntegrandSpec", "integrate_interval",
-    "integrate_triangle_singular", "triangle_power_moment",
-    "divergence_probe",
+    "QuadratureResult", "integrate_interval", "integrate_triangle_singular",
+    "triangle_power_moment", "divergence_probe",
     # S-transform
     "DeltaSpec", "AdmissibilityResult", "admissibility",
     "minimal_truncation_level", "is_admissible", "exp_truncated",

@@ -50,8 +50,8 @@ from .mc import (WhiteNoiseGrid, covariance_from_kernels, fbm_covariance,
                  mc_local_time_regularized, mc_s_transform, mc_weight_check,
                  resolve_threads, sample_paths_cholesky,
                  sample_paths_whitenoise)
-from .quadrature import (SingularIntegrandSpec, integrate_interval,
-                         integrate_triangle_singular, triangle_power_moment)
+from .quadrature import (integrate_interval, integrate_triangle_singular,
+                         triangle_power_moment)
 from .stransform import (DeltaSpec, exp_truncated, is_admissible,
                          minimal_truncation_level, s_local_time)
 from .svg import Series, line_plot
@@ -429,11 +429,10 @@ def _selftest_checks(threads):
         out.append((f"pairing_dual_routes_h{h:g}",
                     0.0 if np.all(np.isfinite(vec)) else 1.0, 0.5))
 
-    spec = SingularIntegrandSpec(
-        alpha=0.75, g=lambda t1, tau: np.ones_like(t1), tol=1e-10)
+    res = integrate_triangle_singular(0.75, lambda t1, tau: np.ones_like(t1),
+                                      tol=1e-10)
     out.append(("triangle_moment_a075",
-                abs(integrate_triangle_singular(spec).value
-                    - triangle_power_moment(0.75)), 1e-8))
+                abs(res.value - triangle_power_moment(0.75)), 1e-8))
     res = integrate_interval(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0,
                              tol=1e-10, singular=((0.0, -0.5),))
     out.append(("interval_sqrt", abs(res.value - 2.0), 1e-9))

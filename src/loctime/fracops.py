@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import ConfigError, ConsistencyError, SingularPointError
 from .quadrature import QuadratureResult, gauss_panels, integrate_interval
-from .testfunctions import TestFunction, VectorTestFunction
+from .testfunctions import TestFunction, _as_bundle
 
 __all__ = [
     "Hurst",
@@ -260,7 +260,7 @@ def pairing_indicator(h, f, iv, tol: float = 1e-8) -> np.ndarray:
     """
     hu = _hurst(h)
     ivl = _interval(iv)
-    comps = f.components if isinstance(f, VectorTestFunction) else (f,)
+    comps = _as_bundle(f).components
     out = np.empty(len(comps))
     for j, fj in enumerate(comps):
         closed = _pairing_component_closed(hu, fj, ivl, tol)
@@ -279,7 +279,7 @@ def pairing_closed_form(h, f, iv, tol: float = 1e-10) -> np.ndarray:
     """Pairing vector by the closed-form route only (no cross-check)."""
     hu = _hurst(h)
     ivl = _interval(iv)
-    comps = f.components if isinstance(f, VectorTestFunction) else (f,)
+    comps = _as_bundle(f).components
     return np.array([
         _pairing_component_closed(hu, fj, ivl, tol).value for fj in comps])
 
@@ -292,7 +292,7 @@ def bound_ratio(h, f, iv, tol: float = 1e-10) -> float:
     """
     hu = _hurst(h)
     ivl = _interval(iv)
-    comps = f.components if isinstance(f, VectorTestFunction) else (f,)
+    comps = _as_bundle(f).components
     norm = math.sqrt(sum(fj.triple_norm ** 2 for fj in comps))
     if norm == 0.0:
         raise ConfigError("bound ratio undefined for the zero function")
@@ -389,7 +389,7 @@ class PairingTable:
 
     def __init__(self, h, f):
         hu = _hurst(h)
-        comps = f.components if isinstance(f, VectorTestFunction) else (f,)
+        comps = _as_bundle(f).components
         self.hurst = hu
         self.components = comps
         self.d = len(comps)

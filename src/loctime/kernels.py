@@ -30,9 +30,10 @@ import numpy as np
 
 from .errors import ConfigError, NonIntegrableError
 from .fracops import Hurst, PairingTable, _hurst, _kernel_scale
-from .quadrature import SingularIntegrandSpec, integrate_triangle_singular
-from .stransform import (AdmissibilityResult, DeltaSpec, _as_bundle,
-                         _order_weight, admissibility)
+from .quadrature import integrate_triangle_singular
+from .stransform import (AdmissibilityResult, DeltaSpec, _order_weight,
+                         admissibility)
+from .testfunctions import _as_bundle
 
 __all__ = [
     "KernelIndex",
@@ -141,10 +142,13 @@ def odd_kernel_zero(idx) -> float:
 
 
 def _check_multiplicities(points: tuple[float, ...], a: float) -> None:
+    """A point u >= 0 repeated m times makes the product blow up like
+    |t1 - u|^(m a) on the triangle; for u < 0 every factor is smooth
+    there, since t1 - u >= -u > 0."""
     if a >= 0.0:
         return
     for u, mult in Counter(points).items():
-        if mult * a <= -1.0:
+        if u >= 0.0 and mult * a <= -1.0:
             raise NonIntegrableError(
                 f"kernel argument u = {u:g} repeated {mult} times gives a "
                 f"local exponent {mult * a:g} <= -1; the product is not "
@@ -161,12 +165,12 @@ def _product_factory(hu: Hurst, points: tuple[float, ...]):
     strip t1 in (u - tau, u) only one term is nonzero, so nothing cancels.
 
     Also returns the exponent gamma <= 0 such that the inner integral
-    of the product grows like tau^gamma as tau -> 0 (each argument of
-    multiplicity m contributes a strip of mass tau^(m a - (m-1))); the
-    caller multiplies by tau^(-gamma) and shifts the outer singularity
-    by the same amount to keep the engine's bounded-factor contract;
-    and the tau in (0, 1) where the inner integral has kinks, the
-    engine's outer breakpoints.
+    of the product grows like tau^gamma as tau -> 0 (each argument u >= 0
+    of multiplicity m contributes a strip of mass tau^(m a - (m-1)); one
+    below 0 has no strip in t1 >= 0); the caller multiplies by
+    tau^(-gamma) and shifts the outer singularity by the same amount to
+    keep the engine's bounded-factor contract; and the tau in (0, 1)
+    where the inner integral has kinks, the engine's outer breakpoints.
     """
     c = _kernel_scale(hu.h)
     a = hu.a
@@ -199,8 +203,9 @@ def _product_factory(hu: Hurst, points: tuple[float, ...]):
         return sorted(sig.items())
 
     gamma = 0.0
-    for mult in mults.values():
-        gamma = min(gamma, mult * a - (mult - 1.0))
+    for u, mult in mults.items():
+        if u >= 0.0:
+            gamma = min(gamma, mult * a - (mult - 1.0))
 
     # Kinks where two marks cross, or a mark crosses an end of the inner
     # interval [0, 1 - tau].
@@ -256,11 +261,11 @@ def _kernel(h, idx, arg, eps: float, tol: float) -> float:
     def g(t1, tau):
         return weight(tau) * factors(t1, tau)
 
-    spec = SingularIntegrandSpec(alpha=alpha, g=g, tol=tol,
-                                 inner_singularities=marks,
-                                 outer_breakpoints=breaks)
+    res = integrate_triangle_singular(alpha, g, tol=tol,
+                                      inner_singularities=marks,
+                                      outer_breakpoints=breaks)
     pref = (_TWO_PI ** (-0.5 * d) * (-0.5) ** n / idx.factorial_weight)
-    return pref * integrate_triangle_singular(spec).value
+    return pref * res.value
 
 
 @dataclass(frozen=True)
@@ -299,24 +304,23 @@ def series_reconstruction(spec: DeltaSpec, f, max_order: int,
         raise ConfigError(
             f"max_order {max_order} is below the truncation level "
             f"{spec.n_trunc}")
-    spec.require_admissible()
+    orders = tuple(range(spec.n_trunc, max_order + 1))
+    # The order weights open the gate at order N before the table is built.
+    weights = [_order_weight(spec.hurst, spec.d, n, spec.eps) for n in orders]
     bundle = _as_bundle(f, spec.d)
     table = PairingTable(spec.hurst, bundle)
     pref = _TWO_PI ** (-0.5 * spec.d)
-    orders = tuple(range(spec.n_trunc, max_order + 1))
     per_order_tol = tol / (2.0 * len(orders))
 
     contributions = []
     errors = []
-    for n in orders:
+    for n, (alpha, weight) in zip(orders, weights):
         scale = pref * (-0.5) ** n / math.factorial(n)
-        alpha, weight = _order_weight(spec.hurst, spec.d, n, spec.eps)
 
         def g(t1, tau, scale=scale, n=n, weight=weight):
             return scale * weight(tau) * table.v_quotient_sq(t1, tau) ** n
 
-        sing = SingularIntegrandSpec(alpha=alpha, g=g, tol=per_order_tol)
-        res = integrate_triangle_singular(sing)
+        res = integrate_triangle_singular(alpha, g, tol=per_order_tol)
         contributions.append(res.value)
         errors.append(res.error_estimate)
 

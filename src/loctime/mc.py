@@ -32,6 +32,7 @@ import numpy as np
 from .errors import AccuracyError, ConfigError, ConsistencyError
 from .fracops import Hurst, Interval, _hurst, _kernel_scale, increment_kernel
 from .quadrature import integrate_interval
+from .testfunctions import _as_bundle
 
 __all__ = [
     "WhiteNoiseGrid",
@@ -74,8 +75,9 @@ def fbm_covariance(h, s: float, t: float) -> float:
     and [0, t].
     """
     hu = _hurst(h)
-    if s < 0.0 or t < 0.0:
-        raise ConfigError(f"times must be nonnegative, got ({s}, {t})")
+    if not (0.0 <= s < math.inf and 0.0 <= t < math.inf):
+        raise ConfigError(
+            f"times must be nonnegative and finite, got ({s}, {t})")
     two_h = 2.0 * hu.h
     return 0.5 * (s ** two_h + t ** two_h - abs(t - s) ** two_h)
 
@@ -131,8 +133,9 @@ def covariance_from_kernels(h, s: float, t: float, tol: float = 1e-8) -> float:
     accurate where direct subtraction cancels.
     """
     hu = _hurst(h)
-    if s < 0.0 or t < 0.0:
-        raise ConfigError(f"times must be nonnegative, got ({s}, {t})")
+    if not (0.0 <= s < math.inf and 0.0 <= t < math.inf):
+        raise ConfigError(
+            f"times must be nonnegative and finite, got ({s}, {t})")
     if s == 0.0 or t == 0.0:
         return 0.0
     a = hu.a
@@ -645,6 +648,12 @@ def _pair_sums(ens: PathEnsemble, eps: float, subtract=None,
                          np.empty(ens.n_paths))
 
 
+def _require_eps(eps: float) -> None:
+    if not 0.0 < eps < math.inf:
+        raise ConfigError(
+            f"the estimator needs a finite eps > 0, got {eps}")
+
+
 def mc_local_time_regularized(ens: PathEnsemble, eps: float, *,
                               n_threads: int | None = None) -> McEstimate:
     """Estimate the expected regularized self-intersection local time.
@@ -656,8 +665,7 @@ def mc_local_time_regularized(ens: PathEnsemble, eps: float, *,
     int_Delta (eps + tau^{2H})^{-d/2}, up to the grid truncation bias
     measured by ``mc_grid_bias``.
     """
-    if eps <= 0.0:
-        raise ConfigError(f"regularized estimator needs eps > 0, got {eps}")
+    _require_eps(eps)
     return _mc_reduce(_pair_sums(ens, eps, n_threads=n_threads))
 
 
@@ -739,8 +747,6 @@ def _require_whitenoise(ens: PathEnsemble, what: str) -> None:
 
 
 def _f_values(ens: PathEnsemble, f) -> np.ndarray:
-    from .stransform import _as_bundle
-
     bundle = _as_bundle(f, ens.d)
     x = ens.grid.midpoints
     return np.stack([fj.eval(x) for fj in bundle.components])
@@ -771,9 +777,8 @@ def mc_s_transform(ens: PathEnsemble, f, eps: float, n_trunc: int = 0, *,
     With f = 0 and n_trunc = 0 the result is bit-identical to
     ``mc_local_time_regularized``.
     """
+    _require_eps(eps)
     _require_whitenoise(ens, "the S-transform estimator")
-    if eps <= 0.0:
-        raise ConfigError(f"the estimator needs eps > 0, got {eps}")
     n_trunc = _integer("truncation level", n_trunc, 0)
     fvals = _f_values(ens, f)
 
@@ -815,6 +820,7 @@ def mc_grid_bias(h, d: int, eps: float, m: int, n_paths: int,
     midpoint error O(1/m) dominates.  Taking the min over-reports the
     bias slightly for H > 1/2, which keeps the estimate conservative.
     """
+    _require_eps(eps)
     t1 = make_midpoint_times(m)
     t2 = make_midpoint_times(2 * m)
     union = np.unique(np.concatenate([t1, t2]))

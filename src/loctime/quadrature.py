@@ -50,7 +50,6 @@ from .errors import AccuracyError, ConfigError, NonIntegrableError
 
 __all__ = [
     "QuadratureResult",
-    "SingularIntegrandSpec",
     "gauss_panels",
     "integrate_interval",
     "integrate_triangle_singular",
@@ -285,29 +284,6 @@ def triangle_power_moment(alpha: float) -> float:
     return 1.0 / ((1.0 - alpha) * (2.0 - alpha))
 
 
-@dataclass
-class SingularIntegrandSpec:
-    """Description of a triangle integrand ``tau^(-alpha) * g(t1, tau)``.
-
-    ``g`` must be bounded and vectorized: ``g(t1, tau) -> array`` takes
-    ``t1`` and ``tau`` as arrays of one shape and evaluates the bounded
-    factor at the points (t1, t1 + tau).  The separation tau is passed
-    exactly rather than reconstructed from t2 - t1, which would round to
-    zero once tau drops below the floating-point spacing of t1 (the
-    singular engine probes tau many orders of magnitude below that).
-    ``inner_singularities``, if given, maps tau to a list of
-    ``(t1_location, sigma)`` marks for the inner integral at that tau.
-    ``outer_breakpoints`` lists the tau at which G(tau) has a kink or a
-    jump; they are added to the outer panel edges.
-    """
-
-    alpha: float
-    g: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    tol: float = 1e-9
-    inner_singularities: Callable[[float], list[tuple[float, float]]] | None = None
-    outer_breakpoints: Sequence[float] = ()
-
-
 def _inner_integrals(g, tol: float, marks_of):
     """G(tau) = int_0^{1-tau} g(t1, tau) dt1 at an array of tau (zero for
     tau outside (0, 1)), and a one-element list counting the points where
@@ -335,23 +311,35 @@ def _inner_integrals(g, tol: float, marks_of):
     return G, evaluations
 
 
-def integrate_triangle_singular(spec: SingularIntegrandSpec) -> QuadratureResult:
-    """Integrate ``tau^(-alpha) g(t1, t2)`` over ``0 < t1 < t2 < 1``."""
-    alpha = spec.alpha
-    if alpha >= 1.0:
-        raise NonIntegrableError(
-            f"alpha = {alpha:g} >= 1: the triangle integral diverges")
-    tol = spec.tol
+def integrate_triangle_singular(
+        alpha: float, g: Callable[[np.ndarray, np.ndarray], np.ndarray], *,
+        tol: float = 1e-9,
+        inner_singularities: Callable[[float], list[tuple[float, float]]]
+        | None = None,
+        outer_breakpoints: Sequence[float] = ()) -> QuadratureResult:
+    """Integrate ``tau^(-alpha) g(t1, t2)`` over ``0 < t1 < t2 < 1``.
+
+    ``g`` must be bounded and vectorized: ``g(t1, tau) -> array`` takes
+    ``t1`` and ``tau`` as arrays of one shape and evaluates the bounded
+    factor at the points (t1, t1 + tau).  The separation tau is passed
+    exactly rather than reconstructed from t2 - t1, which would round to
+    zero once tau drops below the floating-point spacing of t1 (the
+    engine probes tau many orders of magnitude below that).
+    ``inner_singularities``, if given, maps tau to a list of
+    ``(t1_location, sigma)`` marks for the inner integral at that tau.
+    ``outer_breakpoints`` lists the tau at which G(tau) has a kink or a
+    jump; they are added to the outer panel edges.  alpha >= 1 raises
+    ``NonIntegrableError``.
+    """
     moment = triangle_power_moment(alpha)
     inner_tol = 0.25 * tol / max(moment, 1.0)
-    G, evaluations = _inner_integrals(spec.g, inner_tol,
-                                      spec.inner_singularities)
+    G, evaluations = _inner_integrals(g, inner_tol, inner_singularities)
 
     # Geometric edges toward tau = 0 (ratio 1/2) and the breakpoints of G
     # split the tau axis.
     n_geo = 18
     edges = sorted({2.0 ** (k - n_geo) for k in range(n_geo)}
-                   | {float(b) for b in spec.outer_breakpoints
+                   | {float(b) for b in outer_breakpoints
                       if 0.0 < b < 1.0})
     if alpha > 0.0:
         # tau = v**expo turns tau^(-alpha) dtau into expo dv, a bounded
@@ -385,22 +373,22 @@ def divergence_probe(alpha: float,
                      tol: float = 1e-9) -> list[tuple[float, float]]:
     """Cutoff integrals ``int_{tau > kappa} tau^(-alpha) g`` on the triangle.
 
-    ``g`` follows the ``SingularIntegrandSpec`` convention
+    ``g`` follows the ``integrate_triangle_singular`` convention
     ``g(t1, tau)`` with array ``tau``.
 
     Returns ``[(kappa, value), ...]`` in the order given.  For alpha >= 1
     the values grow without bound as kappa -> 0; for alpha < 1 they
     converge to the full integral.  No integrability gate is applied.
     """
+    kappas = np.array(cutoffs, dtype=float)
+    for kappa in kappas.tolist():
+        if not 0.0 < kappa < 1.0:
+            raise ConfigError(f"cutoff {kappa} must lie in (0, 1)")
     G, _ = _inner_integrals(g, 0.1 * tol, None)
 
     def outer(taus):
         return taus ** (-alpha) * G(taus)
 
-    for kappa in cutoffs:
-        if not 0.0 < kappa < 1.0:
-            raise ValueError(f"cutoff {kappa} must lie in (0, 1)")
-    kappas = np.array(cutoffs, dtype=float)
     # Geometric panels toward each cutoff resolve the steep growth.
     marks = [[(k * 2.0 ** j, 0.0) for j in range(1, int(-math.log2(k)) + 1)]
              for k in kappas.tolist()]

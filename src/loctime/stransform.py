@@ -39,9 +39,9 @@ import numpy as np
 
 from .errors import AdmissibilityError, ConfigError
 from .fracops import Hurst, Interval, PairingTable, _hurst, pairing_closed_form
-from .quadrature import (QuadratureResult, SingularIntegrandSpec,
-                         gauss_panels, integrate_triangle_singular)
-from .testfunctions import TestFunction, VectorTestFunction
+from .quadrature import (QuadratureResult, gauss_panels,
+                         integrate_triangle_singular)
+from .testfunctions import _as_bundle
 
 __all__ = [
     "AdmissibilityResult",
@@ -133,15 +133,6 @@ class DeltaSpec:
         if self.eps < 0.0 or not math.isfinite(self.eps):
             raise ConfigError(
                 f"regularization eps must be >= 0, got {self.eps}")
-
-    @property
-    def admissible(self) -> bool:
-        return admissibility(self.hurst, self.d, self.n_trunc).admissible
-
-    @property
-    def singular_exponent(self) -> float:
-        """Exponent alpha with integrand tau^(-alpha) * bounded."""
-        return -admissibility(self.hurst, self.d, self.n_trunc).exponent
 
     def require_admissible(self) -> None:
         if self.eps == 0.0:
@@ -264,17 +255,17 @@ def s_local_time(spec: DeltaSpec, f, tol: float = 1e-9, *,
                  pairing: PairingTable | None = None) -> QuadratureResult:
     """S-transform of the self-intersection local time over the triangle.
 
-    For eps = 0 the admissibility condition is enforced and the
-    singular factor tau^(-alpha), alpha = dH - 2N(1-H), is handed to the
-    singular quadrature engine; the bounded remainder carries the
-    truncated exponential.  For eps > 0 the integrand is bounded and
-    alpha = 0.  A prebuilt ``pairing`` table of f saves its build; one
+    alpha is the exponent of the order-N time weight: at eps = 0 it is
+    dH - 2N(1-H), behind the admissibility gate, and the singular factor
+    tau^(-alpha) is handed to the singular quadrature engine; the bounded
+    remainder carries the truncated exponential.  For eps > 0 the
+    integrand is bounded and alpha = 0.  A prebuilt ``pairing`` table of f saves its build; one
     for another H, d or f raises ``ConfigError``.
     """
-    spec.require_admissible()
     h = spec.hurst.h
     d = spec.d
     n = spec.n_trunc
+    alpha, _ = _order_weight(spec.hurst, d, n, spec.eps)
     bundle = _as_bundle(f, d)
     if pairing is None:
         pairing = PairingTable(spec.hurst, bundle)
@@ -288,7 +279,6 @@ def s_local_time(spec: DeltaSpec, f, tol: float = 1e-9, *,
     two_h = 2.0 * h
 
     if spec.eps == 0.0:
-        alpha = spec.singular_exponent
 
         def g(t1, tau):
             # |v|^2 ~ tau^2 as tau -> 0, and tau^(-2N(1-H)) cancels
@@ -299,8 +289,6 @@ def s_local_time(spec: DeltaSpec, f, tol: float = 1e-9, *,
             y = 0.5 * r * tau ** (2.0 - two_h)
             return (pref * (-0.5 * r) ** n / math.factorial(n)
                     * _exp_tail_ratio(y, n))
-
-        sing = SingularIntegrandSpec(alpha=alpha, g=g, tol=tol)
     else:
 
         def g(t1, tau):
@@ -308,22 +296,7 @@ def s_local_time(spec: DeltaSpec, f, tol: float = 1e-9, *,
             y = -0.5 * tau ** 2 * pairing.v_quotient_sq(t1, tau) / w
             return pref * w ** (-0.5 * d) * exp_truncated(y, n)
 
-        sing = SingularIntegrandSpec(alpha=0.0, g=g, tol=tol)
-    return integrate_triangle_singular(sing)
-
-
-def _as_bundle(f, d: int) -> VectorTestFunction:
-    if isinstance(f, VectorTestFunction):
-        if f.d != d:
-            raise ConfigError(
-                f"test function has {f.d} components, spec demands {d}")
-        return f
-    if isinstance(f, TestFunction):
-        if d != 1:
-            raise ConfigError(
-                f"scalar test function given for dimension d = {d}")
-        return VectorTestFunction((f,))
-    raise ConfigError(f"not a test function: {f!r}")
+    return integrate_triangle_singular(alpha, g, tol=tol)
 
 
 @dataclass(frozen=True)

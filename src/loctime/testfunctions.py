@@ -258,6 +258,19 @@ class VectorTestFunction:
         return self.components[i]
 
 
+def _as_bundle(f, d: int | None = None) -> VectorTestFunction:
+    """f as a ``VectorTestFunction``, a scalar one as its only component;
+    with ``d`` given, its number of components must be d."""
+    if isinstance(f, TestFunction):
+        f = VectorTestFunction((f,))
+    elif not isinstance(f, VectorTestFunction):
+        raise ConfigError(f"not a test function: {f!r}")
+    if d is not None and f.d != d:
+        raise ConfigError(
+            f"test function has {f.d} components, spec demands {d}")
+    return f
+
+
 def zero_bundle(d: int) -> VectorTestFunction:
     return VectorTestFunction(tuple(zero_function() for _ in range(d)))
 

@@ -25,8 +25,7 @@ from loctime.mc import (WhiteNoiseGrid, covariance_from_kernels,
                         mc_local_time_regularized, mc_s_transform,
                         mc_weight_check, sample_paths_cholesky,
                         sample_paths_whitenoise)
-from loctime.quadrature import (SingularIntegrandSpec, divergence_probe,
-                                integrate_triangle_singular,
+from loctime.quadrature import (divergence_probe, integrate_triangle_singular,
                                 triangle_power_moment)
 from loctime.stransform import (DeltaSpec, minimal_truncation_level,
                                 s_local_time)
@@ -123,8 +122,7 @@ def test_criterion_04_quadrature_oracle():
     t0 = time.perf_counter()
     worst_rel = 0.0
     for a in (-1.0, 0.0, 0.25, 0.5, 0.75, 0.9, 0.99):
-        spec = SingularIntegrandSpec(alpha=a, g=_ones, tol=1e-10)
-        got = integrate_triangle_singular(spec).value
+        got = integrate_triangle_singular(a, _ones, tol=1e-10).value
         want = triangle_power_moment(a)
         worst_rel = max(worst_rel, abs(got - want) / abs(want))
     probe = divergence_probe(1.0, _ones, (1e-2, 1e-3, 1e-4, 1e-5), tol=1e-9)

@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.integrate import dblquad
 
 import loctime.kernels as kernels_module
 
@@ -130,6 +131,27 @@ class TestNonIntegrable:
         with pytest.raises(NonIntegrableError):
             kernel_value(0.1, (2,), ((0.4, 0.4, 0.4, 0.4),))
 
+    def test_repeated_point_at_zero_raises(self):
+        # every factor blows up like t1^a at t1 = 0: local exponent 4a = -1.2
+        with pytest.raises(NonIntegrableError):
+            kernel_value(0.2, (2,), ((0.0, 0.0, 0.0, 0.0),))
+
+    def test_repeated_point_below_zero_is_smooth(self):
+        # t1 - u >= 0.4 on the triangle, so no factor is singular; the
+        # value is the kernel's defining integral by nested quadrature
+        h = 0.2
+        a, c = h - 0.5, _kernel_scale(h)
+
+        def integrand(t2, t1):
+            k = c * ((t2 + 0.4) ** a - (t1 + 0.4) ** a)
+            return (t2 - t1) ** -(5 * h) * k ** 4
+
+        inner, _ = dblquad(integrand, 0.0, 1.0, lambda t1: t1, 1.0,
+                           epsabs=1e-15, epsrel=1e-12)
+        want = TWO_PI ** -0.5 * 0.25 / 2.0 * inner
+        got = kernel_value(h, (2,), ((-0.4, -0.4, -0.4, -0.4),))
+        assert got == pytest.approx(want, rel=1e-9)
+
     def test_time_exponent_raises(self):
         # multiplicities pass (4a = -0.8) but the coincidence strip
         # leaves an outer exponent above 1
@@ -162,15 +184,12 @@ class TestValues:
         calls = []
         engine = kernels_module.integrate_triangle_singular
 
-        def counted(spec):
-            g = spec.g
-
+        def counted(alpha, g, **kwargs):
             def g_counted(t1, tau):
                 calls.append(t1.size)
                 return g(t1, tau)
 
-            spec.g = g_counted
-            return engine(spec)
+            return engine(alpha, g_counted, **kwargs)
 
         monkeypatch.setattr(kernels_module, "integrate_triangle_singular",
                             counted)

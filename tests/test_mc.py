@@ -41,6 +41,12 @@ class TestCovariance:
     def test_negative_time_rejected(self):
         with pytest.raises(ConfigError):
             fbm_covariance(0.5, -0.1, 0.5)
+        for bad in (math.nan, math.inf):
+            for cov in (fbm_covariance, covariance_from_kernels):
+                with pytest.raises(ConfigError):
+                    cov(0.5, bad, 0.3)
+                with pytest.raises(ConfigError):
+                    cov(0.5, 0.3, bad)
 
     def test_zero_time_yields_zero(self):
         assert covariance_from_kernels(0.3, 0.0, 0.7) == 0.0
@@ -375,8 +381,9 @@ class TestEstimators:
 
     def test_estimator_validation(self):
         ens = sample_paths_cholesky(0.5, 1, make_midpoint_times(4), 8)
-        with pytest.raises(ConfigError):
-            mc_local_time_regularized(ens, 0.0)
+        for bad in (0.0, math.nan, math.inf):
+            with pytest.raises(ConfigError):
+                mc_local_time_regularized(ens, bad)
         short = sample_paths_cholesky(0.5, 1, make_midpoint_times(1), 8)
         with pytest.raises(ConfigError):
             mc_local_time_regularized(short, 0.05)
@@ -428,8 +435,9 @@ class TestEstimators:
     def test_s_transform_validation(self):
         grid = WhiteNoiseGrid(n_cells=64)
         ens = sample_paths_whitenoise(0.5, 1, make_midpoint_times(4), grid, 8)
-        with pytest.raises(ConfigError):
-            mc_s_transform(ens, zero_bundle(1), -0.1)
+        for bad in (-0.1, math.nan, math.inf):
+            with pytest.raises(ConfigError):
+                mc_s_transform(ens, zero_bundle(1), bad)
         with pytest.raises(ConfigError):
             mc_s_transform(ens, zero_bundle(1), 0.05, n_trunc=-1)
         with pytest.raises(ConfigError):
@@ -649,6 +657,15 @@ class TestGridBias:
     def test_unknown_generator(self):
         with pytest.raises(ConfigError):
             mc_grid_bias(0.5, 1, 0.05, 4, 100, generator="euler")
+
+    def test_non_finite_eps_rejected_before_sampling(self, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("paths sampled for a bad eps")
+
+        monkeypatch.setattr(mc, "sample_paths_cholesky", no_sampling)
+        for bad in (0.0, math.nan, math.inf):
+            with pytest.raises(ConfigError):
+                mc_grid_bias(0.5, 1, bad, 4, 100)
 
     def test_bias_shrinks_with_refinement(self):
         _, _, coarse = mc_grid_bias(0.5, 1, 0.05, 4, 4000)

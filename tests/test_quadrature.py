@@ -6,8 +6,7 @@ from scipy.integrate import quad
 
 from loctime import quadrature
 from loctime.errors import AccuracyError, NonIntegrableError
-from loctime.quadrature import (SingularIntegrandSpec, divergence_probe,
-                                integrate_interval,
+from loctime.quadrature import (divergence_probe, integrate_interval,
                                 integrate_triangle_singular,
                                 triangle_power_moment)
 
@@ -197,35 +196,28 @@ class TestTrianglePowerMoment:
 class TestTriangleEngine:
     @pytest.mark.parametrize("alpha", [-1.0, 0.0, 0.25, 0.5, 0.75, 0.9, 0.99])
     def test_unit_g_matches_moment(self, alpha):
-        spec = SingularIntegrandSpec(alpha=alpha, g=ones, tol=1e-10)
-        res = integrate_triangle_singular(spec)
+        res = integrate_triangle_singular(alpha, ones, tol=1e-10)
         exact = triangle_power_moment(alpha)
         assert abs(res.value - exact) <= 1e-8 * abs(exact)
 
     def test_alpha_at_one_rejected(self):
         with pytest.raises(NonIntegrableError):
-            integrate_triangle_singular(
-                SingularIntegrandSpec(alpha=1.0, g=ones, tol=1e-9))
+            integrate_triangle_singular(1.0, ones, tol=1e-9)
 
     def test_t1_dependent_factor(self):
         # int_Delta tau^-1/2 t1 = (1/2) int (1-tau)^2 tau^-1/2 = 8/15.
-        spec = SingularIntegrandSpec(alpha=0.5, g=lambda t1, tau: t1,
-                                     tol=1e-10)
-        res = integrate_triangle_singular(spec)
+        res = integrate_triangle_singular(0.5, lambda t1, tau: t1, tol=1e-10)
         assert abs(res.value - 8.0 / 15.0) < 1e-9
 
     def test_tau_dependent_factor(self):
         # g = sqrt(tau) turns tau^-0.75 into tau^-0.25.
-        spec = SingularIntegrandSpec(
-            alpha=0.75, g=lambda t1, tau: np.full_like(t1, np.sqrt(tau)),
-            tol=1e-10)
-        res = integrate_triangle_singular(spec)
+        res = integrate_triangle_singular(
+            0.75, lambda t1, tau: np.full_like(t1, np.sqrt(tau)), tol=1e-10)
         assert abs(res.value - triangle_power_moment(0.25)) < 1e-8
 
     def test_oscillatory_factor_against_reduction(self):
-        spec = SingularIntegrandSpec(
-            alpha=0.25, g=lambda t1, tau: np.cos(20.0 * t1), tol=1e-10)
-        res = integrate_triangle_singular(spec)
+        res = integrate_triangle_singular(
+            0.25, lambda t1, tau: np.cos(20.0 * t1), tol=1e-10)
         ref, _ = quad(lambda u: u ** -0.25 * math.sin(20.0 * (1.0 - u)) / 20.0,
                       0.0, 1.0, epsabs=1e-13, limit=200)
         assert abs(res.value - ref) < 1e-8
@@ -235,10 +227,8 @@ class TestTriangleEngine:
         def g(t1, tau):
             return np.abs(t1 - 0.3) ** -0.4
 
-        spec = SingularIntegrandSpec(
-            alpha=0.5, g=g, tol=1e-9,
-            inner_singularities=lambda tau: [(0.3, -0.4)])
-        res = integrate_triangle_singular(spec)
+        res = integrate_triangle_singular(
+            0.5, g, tol=1e-9, inner_singularities=lambda tau: [(0.3, -0.4)])
 
         def inner(upper):
             if upper <= 0.3:
@@ -250,8 +240,7 @@ class TestTriangleEngine:
         assert abs(res.value - ref) < 5e-8
 
     def test_error_estimate_brackets_truth(self):
-        spec = SingularIntegrandSpec(alpha=0.9, g=ones, tol=1e-9)
-        res = integrate_triangle_singular(spec)
+        res = integrate_triangle_singular(0.9, ones, tol=1e-9)
         exact = triangle_power_moment(0.9)
         assert abs(res.value - exact) <= max(res.error_estimate, 1e-12)
 

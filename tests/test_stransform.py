@@ -8,13 +8,16 @@ from scipy.special import erf
 
 import loctime.stransform as stransform_module
 from loctime.errors import AdmissibilityError, ConfigError
-from loctime.fracops import PairingTable
+from loctime.fracops import (PairingTable, bound_ratio, pairing_closed_form,
+                             pairing_indicator)
 from loctime.kernels import (kernel_value, kernel_value_regularized,
                              series_reconstruction)
-from loctime.quadrature import integrate_interval, triangle_power_moment
-from loctime.stransform import (DeltaSpec, exp_truncated, is_admissible,
-                                minimal_truncation_level, s_char_exp, s_delta,
-                                s_local_time, u_estimate_check)
+from loctime.quadrature import (divergence_probe, integrate_interval,
+                                triangle_power_moment)
+from loctime.stransform import (DeltaSpec, _order_weight, exp_truncated,
+                                is_admissible, minimal_truncation_level,
+                                s_char_exp, s_delta, s_local_time,
+                                u_estimate_check)
 from loctime.testfunctions import (VectorTestFunction, gaussian_bump,
                                    hermite_function, zero_bundle,
                                    zero_function)
@@ -62,10 +65,10 @@ class TestAdmissibility:
             DeltaSpec(1.2, 1)
 
     def test_singular_exponent(self):
-        assert DeltaSpec(0.5, 1).singular_exponent == 0.5
-        assert DeltaSpec(0.5, 2, 1).singular_exponent == 0.0
-        spec = DeltaSpec(0.75, 2, 2)
-        assert abs(spec.singular_exponent - 0.5) < 1e-15
+        # the order-N weight at eps = 0 is tau^(-alpha), alpha = dH - 2N(1-H)
+        assert _order_weight(0.5, 1, 0, 0.0)[0] == 0.5
+        assert _order_weight(0.5, 2, 1, 0.0)[0] == 0.0
+        assert abs(_order_weight(0.75, 2, 2, 0.0)[0] - 0.5) < 1e-15
 
     def test_require_admissible(self):
         with pytest.raises(AdmissibilityError) as exc:
@@ -335,11 +338,11 @@ class TestLocalTimeTransform:
 def test_eps_zero_integrand_takes_array_tau(monkeypatch):
     # tau from 5e-8 to 1e-3: the integrand at an array of tau equals, bit
     # for bit, its values at one tau at a time
-    specs = []
+    integrands = []
     monkeypatch.setattr(stransform_module, "integrate_triangle_singular",
-                        lambda spec: specs.append(spec))
+                        lambda alpha, g, **kwargs: integrands.append(g))
     s_local_time(DeltaSpec(0.5, 1, 0), bump())
-    g = specs[0].g
+    g = integrands[0]
     t1 = np.array([0.1, 0.42, 0.7])
     taus = np.array([5e-8, 0.99e-7, 1e-7, 1.01e-7, 1e-3])
     t1_grid, tau_grid = np.meshgrid(t1, taus)
@@ -368,10 +371,18 @@ INF = float("inf")
     lambda: gaussian_bump(1.0, 0.4, NAN),
     lambda: bump().scaled(NAN),
     lambda: hermite_function(0, shift=NAN),
+    lambda: divergence_probe(0.5, lambda t1, tau: np.ones_like(t1), [1.5]),
+    lambda: divergence_probe(0.5, lambda t1, tau: np.ones_like(t1), [NAN]),
+    lambda: pairing_closed_form(0.5, None, (0.1, 0.2)),
+    lambda: pairing_indicator(0.5, 3.0, (0.1, 0.2)),
+    lambda: bound_ratio(0.5, None, (0.1, 0.2)),
+    lambda: PairingTable(0.5, None),
 ], ids=["s_local_time tol", "kernel tol", "series tol", "negative tol",
         "infinite tol", "eps nan", "eps inf", "kernel point",
         "exp_N nan", "exp_N inf", "exp_N -inf", "bump amplitude",
-        "bump width", "scaled", "hermite shift"])
+        "bump width", "scaled", "hermite shift", "probe cutoff",
+        "probe cutoff nan", "closed-form pairing f", "pairing f",
+        "bound ratio f", "pairing table f"])
 def test_bad_input_is_a_config_error(call):
     with pytest.raises(ConfigError):
         call()
