@@ -16,8 +16,7 @@ from .errors import (AccuracyError, AdmissibilityError, ConfigError,
 from .fracops import (Hurst, Interval, PairingTable, bound_ratio,
                       dual_apply, increment_kernel, normalization_constant,
                       pairing_closed_form, pairing_indicator)
-from .kernels import (KernelArgument, KernelIndex, SeriesReport,
-                      kernel_value, kernel_value_regularized,
+from .kernels import (SeriesReport, kernel_value, kernel_value_regularized,
                       odd_kernel_zero, series_reconstruction)
 from .mc import (BLOCK, McEstimate, PathEnsemble, WhiteNoiseGrid,
                  covariance_from_kernels, fbm_covariance,
@@ -61,8 +60,8 @@ __all__ = [
     "s_char_exp", "s_delta", "s_local_time", "u_estimate_check",
     "UEstimateReport",
     # chaos kernels
-    "KernelIndex", "KernelArgument", "odd_kernel_zero", "kernel_value",
-    "kernel_value_regularized", "series_reconstruction", "SeriesReport",
+    "odd_kernel_zero", "kernel_value", "kernel_value_regularized",
+    "series_reconstruction", "SeriesReport",
     # Monte Carlo
     "BLOCK", "WhiteNoiseGrid", "PathEnsemble", "McEstimate",
     "fbm_covariance", "covariance_from_kernels", "make_midpoint_times",

@@ -158,10 +158,8 @@ class ExperimentConfig:
         return f"gauss~{self.scale:g}"
 
     def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["eps_schedule"] = list(self.eps_schedule)
-        out["indices"] = list(self.indices)
-        return out
+        # Tuples stay tuples; JSON writes them as lists.
+        return dataclasses.asdict(self)
 
     def emit(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -254,19 +252,8 @@ class ResultRecord:
         return buf.getvalue()
 
     def manifest_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "run_id": self.run_id,
-            "config": self.config.to_dict(),
-            "csv_header": ",".join(CSV_HEADER),
-            "rows": [dataclasses.asdict(r) for r in self.rows],
-            "wall_time_s": self.wall_time_s,
-            "version": self.version,
-            "created_utc": self.created_utc,
-            "threads": self.threads,
-            "cpu_count": self.cpu_count,
-            "versions": self.versions,
-        }
+        return {**dataclasses.asdict(self),
+                "csv_header": ",".join(CSV_HEADER)}
 
 
 def _test_bundle(cfg: ExperimentConfig) -> VectorTestFunction:
@@ -292,7 +279,7 @@ def _delta_spec(cfg: ExperimentConfig, eps: float | None = None) -> DeltaSpec:
                      cfg.eps if eps is None else eps)
 
 
-def _run_ops(cfg, threads):
+def _run_ops(cfg):
     h, tol = cfg.hurst, cfg.tol
     rows = [ResultRow("K_H", normalization_constant(h))]
     for t in (0.25, 0.5, 1.0, 2.0):
@@ -310,12 +297,12 @@ def _run_ops(cfg, threads):
     return rows, None
 
 
-def _run_stransform(cfg, threads):
+def _run_stransform(cfg):
     res = s_local_time(_delta_spec(cfg), _test_bundle(cfg), tol=cfg.tol)
     return [ResultRow("s_local_time", res.value, res.error_estimate)], None
 
 
-def _run_kernels(cfg, threads):
+def _run_kernels(cfg):
     spec = _delta_spec(cfg)
     # Gate before building the test function: exit code 4 comes first.
     spec.require_admissible()
@@ -336,7 +323,7 @@ def _run_kernels(cfg, threads):
     return rows, None
 
 
-def _run_mc(cfg, threads):
+def _run_mc(cfg):
     if cfg.eps <= 0.0:
         raise ConfigError(
             "mc experiment needs eps > 0: only the regularized local "
@@ -345,11 +332,11 @@ def _run_mc(cfg, threads):
     if cfg.generator == "whitenoise":
         grid = WhiteNoiseGrid(seed=cfg.seed)
         ens = sample_paths_whitenoise(cfg.hurst, cfg.d, times, grid,
-                                      cfg.n_paths, n_threads=threads)
+                                      cfg.n_paths)
     else:
         ens = sample_paths_cholesky(cfg.hurst, cfg.d, times, cfg.n_paths,
-                                    seed=cfg.seed, n_threads=threads)
-    est = mc_local_time_regularized(ens, cfg.eps, n_threads=threads)
+                                    seed=cfg.seed)
+    est = mc_local_time_regularized(ens, cfg.eps)
     rows = [ResultRow("mc_local_time", est.mean, est.stderr)]
     limit = s_local_time(DeltaSpec(cfg.hurst, cfg.d, 0, cfg.eps),
                          zero_bundle(cfg.d), tol=min(cfg.tol, 1e-8))
@@ -358,14 +345,13 @@ def _run_mc(cfg, threads):
     n_bias = max(512, cfg.n_paths // 8)
     _, _, bias = mc_grid_bias(cfg.hurst, cfg.d, cfg.eps, cfg.m, n_bias,
                               stream=1, seed=cfg.seed,
-                              generator=cfg.generator, n_threads=threads)
+                              generator=cfg.generator)
     rows.append(ResultRow("grid_bias", bias))
     fb = _test_bundle(cfg)
     if not fb.is_zero and cfg.generator == "whitenoise":
-        wick = mc_weight_check(ens, fb, n_threads=threads)
+        wick = mc_weight_check(ens, fb)
         rows.append(ResultRow("wick_mean", wick.mean, wick.stderr))
-        sst = mc_s_transform(ens, fb, cfg.eps, cfg.n_trunc,
-                             n_threads=threads)
+        sst = mc_s_transform(ens, fb, cfg.eps, cfg.n_trunc)
         rows.append(ResultRow("mc_s_transform", sst.mean, sst.stderr))
         ref = s_local_time(_delta_spec(cfg), fb, tol=min(cfg.tol, 1e-8))
         rows.append(ResultRow("s_transform_limit", ref.value,
@@ -373,7 +359,7 @@ def _run_mc(cfg, threads):
     return rows, None
 
 
-def _run_convergence(cfg, threads):
+def _run_convergence(cfg):
     schedule = cfg.eps_schedule or ((cfg.eps,) if cfg.eps > 0.0 else ())
     if not schedule:
         raise ConfigError(
@@ -412,7 +398,7 @@ def _run_convergence(cfg, threads):
     return rows, plot
 
 
-def _selftest_checks(threads):
+def _selftest_checks():
     """(name, deviation, allowance) triples covering every module."""
     out = []
 
@@ -453,26 +439,24 @@ def _selftest_checks(threads):
                 abs(fbm_covariance(0.5, 0.3, 0.8) - 0.3), 1e-12))
     grid = WhiteNoiseGrid(n_cells=512, seed=7)
     times = make_midpoint_times(16)
-    ens_a = sample_paths_whitenoise(0.6, 1, times, grid, 256,
-                                    n_threads=threads)
-    ens_b = sample_paths_whitenoise(0.6, 1, times, grid, 256,
-                                    n_threads=max(2, threads))
+    ens_a, ens_b = (sample_paths_whitenoise(0.6, 1, times, grid, 256,
+                                            n_threads=n) for n in (1, 2))
     out.append(("mc_determinism",
                 float(np.max(np.abs(ens_a.paths - ens_b.paths))), 0.0))
     fb = VectorTestFunction((gaussian_bump(0.3, 0.5, 0.3),))
-    wick = mc_weight_check(ens_a, fb, n_threads=threads)
+    wick = mc_weight_check(ens_a, fb)
     out.append(("wick_unit_mean", abs(wick.mean - 1.0), 5.0 * wick.stderr))
-    plain = mc_local_time_regularized(ens_a, 0.05, n_threads=threads)
-    szero = mc_s_transform(ens_a, zero_bundle(1), 0.05, n_threads=threads)
+    plain = mc_local_time_regularized(ens_a, 0.05)
+    szero = mc_s_transform(ens_a, zero_bundle(1), 0.05)
     out.append(("s_transform_f0_reduction",
                 abs(szero.mean - plain.mean), 0.0))
     return out
 
 
-def _run_selftest(cfg, threads):
+def _run_selftest(cfg):
     rows = []
     failed = []
-    for name, dev, allow in _selftest_checks(threads):
+    for name, dev, allow in _selftest_checks():
         rows.append(ResultRow(name, dev, allow))
         if dev > allow:
             failed.append(name)
@@ -497,7 +481,7 @@ def run(config: ExperimentConfig) -> ResultRecord:
     config.validate()
     threads = resolve_threads()
     start = time.perf_counter()
-    rows, plot = _RUNNERS[config.kind](config, threads)
+    rows, plot = _RUNNERS[config.kind](config)
     wall = time.perf_counter() - start
     run_id = hashlib.sha1(config.emit().encode()).hexdigest()[:12]
     record = ResultRecord(
@@ -553,10 +537,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         path = Path(args.config)
         if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
-        data = dataclasses.asdict(ExperimentConfig.parse(
-            path.read_text()))
-        data["eps_schedule"] = list(data["eps_schedule"])
-        data["indices"] = list(data["indices"])
+        data = ExperimentConfig.parse(path.read_text()).to_dict()
     data["kind"] = args.kind
     for name in ("hurst", "d", "n_trunc", "scale", "tol", "m", "n_paths",
                  "generator", "seed", "out"):
@@ -597,10 +578,7 @@ def main(argv=None) -> int:
     try:
         config = _config_from_args(args)
         record = run(config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except SingularPointError as exc:
+    except (ConfigError, SingularPointError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (AdmissibilityError, NonIntegrableError) as exc:

@@ -7,6 +7,8 @@ accuracy -> 3, admissibility/integrability -> 4).
 
 from __future__ import annotations
 
+import math
+
 
 class LoctimeError(Exception):
     """Base class for all package-specific errors."""
@@ -50,3 +52,26 @@ class AdmissibilityError(LoctimeError, ValueError):
     def __init__(self, message: str, minimal_n: int | None = None):
         super().__init__(message)
         self.minimal_n = minimal_n
+
+
+def _integer(name: str, value, least: int) -> int:
+    """``value`` as an int >= least; integral floats are accepted."""
+    try:
+        if value >= least and value == int(value):
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _finite(name: str, value, least: float, *, strict: bool) -> float:
+    """``value`` as a finite float >= least (> least when ``strict``);
+    a string is refused rather than parsed."""
+    try:
+        if (value > least if strict else value >= least) and value < math.inf:
+            return float(value)
+    except (TypeError, ValueError):
+        pass
+    sign = ">" if strict else ">="
+    raise ConfigError(
+        f"{name} must be a finite number {sign} {least:g}, got {value!r}")

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NonIntegrableError
+from .errors import ConfigError, NonIntegrableError, _finite, _integer
 from .fracops import Hurst, PairingTable, _hurst, _kernel_scale
 from .quadrature import integrate_triangle_singular
 from .stransform import (AdmissibilityResult, DeltaSpec, _order_weight,
@@ -36,8 +36,6 @@ from .stransform import (AdmissibilityResult, DeltaSpec, _order_weight,
 from .testfunctions import _as_bundle
 
 __all__ = [
-    "KernelIndex",
-    "KernelArgument",
     "AdmissibilityResult",
     "admissibility",
     "odd_kernel_zero",
@@ -50,80 +48,33 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class KernelIndex:
-    """Multi-index over the d components of the expansion."""
-
-    orders: tuple[int, ...]
-
-    def __post_init__(self):
-        orders = tuple(int(n) for n in self.orders)
-        if not orders:
-            raise ConfigError("kernel index needs at least one component")
-        if any(n < 0 for n in orders) or orders != tuple(self.orders):
-            raise ConfigError(
-                f"kernel index must be nonnegative integers, got {self.orders}")
-        object.__setattr__(self, "orders", orders)
-
-    @property
-    def d(self) -> int:
-        return len(self.orders)
-
-    @property
-    def total(self) -> int:
-        return sum(self.orders)
-
-    @property
-    def factorial_weight(self) -> int:
-        out = 1
-        for n in self.orders:
-            out *= math.factorial(n)
-        return out
-
-
-def _index(idx) -> KernelIndex:
-    if isinstance(idx, KernelIndex):
-        return idx
-    return KernelIndex(tuple(idx))
-
-
-@dataclass(frozen=True)
-class KernelArgument:
-    """Evaluation points grouped in d blocks of even sizes."""
-
-    blocks: tuple[tuple[float, ...], ...]
-
-    def __post_init__(self):
-        blocks = tuple(tuple(float(u) for u in b) for b in self.blocks)
-        if any(len(b) % 2 for b in blocks):
-            raise ConfigError("kernel argument blocks must have even sizes")
-        if not all(math.isfinite(u) for b in blocks for u in b):
-            raise ConfigError(f"kernel argument points must be finite, "
-                              f"got {blocks}")
-        object.__setattr__(self, "blocks", blocks)
-
-    @property
-    def points(self) -> tuple[float, ...]:
-        return tuple(u for b in self.blocks for u in b)
-
-    @property
-    def count(self) -> int:
-        return sum(len(b) for b in self.blocks)
-
-    def matches(self, idx: KernelIndex) -> bool:
-        return (len(self.blocks) == idx.d
-                and all(len(b) == 2 * n
-                        for b, n in zip(self.blocks, idx.orders)))
-
-
-def _argument(arg, idx: KernelIndex) -> KernelArgument:
-    if not isinstance(arg, KernelArgument):
-        arg = KernelArgument(tuple(tuple(b) for b in arg))
-    if not arg.matches(idx):
+def _kernel_input(idx, arg=None):
+    """Half-orders (n_1, ..., n_d) of ``idx`` as ints and, unless ``arg``
+    is None, its d blocks of 2 n_j finite points, flattened in order."""
+    try:
+        orders = tuple(_integer("kernel index entry", n, 0) for n in idx)
+    except TypeError:
         raise ConfigError(
-            f"argument blocks {[len(b) for b in arg.blocks]} do not match "
-            f"index {idx.orders} (need sizes {[2 * n for n in idx.orders]})")
-    return arg
+            f"kernel index must be a sequence, got {idx!r}") from None
+    if not orders:
+        raise ConfigError("kernel index needs at least one component")
+    if arg is None:
+        return orders, None
+    try:
+        blocks = [[float(u) for u in b] for b in arg]
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"kernel argument must be blocks of numbers, "
+                          f"got {arg!r}") from None
+    sizes = [len(b) for b in blocks]
+    if sizes != [2 * n for n in orders]:
+        raise ConfigError(
+            f"argument blocks {sizes} do not match index {orders} "
+            f"(need sizes {[2 * n for n in orders]})")
+    points = tuple(u for b in blocks for u in b)
+    if not all(map(math.isfinite, points)):
+        raise ConfigError(
+            f"kernel argument points must be finite, got {points}")
+    return orders, points
 
 
 def odd_kernel_zero(idx) -> float:
@@ -133,26 +84,12 @@ def odd_kernel_zero(idx) -> float:
     with an odd order vanish identically; calling this with an all-even
     index is a misuse and raises.
     """
-    idx = _index(idx)
-    if all(n % 2 == 0 for n in idx.orders):
+    orders, _ = _kernel_input(idx)
+    if all(n % 2 == 0 for n in orders):
         raise ConfigError(
-            f"index {idx.orders} has no odd component; its kernel is not "
+            f"index {orders} has no odd component; its kernel is not "
             "a structural zero")
     return 0.0
-
-
-def _check_multiplicities(points: tuple[float, ...], a: float) -> None:
-    """A point u >= 0 repeated m times makes the product blow up like
-    |t1 - u|^(m a) on the triangle; for u < 0 every factor is smooth
-    there, since t1 - u >= -u > 0."""
-    if a >= 0.0:
-        return
-    for u, mult in Counter(points).items():
-        if u >= 0.0 and mult * a <= -1.0:
-            raise NonIntegrableError(
-                f"kernel argument u = {u:g} repeated {mult} times gives a "
-                f"local exponent {mult * a:g} <= -1; the product is not "
-                "integrable")
 
 
 def _product_factory(hu: Hurst, points: tuple[float, ...]):
@@ -202,9 +139,17 @@ def _product_factory(hu: Hurst, points: tuple[float, ...]):
                 sig[p] = sig.get(p, 0.0) + mult * a
         return sorted(sig.items())
 
+    # A point u >= 0 repeated m times makes the product blow up like
+    # |t1 - u|^(m a) on the triangle; for u < 0 every factor is smooth
+    # there, since t1 - u >= -u > 0.
     gamma = 0.0
     for u, mult in mults.items():
         if u >= 0.0:
+            if mult * a <= -1.0:
+                raise NonIntegrableError(
+                    f"kernel argument u = {u:g} repeated {mult} times gives "
+                    f"a local exponent {mult * a:g} <= -1; the product is "
+                    "not integrable")
             gamma = min(gamma, mult * a - (mult - 1.0))
 
     # Kinks where two marks cross, or a mark crosses an end of the inner
@@ -223,9 +168,7 @@ def kernel_value(h, idx, arg, tol: float = 1e-8) -> float:
 def kernel_value_regularized(h, idx, eps: float, arg,
                              tol: float = 1e-8) -> float:
     """Regularized kernel, defined for every order when eps > 0."""
-    if not 0.0 < eps < math.inf:
-        raise ConfigError(
-            f"regularized kernel needs a finite eps > 0, got {eps}")
+    eps = _finite("regularized kernel eps", eps, 0.0, strict=True)
     return _kernel(h, idx, arg, eps, tol)
 
 
@@ -233,15 +176,14 @@ def _kernel(h, idx, arg, eps: float, tol: float) -> float:
     """(1/n!) (2pi)^(-d/2) (-1/2)^n int_Delta weight_n prod_i (K 1)(u_i),
     with the order-n time weight of ``_order_weight``."""
     hu = _hurst(h)
-    idx = _index(idx)
-    arg = _argument(arg, idx)
-    d = idx.d
-    n = idx.total
+    if arg is None:
+        raise ConfigError("a kernel value needs d blocks of 2 n_j points")
+    orders, points = _kernel_input(idx, arg)
+    d = len(orders)
+    n = sum(orders)
     alpha, weight = _order_weight(hu, d, n, eps)
-    points = arg.points
     if any(u >= 1.0 for u in points):
         return 0.0
-    _check_multiplicities(points, hu.a)
 
     factors, marks, gamma, breaks = _product_factory(hu, points)
     if eps == 0.0 and gamma < 0.0:
@@ -264,7 +206,8 @@ def _kernel(h, idx, arg, eps: float, tol: float) -> float:
     res = integrate_triangle_singular(alpha, g, tol=tol,
                                       inner_singularities=marks,
                                       outer_breakpoints=breaks)
-    pref = (_TWO_PI ** (-0.5 * d) * (-0.5) ** n / idx.factorial_weight)
+    pref = (_TWO_PI ** (-0.5 * d) * (-0.5) ** n
+            / math.prod(math.factorial(k) for k in orders))
     return pref * res.value
 
 
@@ -300,10 +243,7 @@ def series_reconstruction(spec: DeltaSpec, f, max_order: int,
     converges to s_local_time(spec, f); an insufficient max_order is
     reported through ``converged``/``last_term`` rather than raised.
     """
-    if max_order < spec.n_trunc:
-        raise ConfigError(
-            f"max_order {max_order} is below the truncation level "
-            f"{spec.n_trunc}")
+    max_order = _integer("max_order", max_order, spec.n_trunc)
     orders = tuple(range(spec.n_trunc, max_order + 1))
     # The order weights open the gate at order N before the table is built.
     weights = [_order_weight(spec.hurst, spec.d, n, spec.eps) for n in orders]

@@ -29,7 +29,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import AccuracyError, ConfigError, ConsistencyError
+from .errors import (AccuracyError, ConfigError, ConsistencyError, _finite,
+                     _integer)
 from .fracops import Hurst, Interval, _hurst, _kernel_scale, increment_kernel
 from .quadrature import integrate_interval
 from .testfunctions import _as_bundle
@@ -475,16 +476,6 @@ def _map_blocks(draw: Callable[[int, int], np.ndarray],
     return out
 
 
-def _integer(name: str, value, least: int) -> int:
-    """``value`` as an int >= least; integral floats are accepted."""
-    try:
-        if value >= least and value == int(value):
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
-
-
 def _kernel_matrix(hu: Hurst, times: np.ndarray,
                    grid: WhiteNoiseGrid) -> np.ndarray:
     """K[k, i] = (K1_[0, t_k])(x_i) at cell midpoints; row 0 is zero."""
@@ -648,12 +639,6 @@ def _pair_sums(ens: PathEnsemble, eps: float, subtract=None,
                          np.empty(ens.n_paths))
 
 
-def _require_eps(eps: float) -> None:
-    if not 0.0 < eps < math.inf:
-        raise ConfigError(
-            f"the estimator needs a finite eps > 0, got {eps}")
-
-
 def mc_local_time_regularized(ens: PathEnsemble, eps: float, *,
                               n_threads: int | None = None) -> McEstimate:
     """Estimate the expected regularized self-intersection local time.
@@ -665,7 +650,7 @@ def mc_local_time_regularized(ens: PathEnsemble, eps: float, *,
     int_Delta (eps + tau^{2H})^{-d/2}, up to the grid truncation bias
     measured by ``mc_grid_bias``.
     """
-    _require_eps(eps)
+    _finite("the estimator's eps", eps, 0.0, strict=True)
     return _mc_reduce(_pair_sums(ens, eps, n_threads=n_threads))
 
 
@@ -777,7 +762,7 @@ def mc_s_transform(ens: PathEnsemble, f, eps: float, n_trunc: int = 0, *,
     With f = 0 and n_trunc = 0 the result is bit-identical to
     ``mc_local_time_regularized``.
     """
-    _require_eps(eps)
+    _finite("the estimator's eps", eps, 0.0, strict=True)
     _require_whitenoise(ens, "the S-transform estimator")
     n_trunc = _integer("truncation level", n_trunc, 0)
     fvals = _f_values(ens, f)
@@ -820,7 +805,7 @@ def mc_grid_bias(h, d: int, eps: float, m: int, n_paths: int,
     midpoint error O(1/m) dominates.  Taking the min over-reports the
     bias slightly for H > 1/2, which keeps the estimate conservative.
     """
-    _require_eps(eps)
+    _finite("the estimator's eps", eps, 0.0, strict=True)
     t1 = make_midpoint_times(m)
     t2 = make_midpoint_times(2 * m)
     union = np.unique(np.concatenate([t1, t2]))

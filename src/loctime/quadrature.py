@@ -180,6 +180,9 @@ def integrate_interval(f: Callable[..., np.ndarray], lo, hi, *,
     batch = np.ndim(lo) > 0 or np.ndim(hi) > 0
     los, his = np.broadcast_arrays(np.atleast_1d(np.asarray(lo, float)),
                                    np.atleast_1d(np.asarray(hi, float)))
+    if not (np.isfinite(los).all() and np.isfinite(his).all()):
+        raise ConfigError(f"integration bounds must be finite, got "
+                          f"[{lo}, {hi}]")
     n_rows = los.size
     if not batch:
         singular = (singular,)
@@ -271,12 +274,19 @@ def integrate_interval(f: Callable[..., np.ndarray], lo, hi, *,
     return QuadratureResult(float(value[0]), float(error[0]), evaluations)
 
 
+def _require_finite_alpha(alpha: float) -> None:
+    if not math.isfinite(alpha):
+        raise ConfigError(
+            f"singular exponent alpha must be finite, got {alpha}")
+
+
 def triangle_power_moment(alpha: float) -> float:
     """Exact value of ``int_Delta tau^(-alpha)`` over the unit triangle.
 
     Equals ``int_0^1 (1 - tau) tau^(-alpha) dtau = 1/((1-alpha)(2-alpha))``
     for alpha < 1; diverges otherwise.
     """
+    _require_finite_alpha(alpha)
     if alpha >= 1.0:
         raise NonIntegrableError(
             f"tau^(-{alpha:g}) is not integrable on the triangle; "
@@ -380,6 +390,7 @@ def divergence_probe(alpha: float,
     the values grow without bound as kappa -> 0; for alpha < 1 they
     converge to the full integral.  No integrability gate is applied.
     """
+    _require_finite_alpha(alpha)
     kappas = np.array(cutoffs, dtype=float)
     for kappa in kappas.tolist():
         if not 0.0 < kappa < 1.0:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AdmissibilityError, ConfigError
+from .errors import AdmissibilityError, ConfigError, _finite, _integer
 from .fracops import Hurst, Interval, PairingTable, _hurst, pairing_closed_form
 from .quadrature import (QuadratureResult, gauss_panels,
                          integrate_triangle_singular)
@@ -70,11 +70,8 @@ class AdmissibilityResult:
 def admissibility(h, d: int, n_trunc: int) -> AdmissibilityResult:
     """Gate 2N(1-H) - dH > -1 together with the smallest valid N."""
     hu = _hurst(h)
-    if d < 1 or d != int(d):
-        raise ConfigError(f"dimension must be a positive integer, got {d}")
-    if n_trunc < 0 or n_trunc != int(n_trunc):
-        raise ConfigError(
-            f"truncation level must be a nonnegative integer, got {n_trunc}")
+    d = _integer("dimension", d, 1)
+    n_trunc = _integer("truncation level", n_trunc, 0)
     expo = 2.0 * n_trunc * (1.0 - hu.h) - d * hu.h
     q = (d * hu.h - 1.0) / (2.0 * (1.0 - hu.h))
     n_min = 0 if q < 0.0 else int(math.floor(q)) + 1
@@ -129,10 +126,11 @@ class DeltaSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "hurst", _hurst(self.hurst))
-        admissibility(self.hurst, self.d, self.n_trunc)  # validates d, N
-        if self.eps < 0.0 or not math.isfinite(self.eps):
-            raise ConfigError(
-                f"regularization eps must be >= 0, got {self.eps}")
+        object.__setattr__(self, "d", _integer("dimension", self.d, 1))
+        object.__setattr__(self, "n_trunc",
+                           _integer("truncation level", self.n_trunc, 0))
+        object.__setattr__(self, "eps", _finite("regularization eps",
+                                                self.eps, 0.0, strict=False))
 
     def require_admissible(self) -> None:
         if self.eps == 0.0:
@@ -175,8 +173,7 @@ def exp_truncated(x, n: int):
     with the unit interval split for large |x| so the fixed Gauss rule
     keeps 1e-12 relative accuracy.  Vectorized over x.
     """
-    if n < 0 or n != int(n):
-        raise ConfigError(f"series tail index must be >= 0, got {n}")
+    n = _integer("series tail index", n, 0)
     xs = np.asarray(x, dtype=float)
     scalar = xs.ndim == 0
     xs = np.atleast_1d(xs).astype(float)

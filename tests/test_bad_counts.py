@@ -1,0 +1,61 @@
+"""Property test: every count or order argument refuses what is not an
+integer in its range with ``ConfigError``, before any heavy work."""
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from loctime.errors import ConfigError
+from loctime.kernels import kernel_value, series_reconstruction
+from loctime.mc import (WhiteNoiseGrid, make_midpoint_times, resolve_threads,
+                        sample_paths_cholesky, sample_paths_whitenoise)
+from loctime.stransform import DeltaSpec, admissibility, exp_truncated
+from loctime.testfunctions import gaussian_bump
+
+TIMES = make_midpoint_times(4)
+GRID = WhiteNoiseGrid(n_cells=64)
+SPEC = DeltaSpec(0.5, 1, 1)
+BUMP = gaussian_bump(0.5, 0.45, 0.2)
+
+# (argument, smallest valid value, call with the value in its place)
+COUNTS = [
+    ("admissibility d", 1, lambda v: admissibility(0.5, v, 0)),
+    ("admissibility N", 0, lambda v: admissibility(0.5, 1, v)),
+    ("exp_truncated n", 0, lambda v: exp_truncated(0.5, v)),
+    ("kernel index entry", 0,
+     lambda v: kernel_value(0.5, (v,), ((0.25, 0.75),))),
+    ("max_order", SPEC.n_trunc, lambda v: series_reconstruction(SPEC, BUMP, v)),
+    ("make_midpoint_times m", 1, make_midpoint_times),
+    ("whitenoise d", 1,
+     lambda v: sample_paths_whitenoise(0.5, v, TIMES, GRID, 4)),
+    ("whitenoise n_paths", 1,
+     lambda v: sample_paths_whitenoise(0.5, 1, TIMES, GRID, v)),
+    ("cholesky d", 1, lambda v: sample_paths_cholesky(0.5, v, TIMES, 4)),
+    ("cholesky n_paths", 1, lambda v: sample_paths_cholesky(0.5, 1, TIMES, v)),
+    ("resolve_threads", 1, resolve_threads),
+    ("WhiteNoiseGrid n_cells", 8, lambda v: WhiteNoiseGrid(n_cells=v)),
+]
+
+
+def not_a_count(least):
+    """Non-integers, NaN, +-inf, strings and integers below ``least``."""
+    return st.one_of(
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+        st.floats().filter(lambda x: not (x >= least and x.is_integer())),
+        st.text(),
+        st.integers(max_value=least - 1))
+
+
+@pytest.mark.parametrize("least, call", [c[1:] for c in COUNTS],
+                         ids=[c[0] for c in COUNTS])
+def test_bad_count_is_a_config_error(least, call):
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=60)
+    @given(not_a_count(least))
+    def check(value):
+        with pytest.raises(ConfigError):
+            call(value)
+
+    check()

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import loctime.cli as cli_module
 from loctime import __version__
 from loctime.cli import (CSV_HEADER, FAMILIES, GENERATORS, KINDS,
                          ExperimentConfig, ResultRow, build_parser,
@@ -307,6 +308,35 @@ class TestRunArtifacts:
         rows = read_rows(out)
         for r in rows:
             assert float(r["value"]) <= float(r["err"]) + 1e-300
+
+    def test_selftest_compares_one_thread_with_two(self, tmp_path,
+                                                    monkeypatch):
+        # with two threads resolved for the run, the determinism check
+        # must still sample once on one thread and once on two
+        seen = []
+        sample = cli_module.sample_paths_whitenoise
+
+        def spy(*args, n_threads=None, **kwargs):
+            seen.append(n_threads)
+            return sample(*args, n_threads=n_threads, **kwargs)
+
+        monkeypatch.setattr(cli_module, "sample_paths_whitenoise", spy)
+        monkeypatch.setenv("LOCTIME_THREADS", "2")
+        assert main(["selftest", "--out", str(tmp_path)]) == 0
+        assert {1, 2} <= set(seen)
+
+    def test_manifest_keys(self, tmp_path):
+        assert main(["stransform", "--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert set(manifest) == {
+            "experiment", "run_id", "config", "csv_header", "rows",
+            "wall_time_s", "version", "created_utc", "threads",
+            "cpu_count", "versions"}
+        assert set(manifest["config"]) == {
+            f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert set(manifest["rows"][0]) == {"id", "value", "err", "units",
+                                            "eps"}
+        assert manifest["csv_header"] == ",".join(CSV_HEADER)
 
     def test_csv_rows_are_well_formed(self, tmp_path):
         out = tmp_path / "wf"

@@ -9,8 +9,7 @@ import loctime.kernels as kernels_module
 
 from loctime.errors import (AdmissibilityError, ConfigError,
                             NonIntegrableError)
-from loctime.kernels import (AdmissibilityResult, KernelArgument, KernelIndex,
-                             admissibility, kernel_value,
+from loctime.kernels import (AdmissibilityResult, admissibility, kernel_value,
                              kernel_value_regularized, odd_kernel_zero,
                              series_reconstruction)
 from loctime.cli import main
@@ -38,27 +37,27 @@ def pair_kernel_half(u1: float, u2: float) -> float:
 
 class TestIndexAndArgument:
     def test_index_validation(self):
-        with pytest.raises(ConfigError):
-            KernelIndex(())
-        with pytest.raises(ConfigError):
-            KernelIndex((1, -2))
-        with pytest.raises(ConfigError):
-            KernelIndex((1.5,))
+        for idx in ((), (1, -2), (1.5,), ("1",), 5):
+            with pytest.raises(ConfigError):
+                odd_kernel_zero(idx)
+            with pytest.raises(ConfigError):
+                kernel_value(0.5, idx, ((0.1, 0.2),))
 
     def test_index_properties(self):
-        idx = KernelIndex((2, 0, 1))
-        assert idx.d == 3
-        assert idx.total == 3
-        assert idx.factorial_weight == 2
+        orders, points = kernels_module._kernel_input((2.0, 0, 1))
+        assert orders == (2, 0, 1) and points is None
+        assert all(type(n) is int for n in orders)
+        pts = ((0.2, 0.4, 0.6, 0.8),)
+        assert kernel_value(0.5, (2.0,), pts) == kernel_value(0.5, (2,), pts)
 
     def test_argument_blocks_must_be_even(self):
         with pytest.raises(ConfigError):
-            KernelArgument(((0.1, 0.2, 0.3),))
-        arg = KernelArgument(((0.1, 0.2), ()))
-        assert arg.points == (0.1, 0.2)
-        assert arg.count == 2
-        assert arg.matches(KernelIndex((1, 0)))
-        assert not arg.matches(KernelIndex((1, 1)))
+            kernel_value(0.5, (1,), ((0.1, 0.2, 0.3),))
+        assert kernels_module._kernel_input((1, 0), ((0.1, 0.2), ())) == (
+            (1, 0), (0.1, 0.2))
+        for arg in (None, (), ((0.1, "x"),), 0.1):
+            with pytest.raises(ConfigError):
+                kernel_value(0.5, (1,), arg)
 
     def test_value_rejects_mismatched_blocks(self):
         with pytest.raises(ConfigError):
@@ -315,6 +314,12 @@ class TestSeries:
     def test_max_order_below_truncation_rejected(self):
         with pytest.raises(ConfigError):
             series_reconstruction(DeltaSpec(0.5, 1, 2), zero_bundle(1), 1)
+
+    def test_integral_float_max_order_runs_as_int(self):
+        spec = DeltaSpec(0.5, 1, 0)
+        rep = series_reconstruction(spec, zero_bundle(1), 2.0)
+        assert rep == series_reconstruction(spec, zero_bundle(1), 2)
+        assert rep.orders == (0, 1, 2)
 
     def test_truncation_difference_is_low_order_sum(self):
         # removing the first N chaos orders subtracts exactly the sum of

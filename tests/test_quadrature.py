@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from loctime import quadrature
-from loctime.errors import AccuracyError, NonIntegrableError
+from loctime.errors import AccuracyError, ConfigError, NonIntegrableError
 from loctime.quadrature import (divergence_probe, integrate_interval,
                                 integrate_triangle_singular,
                                 triangle_power_moment)
@@ -203,6 +203,12 @@ class TestTriangleEngine:
     def test_alpha_at_one_rejected(self):
         with pytest.raises(NonIntegrableError):
             integrate_triangle_singular(1.0, ones, tol=1e-9)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_alpha_is_named(self, alpha):
+        # a NaN alpha once surfaced as a complaint about the tolerance
+        with pytest.raises(ConfigError, match="alpha"):
+            integrate_triangle_singular(alpha, ones, tol=1e-9)
 
     def test_t1_dependent_factor(self):
         # int_Delta tau^-1/2 t1 = (1/2) int (1-tau)^2 tau^-1/2 = 8/15.

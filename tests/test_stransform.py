@@ -11,13 +11,13 @@ from loctime.errors import AdmissibilityError, ConfigError
 from loctime.fracops import (PairingTable, bound_ratio, pairing_closed_form,
                              pairing_indicator)
 from loctime.kernels import (kernel_value, kernel_value_regularized,
-                             series_reconstruction)
+                             odd_kernel_zero, series_reconstruction)
 from loctime.quadrature import (divergence_probe, integrate_interval,
                                 triangle_power_moment)
-from loctime.stransform import (DeltaSpec, _order_weight, exp_truncated,
-                                is_admissible, minimal_truncation_level,
-                                s_char_exp, s_delta, s_local_time,
-                                u_estimate_check)
+from loctime.stransform import (DeltaSpec, _order_weight, admissibility,
+                                exp_truncated, is_admissible,
+                                minimal_truncation_level, s_char_exp,
+                                s_delta, s_local_time, u_estimate_check)
 from loctime.testfunctions import (VectorTestFunction, gaussian_bump,
                                    hermite_function, zero_bundle,
                                    zero_function)
@@ -377,12 +377,42 @@ INF = float("inf")
     lambda: pairing_indicator(0.5, 3.0, (0.1, 0.2)),
     lambda: bound_ratio(0.5, None, (0.1, 0.2)),
     lambda: PairingTable(0.5, None),
+    lambda: series_reconstruction(DeltaSpec(0.5, 1, 0), bump(), 1.5),
+    lambda: series_reconstruction(DeltaSpec(0.5, 1, 0), bump(), "2"),
+    lambda: admissibility(0.5, "2", 0),
+    lambda: admissibility(0.5, NAN, 0),
+    lambda: admissibility(0.5, INF, 0),
+    lambda: admissibility(0.5, 1, "1"),
+    lambda: DeltaSpec(0.5, 1, INF),
+    lambda: exp_truncated(0.5, "2"),
+    lambda: exp_truncated(0.5, INF),
+    lambda: DeltaSpec(0.5, 1, 0, "0.1"),
+    lambda: kernel_value_regularized(0.5, (1,), "0.1", ((0.25, 0.75),)),
+    lambda: kernel_value(0.5, (INF,), ((0.25, 0.75),)),
+    lambda: kernel_value(0.5, 5, ((0.25, 0.75),)),
+    lambda: kernel_value(0.5, (1,), None),
+    lambda: odd_kernel_zero(3),
+    lambda: integrate_interval(np.ones_like, NAN, 1.0, tol=1e-9),
+    lambda: integrate_interval(np.ones_like, 0.0, INF, tol=1e-9),
+    lambda: integrate_interval(np.ones_like, np.array([0.0, NAN]), 1.0,
+                               tol=1e-9),
+    lambda: integrate_interval(np.ones_like, 0.0, np.array([1.0, -INF]),
+                               tol=1e-9),
+    lambda: triangle_power_moment(NAN),
+    lambda: divergence_probe(NAN, lambda t1, tau: np.ones_like(t1), [0.1]),
 ], ids=["s_local_time tol", "kernel tol", "series tol", "negative tol",
         "infinite tol", "eps nan", "eps inf", "kernel point",
         "exp_N nan", "exp_N inf", "exp_N -inf", "bump amplitude",
         "bump width", "scaled", "hermite shift", "probe cutoff",
         "probe cutoff nan", "closed-form pairing f", "pairing f",
-        "bound ratio f", "pairing table f"])
+        "bound ratio f", "pairing table f", "max_order 1.5",
+        "max_order str", "dimension str", "dimension nan", "dimension inf",
+        "truncation str", "spec truncation inf", "exp_N index str",
+        "exp_N index inf", "spec eps str", "kernel eps str",
+        "kernel index inf", "kernel index int", "kernel argument None",
+        "odd zero int", "interval nan bound", "interval inf bound",
+        "batch nan bound", "batch inf bound", "moment alpha nan",
+        "probe alpha nan"])
 def test_bad_input_is_a_config_error(call):
     with pytest.raises(ConfigError):
         call()
