@@ -54,7 +54,7 @@ from .quadrature import (integrate_interval, integrate_triangle_singular,
                          triangle_power_moment)
 from .stransform import (DeltaSpec, exp_truncated, is_admissible,
                          minimal_truncation_level, s_local_time)
-from .svg import Series, line_plot
+from .svg import loglog_plot
 from .testfunctions import (VectorTestFunction, gaussian_bump,
                             hermite_bundle, zero_bundle)
 
@@ -389,12 +389,12 @@ def _run_convergence(cfg):
     plot = None
     pos = [(e, g) for e, g in zip(schedule, gaps) if g > 0.0]
     if len(pos) >= 2:
-        plot = line_plot(
-            [Series("|SL_eps - SL_0|", tuple(p[0] for p in pos),
-                    tuple(p[1] for p in pos))],
+        eps_pos, gap_pos = zip(*pos)
+        plot = loglog_plot(
+            "|SL_eps - SL_0|", eps_pos, gap_pos,
             title=(f"eps -> 0 convergence, H={cfg.hurst:g}, d={cfg.d}, "
                    f"N={cfg.n_trunc}"),
-            xlabel="eps", ylabel="gap", log_x=True, log_y=True)
+            xlabel="eps", ylabel="gap")
     return rows, plot
 
 

@@ -64,6 +64,19 @@ def _integer(name: str, value, least: int) -> int:
     raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
+# The largest n whose n! is a double: the cap on every series order.
+_MAX_ORDER = 170
+
+
+def _order(name: str, value, least: int = 0) -> int:
+    """``value`` as a series order, an int in [least, 170]."""
+    n = _integer(name, value, least)
+    if n > _MAX_ORDER:
+        raise ConfigError(f"{name} must be at most {_MAX_ORDER}, got {n}: "
+                          f"{n}! overflows a double")
+    return n
+
+
 def _finite(name: str, value, least: float, *, strict: bool) -> float:
     """``value`` as a finite float >= least (> least when ``strict``);
     a string is refused rather than parsed."""

@@ -290,15 +290,11 @@ def bound_ratio(h, f, iv, tol: float = 1e-10) -> float:
     Stays bounded by a constant depending only on H; the constant is
     what the S-transform estimates rely on.
     """
-    hu = _hurst(h)
-    ivl = _interval(iv)
-    comps = _as_bundle(f).components
-    norm = math.sqrt(sum(fj.triple_norm ** 2 for fj in comps))
+    norm = _as_bundle(f).norm
     if norm == 0.0:
         raise ConfigError("bound ratio undefined for the zero function")
-    v = np.array([
-        _pairing_component_closed(hu, fj, ivl, tol).value for fj in comps])
-    return float(np.linalg.norm(v) / (ivl.tau * norm))
+    v = pairing_closed_form(h, f, iv, tol)
+    return float(np.linalg.norm(v) / (_interval(iv).tau * norm))
 
 
 # U(t) is splined on _GRID_POINTS times in [0, 1] and built in blocks of

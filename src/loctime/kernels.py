@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NonIntegrableError, _finite, _integer
+from .errors import (ConfigError, NonIntegrableError, _finite, _integer,
+                     _order)
 from .fracops import Hurst, PairingTable, _hurst, _kernel_scale
 from .quadrature import integrate_triangle_singular
 from .stransform import (AdmissibilityResult, DeltaSpec, _order_weight,
@@ -243,7 +244,7 @@ def series_reconstruction(spec: DeltaSpec, f, max_order: int,
     converges to s_local_time(spec, f); an insufficient max_order is
     reported through ``converged``/``last_term`` rather than raised.
     """
-    max_order = _integer("max_order", max_order, spec.n_trunc)
+    max_order = _order("max_order", max_order, spec.n_trunc)
     orders = tuple(range(spec.n_trunc, max_order + 1))
     # The order weights open the gate at order N before the table is built.
     weights = [_order_weight(spec.hurst, spec.d, n, spec.eps) for n in orders]

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import (AccuracyError, ConfigError, ConsistencyError, _finite,
-                     _integer)
+                     _integer, _order)
 from .fracops import Hurst, Interval, _hurst, _kernel_scale, increment_kernel
 from .quadrature import integrate_interval
 from .testfunctions import _as_bundle
@@ -293,16 +293,14 @@ class PathEnsemble:
     ``paths`` has shape (n_paths, len(times), d) with B(0) = 0 exactly
     in every path and component.  White-noise ensembles carry their
     grid and stream so estimators can regenerate the underlying noise
-    block by block.
+    block by block; Cholesky ensembles have no grid.
     """
 
     hurst: Hurst
     times: np.ndarray
     paths: np.ndarray
-    generator: str
     grid: WhiteNoiseGrid | None = None
     stream: int = 0
-    seed: int = 0
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -339,8 +337,7 @@ class PathEnsemble:
             raise ConfigError("time subset must keep the t = 0 anchor")
         return PathEnsemble(hurst=self.hurst, times=self.times[idx],
                             paths=np.take(self.paths, idx, axis=1),
-                            generator=self.generator, grid=self.grid,
-                            stream=self.stream, seed=self.seed)
+                            grid=self.grid, stream=self.stream)
 
 
 @dataclass(frozen=True)
@@ -524,9 +521,8 @@ def sample_paths_whitenoise(h, d: int, times, grid: WhiteNoiseGrid,
     out = _map_blocks(draw, apply, n_paths, n_threads,
                       np.empty((n_paths, times.size, d)))
     out[:, times == 0.0, :] = 0.0
-    return PathEnsemble(hurst=hu, times=times, paths=out,
-                        generator="whitenoise", grid=grid, stream=stream,
-                        seed=grid.seed)
+    return PathEnsemble(hurst=hu, times=times, paths=out, grid=grid,
+                        stream=stream)
 
 
 def sample_paths_cholesky(h, d: int, times, n_paths: int, stream: int = 0, *,
@@ -576,9 +572,7 @@ def sample_paths_cholesky(h, d: int, times, n_paths: int, stream: int = 0, *,
 
     _map_blocks(draw, apply, n_paths, n_threads, out[:, 1:, :])
     out[:, 0, :] = 0.0
-    return PathEnsemble(hurst=hu, times=times, paths=out,
-                        generator="cholesky", grid=None, stream=stream,
-                        seed=seed)
+    return PathEnsemble(hurst=hu, times=times, paths=out, stream=stream)
 
 
 # ---------------------------------------------------------------------------
@@ -725,10 +719,10 @@ def _wick_weights(ens: PathEnsemble, fvals: np.ndarray, *,
 
 
 def _require_whitenoise(ens: PathEnsemble, what: str) -> None:
-    if ens.generator != "whitenoise" or ens.grid is None:
+    if ens.grid is None:
         raise ConfigError(
-            f"{what} needs the white-noise generator (the ensemble must "
-            f"carry its noise grid), got generator '{ens.generator}'")
+            f"{what} needs the white-noise generator: the ensemble must "
+            "carry its noise grid, and a Cholesky ensemble has none")
 
 
 def _f_values(ens: PathEnsemble, f) -> np.ndarray:
@@ -764,7 +758,7 @@ def mc_s_transform(ens: PathEnsemble, f, eps: float, n_trunc: int = 0, *,
     """
     _finite("the estimator's eps", eps, 0.0, strict=True)
     _require_whitenoise(ens, "the S-transform estimator")
-    n_trunc = _integer("truncation level", n_trunc, 0)
+    n_trunc = _order("truncation level", n_trunc)
     fvals = _f_values(ens, f)
 
     subtract = None

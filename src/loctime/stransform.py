@@ -37,7 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AdmissibilityError, ConfigError, _finite, _integer
+from .errors import (AdmissibilityError, ConfigError, _finite, _integer,
+                     _order)
 from .fracops import Hurst, Interval, PairingTable, _hurst, pairing_closed_form
 from .quadrature import (QuadratureResult, gauss_panels,
                          integrate_triangle_singular)
@@ -128,7 +129,7 @@ class DeltaSpec:
         object.__setattr__(self, "hurst", _hurst(self.hurst))
         object.__setattr__(self, "d", _integer("dimension", self.d, 1))
         object.__setattr__(self, "n_trunc",
-                           _integer("truncation level", self.n_trunc, 0))
+                           _order("truncation level", self.n_trunc))
         object.__setattr__(self, "eps", _finite("regularization eps",
                                                 self.eps, 0.0, strict=False))
 
@@ -137,15 +138,21 @@ class DeltaSpec:
             _require_admissible(self.hurst, self.d, self.n_trunc)
 
 
-def _tail_integral(xs: np.ndarray, n: int) -> np.ndarray:
-    """int_0^1 e^{x u} (1-u)^(n-1) du for n >= 1, vectorized over x.
+def _exp_tail_ratio(y, n: int):
+    """exp_n(-y) * n! / (-y)^n, vectorized over y; e^(-y) at n = 0.
 
-    48-point Gauss panels that each span |x u| <= 50 keep 1e-12 relative
-    accuracy.  For x > 50, [0, 1] is split into ceil(x / 50) panels; for
-    x < -50 only [0, -50 / x] is kept, beyond which the integrand is
-    below e^-50 of its value at 0.  The rule is chosen for each x alone,
+    For n >= 1 this is n * int_0^1 e^{-y u} (1-u)^(n-1) du, which tends
+    to 1 as y -> 0+ and needs no powers of y, so callers can cancel the
+    power of y analytically when y itself would underflow.  48-point
+    Gauss panels that each span |y u| <= 50 keep 1e-12 relative
+    accuracy.  For y < -50, [0, 1] is split into ceil(-y / 50) panels;
+    for y > 50 only [0, 50 / y] is kept, beyond which the integrand is
+    below e^-50 of its value at 0.  The rule is chosen for each y alone,
     so a value does not depend on the other points.
     """
+    xs = -np.atleast_1d(np.asarray(y, dtype=float))
+    if n == 0:
+        return np.exp(xs)
     out = np.empty(xs.shape)
     far = xs < -50.0
     if far.any():
@@ -160,7 +167,7 @@ def _tail_integral(xs: np.ndarray, n: int) -> np.ndarray:
         u, w = gauss_panels(np.linspace(0.0, 1.0, int(k) + 1), 48)
         out[at] = np.sum(np.exp(xs[at, None] * u) * ((1.0 - u) ** (n - 1) * w),
                          axis=1)
-    return out
+    return n * out
 
 
 def exp_truncated(x, n: int):
@@ -170,36 +177,18 @@ def exp_truncated(x, n: int):
 
         exp_N(x) = x^N / (N-1)! * int_0^1 e^{x u} (1-u)^(N-1) du,
 
-    with the unit interval split for large |x| so the fixed Gauss rule
-    keeps 1e-12 relative accuracy.  Vectorized over x.
+    that is x^N / N! times ``_exp_tail_ratio(-x, N)``, whose fixed Gauss
+    rule keeps 1e-12 relative accuracy.  Vectorized over x.
     """
-    n = _integer("series tail index", n, 0)
+    n = _order("series tail index", n)
     xs = np.asarray(x, dtype=float)
     scalar = xs.ndim == 0
-    xs = np.atleast_1d(xs).astype(float)
+    # + 0.0 turns -0.0 into 0.0, so that exp_N(-0.0) = 0.0 for N >= 1.
+    xs = np.atleast_1d(xs) + 0.0
     if not np.isfinite(xs).all():
         raise ConfigError("exp_truncated needs finite arguments")
-    if n == 0:
-        out = np.exp(xs)
-        return float(out[0]) if scalar else out
-
-    out = xs ** n / math.factorial(n - 1) * _tail_integral(xs, n)
-    # exp_N(0) = 0 exactly for N >= 1.
-    out[xs == 0.0] = 0.0
+    out = xs ** n / math.factorial(n) * _exp_tail_ratio(-xs, n)
     return float(out[0]) if scalar else out
-
-
-def _exp_tail_ratio(y, n: int):
-    """exp_n(-y) * n! / (-y)^n for y >= 0, without forming powers of y.
-
-    Equals n * int_0^1 e^{-y u} (1-u)^(n-1) du, which tends to 1 as
-    y -> 0+; lets callers cancel the power of y analytically when y
-    itself would underflow.
-    """
-    ys = np.atleast_1d(np.asarray(y, dtype=float))
-    if n == 0:
-        return np.exp(-ys)
-    return n * _tail_integral(-ys, n)
 
 
 def s_char_exp(h, lam, s: float, t: float, f, tol: float = 1e-8) -> complex:
@@ -224,15 +213,6 @@ def s_char_exp(h, lam, s: float, t: float, f, tol: float = 1e-8) -> complex:
                          sign * math.sin(float(lam @ v)))
 
 
-def _pairing_vec(spec: DeltaSpec, f, t1: float, t2: float, tol: float):
-    v = pairing_closed_form(spec.hurst, f, Interval(min(t1, t2), max(t1, t2)),
-                            tol=tol)
-    if v.size != spec.d:
-        raise ConfigError(
-            f"test function has {v.size} components, spec demands {spec.d}")
-    return v
-
-
 def s_delta(spec: DeltaSpec, t1: float, t2: float, f,
             tol: float = 1e-10) -> float:
     """S-transform of the delta functional of ``spec`` at times (t1, t2).
@@ -242,7 +222,10 @@ def s_delta(spec: DeltaSpec, t1: float, t2: float, f,
     """
     if t1 == t2 and spec.eps == 0.0:
         raise ConfigError("degenerate time pair: t1 = t2 requires eps > 0")
-    v = _pairing_vec(spec, f, t1, t2, tol) if t1 != t2 else np.zeros(spec.d)
+    bundle = _as_bundle(f, spec.d)
+    v = (pairing_closed_form(spec.hurst, bundle,
+                             Interval(min(t1, t2), max(t1, t2)), tol=tol)
+         if t1 != t2 else np.zeros(spec.d))
     w = spec.eps + abs(t2 - t1) ** (2.0 * spec.hurst.h)
     return ((_TWO_PI * w) ** (-0.5 * spec.d)
             * float(exp_truncated(-0.5 * float(v @ v) / w, spec.n_trunc)))
@@ -256,8 +239,10 @@ def s_local_time(spec: DeltaSpec, f, tol: float = 1e-9, *,
     dH - 2N(1-H), behind the admissibility gate, and the singular factor
     tau^(-alpha) is handed to the singular quadrature engine; the bounded
     remainder carries the truncated exponential.  For eps > 0 the
-    integrand is bounded and alpha = 0.  A prebuilt ``pairing`` table of f saves its build; one
-    for another H, d or f raises ``ConfigError``.
+    integrand is bounded and alpha = 0.
+
+    A prebuilt ``pairing`` table of f saves its build; one for another
+    H, d or f raises ``ConfigError``.
     """
     h = spec.hurst.h
     d = spec.d

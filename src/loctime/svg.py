@@ -1,21 +1,20 @@
-"""Minimal static SVG line plots, written without any external renderer.
+"""Minimal static SVG log-log plot, written without any external renderer.
 
-Only what the experiment artifacts need: one cartesian panel, several
-polyline series with markers, linear or log10 axes, tick labels and a
-small legend.  Output is a plain UTF-8 ``<svg>`` document.
+Only what the experiment artifacts need: one curve with markers on
+log10 axes, decade tick labels, a title, axis labels and a one-line
+legend.  Output is a plain UTF-8 ``<svg>`` document.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ConfigError
 
-__all__ = ["Series", "line_plot"]
+__all__ = ["loglog_plot"]
 
-_PALETTE = ("#1f6fb2", "#c44e52", "#55a868", "#8172b2", "#937860")
+_COLOR = "#1f6fb2"
 
 _WIDTH = 640
 _HEIGHT = 420
@@ -25,73 +24,40 @@ _MARGIN_T = 40
 _MARGIN_B = 55
 
 
-@dataclass(frozen=True)
-class Series:
-    """One plotted curve: label plus equally long x and y sequences."""
-
-    label: str
-    x: tuple[float, ...]
-    y: tuple[float, ...]
-
-    def __post_init__(self):
-        x = tuple(float(v) for v in self.x)
-        y = tuple(float(v) for v in self.y)
-        if len(x) != len(y) or not x:
-            raise ConfigError("series needs matching nonempty x and y")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-
-
 def _escape(text: str) -> str:
     return (text.replace("&", "&amp;").replace("<", "&lt;")
             .replace(">", "&gt;"))
 
 
-def _transform(values, log: bool, label: str):
-    if not log:
-        return [float(v) for v in values]
+def _log10(values: Sequence[float], axis: str) -> list[float]:
     out = []
     for v in values:
+        v = float(v)
         if v <= 0.0:
             raise ConfigError(
-                f"log axis {label} requires positive data, got {v}")
+                f"log axis {axis} requires positive data, got {v}")
         out.append(math.log10(v))
     return out
 
 
-def _ticks(lo: float, hi: float, log: bool):
-    """(position, text) pairs; decade ticks on log axes."""
-    if log:
-        first = math.ceil(lo - 1e-9)
-        last = math.floor(hi + 1e-9)
-        if first > last:
-            first = last = round(0.5 * (lo + hi))
-        return [(float(k), f"1e{k:+03d}") for k in range(first, last + 1)]
-    if hi == lo:
-        return [(lo, f"{lo:g}")]
-    span = hi - lo
-    step = 10.0 ** math.floor(math.log10(span / 4.0))
-    for mult in (1.0, 2.0, 5.0, 10.0):
-        if span / (step * mult) <= 6.0:
-            step *= mult
-            break
-    first = math.ceil(lo / step)
-    return [(k * step, f"{k * step:.6g}")
-            for k in range(first, math.floor(hi / step) + 1)]
+def _decade_ticks(lo: float, hi: float):
+    """(position, text) pairs at the decades within [lo, hi]."""
+    first = math.ceil(lo - 1e-9)
+    last = math.floor(hi + 1e-9)
+    if first > last:
+        first = last = round(0.5 * (lo + hi))
+    return [(float(k), f"1e{k:+03d}") for k in range(first, last + 1)]
 
 
-def line_plot(series: Sequence[Series], *, title: str = "",
-              xlabel: str = "", ylabel: str = "",
-              log_x: bool = False, log_y: bool = False) -> str:
-    """Render the series into an SVG document string."""
-    if not series:
-        raise ConfigError("line_plot needs at least one series")
-    xs = [_transform(s.x, log_x, "x") for s in series]
-    ys = [_transform(s.y, log_y, "y") for s in series]
-    x_lo = min(min(v) for v in xs)
-    x_hi = max(max(v) for v in xs)
-    y_lo = min(min(v) for v in ys)
-    y_hi = max(max(v) for v in ys)
+def loglog_plot(label: str, x: Sequence[float], y: Sequence[float], *,
+                title: str, xlabel: str, ylabel: str) -> str:
+    """Render the curve (x, y) on log10 axes into an SVG document string."""
+    if len(x) != len(y) or len(x) == 0:
+        raise ConfigError("plot needs matching nonempty x and y")
+    tx = _log10(x, "x")
+    ty = _log10(y, "y")
+    x_lo, x_hi = min(tx), max(tx)
+    y_lo, y_hi = min(ty), max(ty)
     if x_hi == x_lo:
         x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
     if y_hi == y_lo:
@@ -116,14 +82,12 @@ def line_plot(series: Sequence[Series], *, title: str = "",
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w}" '
         f'height="{plot_h}" fill="none" stroke="#444" stroke-width="1"/>',
+        f'<text x="{_WIDTH / 2:.1f}" y="24" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="15">{_escape(title)}</text>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{_WIDTH / 2:.1f}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="15">{_escape(title)}</text>')
 
     bottom = _MARGIN_T + plot_h
-    for pos, text in _ticks(x_lo, x_hi, log_x):
+    for pos, text in _decade_ticks(x_lo, x_hi):
         if not (x_lo <= pos <= x_hi):
             continue
         x = px(pos)
@@ -131,8 +95,8 @@ def line_plot(series: Sequence[Series], *, title: str = "",
                      f'y2="{bottom + 5}" stroke="#444"/>')
         parts.append(f'<text x="{x:.1f}" y="{bottom + 19}" '
                      f'text-anchor="middle" font-family="sans-serif" '
-                     f'font-size="11">{_escape(text)}</text>')
-    for pos, text in _ticks(y_lo, y_hi, log_y):
+                     f'font-size="11">{text}</text>')
+    for pos, text in _decade_ticks(y_lo, y_hi):
         if not (y_lo <= pos <= y_hi):
             continue
         y = py(pos)
@@ -140,34 +104,30 @@ def line_plot(series: Sequence[Series], *, title: str = "",
                      f'x2="{_MARGIN_L}" y2="{y:.1f}" stroke="#444"/>')
         parts.append(f'<text x="{_MARGIN_L - 8}" y="{y + 4:.1f}" '
                      f'text-anchor="end" font-family="sans-serif" '
-                     f'font-size="11">{_escape(text)}</text>')
-    if xlabel:
-        parts.append(f'<text x="{_MARGIN_L + plot_w / 2:.1f}" '
-                     f'y="{_HEIGHT - 12}" text-anchor="middle" '
-                     f'font-family="sans-serif" font-size="13">'
-                     f'{_escape(xlabel)}</text>')
-    if ylabel:
-        cy = _MARGIN_T + plot_h / 2
-        parts.append(f'<text x="16" y="{cy:.1f}" text-anchor="middle" '
-                     f'font-family="sans-serif" font-size="13" '
-                     f'transform="rotate(-90 16 {cy:.1f})">'
-                     f'{_escape(ylabel)}</text>')
+                     f'font-size="11">{text}</text>')
+    parts.append(f'<text x="{_MARGIN_L + plot_w / 2:.1f}" '
+                 f'y="{_HEIGHT - 12}" text-anchor="middle" '
+                 f'font-family="sans-serif" font-size="13">'
+                 f'{_escape(xlabel)}</text>')
+    cy = _MARGIN_T + plot_h / 2
+    parts.append(f'<text x="16" y="{cy:.1f}" text-anchor="middle" '
+                 f'font-family="sans-serif" font-size="13" '
+                 f'transform="rotate(-90 16 {cy:.1f})">'
+                 f'{_escape(ylabel)}</text>')
 
-    for i, (s, tx, ty) in enumerate(zip(series, xs, ys)):
-        color = _PALETTE[i % len(_PALETTE)]
-        pts = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(tx, ty))
-        parts.append(f'<polyline points="{pts}" fill="none" '
-                     f'stroke="{color}" stroke-width="1.6"/>')
-        for a, b in zip(tx, ty):
-            parts.append(f'<circle cx="{px(a):.2f}" cy="{py(b):.2f}" '
-                         f'r="2.6" fill="{color}"/>')
-        ly = _MARGIN_T + 16 + 16 * i
-        lx = _MARGIN_L + plot_w - 150
-        parts.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" '
-                     f'y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')
-        parts.append(f'<text x="{lx + 28}" y="{ly}" '
-                     f'font-family="sans-serif" font-size="12">'
-                     f'{_escape(s.label)}</text>')
+    pts = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(tx, ty))
+    parts.append(f'<polyline points="{pts}" fill="none" '
+                 f'stroke="{_COLOR}" stroke-width="1.6"/>')
+    for a, b in zip(tx, ty):
+        parts.append(f'<circle cx="{px(a):.2f}" cy="{py(b):.2f}" '
+                     f'r="2.6" fill="{_COLOR}"/>')
+    lx = _MARGIN_L + plot_w - 150
+    ly = _MARGIN_T + 16
+    parts.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" '
+                 f'y2="{ly - 4}" stroke="{_COLOR}" stroke-width="2"/>')
+    parts.append(f'<text x="{lx + 28}" y="{ly}" '
+                 f'font-family="sans-serif" font-size="12">'
+                 f'{_escape(label)}</text>')
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -20,7 +20,7 @@ from loctime.cli import (CSV_HEADER, FAMILIES, GENERATORS, KINDS,
 from loctime.errors import ConfigError
 from loctime.fracops import PairingTable
 from loctime.mc import resolve_threads
-from loctime.svg import Series, line_plot
+from loctime.svg import loglog_plot
 
 
 def read_rows(out_dir):
@@ -399,6 +399,12 @@ class TestExitCodes:
                      str(tmp_path / "out")]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_truncation_order_above_170(self, tmp_path, capsys):
+        # 200! is no double: this ended in an OverflowError traceback
+        assert main(["stransform", "--N", "200", "--eps", "0.1", "--out",
+                     str(tmp_path)]) == 2
+        assert "at most 170" in capsys.readouterr().err
+
     def test_mc_requires_positive_eps(self, tmp_path):
         assert main(["mc", "--out", str(tmp_path)]) == 2
 
@@ -443,40 +449,40 @@ class TestModuleEntry:
         assert "admissibility error" in proc.stderr
 
 
+def _loglog(label="gap", x=(1e-3, 1e-2, 1e-1), y=(3.0, 2.0, 1.0),
+            title="t", xlabel="eps", ylabel="gap"):
+    return loglog_plot(label, x, y, title=title, xlabel=xlabel,
+                       ylabel=ylabel)
+
+
 class TestSvg:
     def test_series_validation(self):
         with pytest.raises(ConfigError):
-            Series("s", (1.0, 2.0), (1.0,))
-        with pytest.raises(ConfigError):
-            Series("s", (), ())
+            _loglog(x=(1.0, 2.0), y=(1.0,))
 
     def test_empty_plot_rejected(self):
         with pytest.raises(ConfigError):
-            line_plot([])
+            _loglog(x=(), y=())
 
     def test_log_axis_requires_positive(self):
-        s = Series("s", (0.1, 1.0), (0.0, 2.0))
         with pytest.raises(ConfigError, match="log axis y"):
-            line_plot([s], log_y=True)
-        line_plot([s], log_x=True)
+            _loglog(x=(0.1, 1.0), y=(0.0, 2.0))
+        with pytest.raises(ConfigError, match="log axis x"):
+            _loglog(x=(-0.1, 1.0), y=(1.0, 2.0))
 
     def test_polyline_and_markers(self):
-        s = Series("gap", (1e-3, 1e-2, 1e-1), (3.0, 2.0, 1.0))
-        svg = line_plot([s], log_x=True)
+        svg = _loglog()
         assert svg.count("<polyline") == 1
         assert svg.count("<circle") == 3
         assert "1e-03" in svg
+        assert "1e+00" in svg
+        ET.fromstring(svg)
 
     def test_text_is_escaped(self):
-        s = Series("a<b & c>d", (0.0, 1.0), (0.0, 1.0))
-        svg = line_plot([s], title="x<y>&z")
+        svg = _loglog(label="a<b & c>d", title="x<y>&z", xlabel="<e>",
+                      ylabel="g&")
         assert "a&lt;b &amp; c&gt;d" in svg
         assert "x&lt;y&gt;&amp;z" in svg
+        assert "&lt;e&gt;" in svg and "g&amp;" in svg
         assert "x<y" not in svg
-
-    def test_multiple_series_cycle_palette(self):
-        a = Series("a", (0.0, 1.0), (0.0, 1.0))
-        b = Series("b", (0.0, 1.0), (1.0, 0.0))
-        svg = line_plot([a, b], xlabel="t", ylabel="v")
-        assert svg.count("<polyline") == 2
         ET.fromstring(svg)

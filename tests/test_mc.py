@@ -157,32 +157,31 @@ class TestEnsembleValidation:
         times = np.array([0.1, 0.5])
         with pytest.raises(ConfigError):
             PathEnsemble(hurst=Hurst(0.5), times=times,
-                         paths=self._paths(times), generator="cholesky")
+                         paths=self._paths(times))
 
     def test_time_grid_must_increase(self):
         times = np.array([0.0, 0.5, 0.4])
         with pytest.raises(ConfigError):
             PathEnsemble(hurst=Hurst(0.5), times=times,
-                         paths=self._paths(times), generator="cholesky")
+                         paths=self._paths(times))
 
     def test_time_grid_stays_in_unit_interval(self):
         times = np.array([0.0, 0.5, 1.2])
         with pytest.raises(ConfigError):
             PathEnsemble(hurst=Hurst(0.5), times=times,
-                         paths=self._paths(times), generator="cholesky")
+                         paths=self._paths(times))
 
     def test_paths_must_match_times(self):
         times = np.array([0.0, 0.5, 1.0])
         with pytest.raises(ConfigError):
             PathEnsemble(hurst=Hurst(0.5), times=times,
-                         paths=np.zeros((2, 2, 1)), generator="cholesky")
+                         paths=np.zeros((2, 2, 1)))
 
     def test_paths_must_anchor_at_zero(self):
         times = np.array([0.0, 0.5])
         paths = np.ones((2, 2, 1))
         with pytest.raises(ConfigError):
-            PathEnsemble(hurst=Hurst(0.5), times=times, paths=paths,
-                         generator="cholesky")
+            PathEnsemble(hurst=Hurst(0.5), times=times, paths=paths)
 
     def test_restrict_times_keeps_anchor(self):
         ens = sample_paths_cholesky(0.5, 1, make_midpoint_times(4), 8)
@@ -359,8 +358,7 @@ class TestEstimators:
         rng = np.random.default_rng(7)
         paths = rng.normal(size=(3, times.size, 2))
         paths[:, 0, :] = 0.0
-        ens = PathEnsemble(hurst=Hurst(0.5), times=times, paths=paths,
-                           generator="cholesky")
+        ens = PathEnsemble(hurst=Hurst(0.5), times=times, paths=paths)
         eps = 0.07
         est = mc_local_time_regularized(ens, eps)
         w = _voronoi_widths(times[1:])
@@ -442,6 +440,9 @@ class TestEstimators:
             mc_s_transform(ens, zero_bundle(1), 0.05, n_trunc=-1)
         with pytest.raises(ConfigError):
             mc_s_transform(ens, zero_bundle(1), 0.05, n_trunc=1.5)
+        # 171! is no double: the subtractor's 1/i! would overflow.
+        with pytest.raises(ConfigError, match="at most 170"):
+            mc_s_transform(ens, zero_bundle(1), 0.05, n_trunc=172)
         # An integral float is taken as the integer it equals.
         assert (mc_s_transform(ens, zero_bundle(1), 0.05, n_trunc=1.0)
                 == mc_s_transform(ens, zero_bundle(1), 0.05, n_trunc=1))

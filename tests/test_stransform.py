@@ -104,6 +104,9 @@ class TestExpTruncated:
         assert exp_truncated(0.0, 1) == 0.0
         assert exp_truncated(0.0, 4) == 0.0
         assert np.all(exp_truncated(np.zeros(3), 2) == 0.0)
+        # -0.0 gives +0.0 too, not the -0.0 of (-0.0)^N for odd N
+        assert math.copysign(1.0, exp_truncated(-0.0, 1)) == 1.0
+        assert math.copysign(1.0, exp_truncated(-0.0, 3)) == 1.0
 
     def test_sign_for_negative_argument(self):
         # exp_n(x) has the sign of x^n
@@ -120,6 +123,12 @@ class TestExpTruncated:
     def test_negative_order_rejected(self):
         with pytest.raises(ConfigError):
             exp_truncated(1.0, -1)
+
+    def test_largest_order(self):
+        # 170! is the largest factorial that is a double; for x < 0 and
+        # even N, exp_N(x) lies between 0 and its leading term x^N / N!
+        lead = 3.0 ** 170 / math.factorial(170)
+        assert 0.0 < exp_truncated(-3.0, 170) < lead
 
     def test_scalar_in_float_out(self):
         assert isinstance(exp_truncated(0.3, 2), float)
@@ -244,26 +253,37 @@ class TestLocalTimeTransform:
         res = s_local_time(DeltaSpec(0.5, 2, 1), zero_bundle(2), tol=1e-10)
         assert res.value == 0.0
 
-    def test_brownian_bump_against_dblquad(self):
-        # independent oracle: tau = w^2 removes the singular factor, and
-        # the pairing reduces to a difference of erf antiderivatives
+    @pytest.mark.parametrize("n, eps", [(0, 0.0), (1, 0.0), (1, 0.01),
+                                        (2, 0.01)],
+                             ids=["N0 eps0", "N1 eps0", "N1 eps0.01",
+                                  "N2 eps0.01"])
+    def test_brownian_bump_against_dblquad(self, n, eps):
+        # independent oracle: tau = w^2 removes the singular factor, the
+        # pairing reduces to a difference of erf antiderivatives, and
+        # exp_N for N <= 2 is exp, expm1 or expm1(x) - x
         f = bump()
         amp, center, width = 0.5, 0.45, 0.2
+        exp_n = (math.exp, math.expm1, lambda x: math.expm1(x) - x)[n]
 
         def F(x):
             return (amp * width * math.sqrt(math.pi / 2.0)
                     * erf((x - center) / (math.sqrt(2.0) * width)))
 
         def body(t1, w):
+            # (2 pi (eps + tau))^(-1/2) exp_N(-dv^2 / (2 (eps + tau)))
+            # times dtau = 2 w dw, with tau = w^2
+            var = eps + w * w
+            if var == 0.0:
+                return 2.0 / math.sqrt(TWO_PI) * exp_n(0.0)
             dv = F(t1 + w * w) - F(t1)
-            return (2.0 / math.sqrt(TWO_PI)
-                    * math.exp(-0.5 * dv * dv / (w * w)) if w > 0.0
-                    else 2.0 / math.sqrt(TWO_PI))
+            return (2.0 * w / math.sqrt(TWO_PI * var)
+                    * exp_n(-0.5 * dv * dv / var))
 
         want, err = dblquad(body, 0.0, 1.0, 0.0, lambda w: 1.0 - w * w,
                             epsabs=1e-11)
-        got = s_local_time(DeltaSpec(0.5, 1), f, tol=1e-10)
-        assert abs(got.value - want) < 1e-8 + 10.0 * err
+        got = s_local_time(DeltaSpec(0.5, 1, n, eps), f, tol=1e-10)
+        # relative: at N = 2 the value is 7e-5
+        assert abs(got.value - want) < 1e-8 * abs(want) + 10.0 * err
 
     def test_regularized_zero_function_against_quad(self):
         frozen = {(0.5, 1, 0.1): 0.3445400149226766,
@@ -400,6 +420,9 @@ INF = float("inf")
                                tol=1e-9),
     lambda: triangle_power_moment(NAN),
     lambda: divergence_probe(NAN, lambda t1, tau: np.ones_like(t1), [0.1]),
+    lambda: DeltaSpec(0.5, 1, 171, 0.1),
+    lambda: exp_truncated(0.5, 171),
+    lambda: series_reconstruction(DeltaSpec(0.5, 1, 0, 0.1), bump(), 171),
 ], ids=["s_local_time tol", "kernel tol", "series tol", "negative tol",
         "infinite tol", "eps nan", "eps inf", "kernel point",
         "exp_N nan", "exp_N inf", "exp_N -inf", "bump amplitude",
@@ -412,7 +435,8 @@ INF = float("inf")
         "kernel index inf", "kernel index int", "kernel argument None",
         "odd zero int", "interval nan bound", "interval inf bound",
         "batch nan bound", "batch inf bound", "moment alpha nan",
-        "probe alpha nan"])
+        "probe alpha nan", "spec truncation 171", "exp_N index 171",
+        "max_order 171"])
 def test_bad_input_is_a_config_error(call):
     with pytest.raises(ConfigError):
         call()
