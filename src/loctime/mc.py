@@ -585,13 +585,23 @@ def _pair_sums(ens: PathEnsemble, eps: float, subtract=None,
 
     Computes sum_{j<k} w_j w_k [p_eps(dB) - subtract(|dB|^2)] with
     dB = B_k - B_j over the positive-time columns for every path.  The
-    pairs are taken lag by lag, l = k - j = 1, ..., m-1, each lag as the
-    contiguous difference B[:, l:] - B[:, :-l] with weights
-    w[:-l] * w[l:]; ``subtract``, when given, holds one function per lag
-    in that order.  Paths go in row tiles of about TILE_BYTES, each with
-    three buffers reused across its lags.  Each lag's row sums are added
-    to the per-path totals in increasing lag order, without BLAS, so a
-    path's sum is bit-identical for any tiling and thread count.
+    pairs are taken lag by lag, l = k - j = 1, ..., m-1, with weights
+    w[:-l] * w[l:].  ``subtract``, when given, holds one function per
+    lag in that order; it takes the lag's |dB|^2, one row per pair and
+    one column per path, and gives values in units of (2 pi eps)^{-d/2},
+    one per entry or one per row.
+
+    A row tile of about TILE_BYTES copies its paths to shape (d, m, n),
+    so a lag's differences B[l:] - B[:-l] are contiguous blocks.  Per
+    lag, the buffer ``sq`` gets |dB|^2 (a subtract and a square per
+    component, the later ones through a second buffer), then in place
+    exp(-|dB|^2 / (2 eps)).  einsum reduces it and the subtracted values
+    against the lag weights with its own loop, not BLAS, summing each
+    path's column pair by pair; a one-path tile gets a zero second
+    column, since einsum sums a lone column by another loop.  The lag
+    sums are added in increasing lag order, so a path's sum is
+    bit-identical for any tiling and thread count, and (2 pi eps)^{-d/2}
+    multiplies each total once, at the end.
     """
     m = ens.times.size - 1
     if m < 2:
@@ -599,32 +609,38 @@ def _pair_sums(ens: PathEnsemble, eps: float, subtract=None,
     d = ens.d
     w = _cell_widths(ens.times[1:])
     pref = (_TWO_PI * eps) ** (-0.5 * d)
+    scale = -0.5 / eps
     B = ens.paths[:, 1:, :]
 
     def tile(lo: int, hi: int) -> np.ndarray:
         n = hi - lo
-        db_buf = np.empty(n * m * d)
-        sq_buf = np.empty(n * m)
-        phi_buf = np.empty(n * m)
-        vals = np.zeros(n)
+        cols = max(n, 2)
+        paths = np.zeros((d, m, cols))
+        paths[:, :, :n] = np.transpose(B[lo:hi], (2, 1, 0))
+        sq_buf = np.empty((m - 1) * cols)
+        part_buf = np.empty((m - 1) * cols) if d > 1 else None
+        row = np.empty(cols)
+        vals = np.zeros(cols)
         for lag in range(1, m):
             k = m - lag
-            db = db_buf[:n * k * d].reshape(n, k, d)
-            sq = sq_buf[:n * k].reshape(n, k)
-            phi = phi_buf[:n * k].reshape(n, k)
-            np.subtract(B[lo:hi, lag:, :], B[lo:hi, :-lag, :], out=db)
-            np.square(db[:, :, 0], out=sq)
+            sq = sq_buf[:k * cols].reshape(k, cols)
+            np.subtract(paths[0, lag:], paths[0, :-lag], out=sq)
+            np.square(sq, out=sq)
             for c in range(1, d):
-                sq += np.square(db[:, :, c], out=db[:, :, c])
-            np.multiply(sq, -0.5, out=phi)
-            phi /= eps
-            np.exp(phi, out=phi)
-            phi *= pref
+                part = part_buf[:k * cols].reshape(k, cols)
+                np.subtract(paths[c, lag:], paths[c, :-lag], out=part)
+                np.square(part, out=part)
+                sq += part
             if subtract is not None:
-                phi -= subtract[lag - 1](sq)
-            phi *= w[:-lag] * w[lag:]
-            vals += np.sum(phi, axis=1)
-        return vals
+                poly = subtract[lag - 1](sq)
+            np.multiply(sq, scale, out=sq)
+            np.exp(sq, out=sq)
+            w_lag = w[:-lag] * w[lag:]
+            np.einsum("ji,j->i", sq, w_lag, out=row)
+            if subtract is not None:
+                row -= np.einsum("ji,j->i", poly, w_lag)
+            vals += row
+        return pref * vals[:n]
 
     with _Pool(n_threads) as pool:
         rows = _tile_rows(ens.n_paths, m * d * B.itemsize, pool.n_threads,
@@ -667,20 +683,35 @@ def _truncation_subtractor(n_trunc: int, d: int, eps: float,
     s = 0 (pairs whose increment the noise grid does not resolve).
     Subtracting k < n_trunc makes the weighted estimator close exactly
     onto exp_N in the discrete model.  The orders are summed here into
-    one polynomial in r^2 with per-pair coefficients.
+    one polynomial in r^2 with per-pair coefficients
+
+        (eps/w)^{d/2} (-1/(2w))^i / i!
+            sum_{i<=k<n_trunc} C(k+d/2-1, k-i) (s/w)^(k-i),
+
+    in units of p_eps's constant (2 pi eps)^{-d/2}, which ``_pair_sums``
+    applies to each path's total.  The binomials and (-1/(2w))^i / i!
+    are running products, so no large gamma or power is formed; a
+    coefficient that still overflows raises AccuracyError.
     """
     alpha = 0.5 * d - 1.0
     w_tot = eps + sigma_sq
-    base = (_TWO_PI * w_tot) ** (-0.5 * d)
+    ratio = sigma_sq / w_tot
+    lead = (eps / w_tot) ** (0.5 * d)
     coeffs = []
-    for i in range(n_trunc):
-        acc = np.zeros_like(sigma_sq)
-        for k in range(i, n_trunc):
-            binom = math.gamma(k + alpha + 1.0) / (
-                math.gamma(k - i + 1.0) * math.gamma(alpha + i + 1.0))
-            acc = acc + binom * sigma_sq ** (k - i) * w_tot ** (-k)
-        # (-1/2)^k (-1)^(k+i) 2^(k-i) = (-1/2)^i
-        coeffs.append(base * (-0.5) ** i / math.factorial(i) * acc)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n_trunc):
+            if i > 0:
+                lead = lead * (-0.5 / i) / w_tot
+            acc = np.zeros_like(sigma_sq)
+            binom = 1.0  # C(k + alpha, k - i) at k = i
+            for k in range(i, n_trunc):
+                acc = acc + binom * ratio ** (k - i)
+                binom *= (k + 1.0 + alpha) / (k + 1.0 - i)
+            coeffs.append(lead * acc)
+    if not all(np.isfinite(c).all() for c in coeffs):
+        raise AccuracyError(
+            f"the truncation subtractor of order {n_trunc} at d = {d}, "
+            f"eps = {eps:.3g} has coefficients beyond the double range")
 
     def subtract(r_sq: np.ndarray) -> np.ndarray:
         out = coeffs[-1]
@@ -769,8 +800,10 @@ def mc_s_transform(ens: PathEnsemble, f, eps: float, n_trunc: int = 0, *,
         # Lag diagonals are read below the diagonal, from gram[k, j] with
         # k > j: the BLAS product is symmetric only up to rounding.
         sigma_sq = diag[:, None] + diag[None, :] - 2.0 * gram[1:, 1:]
+        # A column of one row per pair of the lag, as _pair_sums lays
+        # the lag's pairs out.
         subtract = [_truncation_subtractor(n_trunc, ens.d, eps,
-                                           np.diagonal(sigma_sq, -lag))
+                                           sigma_sq.diagonal(-lag)[:, None])
                     for lag in range(1, diag.size)]
 
     per_path = _pair_sums(ens, eps, subtract=subtract, n_threads=n_threads)

@@ -41,11 +41,15 @@ def _log10(values: Sequence[float], axis: str) -> list[float]:
 
 
 def _decade_ticks(lo: float, hi: float):
-    """(position, text) pairs at the decades within [lo, hi]."""
+    """(position, text) pairs at the decades within [lo, hi].
+
+    An axis that holds no decade is labelled at its two ends instead,
+    to 3 significant digits.
+    """
     first = math.ceil(lo - 1e-9)
     last = math.floor(hi + 1e-9)
     if first > last:
-        first = last = round(0.5 * (lo + hi))
+        return [(v, f"{10.0 ** v:.3g}") for v in (lo, hi)]
     return [(float(k), f"1e{k:+03d}") for k in range(first, last + 1)]
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import platform
 import random
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -476,6 +477,14 @@ class TestSvg:
         assert svg.count("<circle") == 3
         assert "1e-03" in svg
         assert "1e+00" in svg
+        ET.fromstring(svg)
+
+    def test_axis_within_one_decade_is_labelled_at_its_ends(self):
+        svg = _loglog(x=(0.11, 0.12, 0.13), y=(0.2, 0.25, 0.3))
+        labels = re.findall(r'font-size="11">([^<]*)</text>', svg)
+        # the padded axis ends, 4 % of the x range and 6 % of the y
+        # range (in log10) beyond the data, to 3 significant digits
+        assert labels == ["0.109", "0.131", "0.195", "0.307"]
         ET.fromstring(svg)
 
     def test_text_is_escaped(self):

@@ -447,6 +447,20 @@ class TestEstimators:
         assert (mc_s_transform(ens, zero_bundle(1), 0.05, n_trunc=1.0)
                 == mc_s_transform(ens, zero_bundle(1), 0.05, n_trunc=1))
 
+    def test_high_truncation_order_is_typed(self):
+        # C(k + d/2 - 1, k - i) once took gamma(k + d/2), beyond the
+        # double range for n_trunc - 1 + d/2 > 171.6.
+        ens = sample_paths_whitenoise(0.5, 8, make_midpoint_times(4),
+                                      WhiteNoiseGrid(n_cells=64), 4)
+        est = mc_s_transform(ens, zero_bundle(8), 0.05, 170)
+        assert math.isfinite(est.mean) and math.isfinite(est.stderr)
+        # No noise cell lies between the two times, so the pair variance
+        # is 0 and (1 / (2 eps))^i / i! passes the double range.
+        close = sample_paths_whitenoise(0.5, 1, [0.0, 0.3, 0.3 + 1e-9],
+                                        WhiteNoiseGrid(n_cells=64), 4)
+        with pytest.raises(AccuracyError, match="double range"):
+            mc_s_transform(close, zero_bundle(1), 1e-6, 170)
+
     def test_zero_f_closes_onto_regularized_estimator(self):
         grid = WhiteNoiseGrid(n_cells=256)
         ens = sample_paths_whitenoise(0.6, 2, make_midpoint_times(8),
@@ -511,9 +525,10 @@ class TestEstimators:
                         n_trunc, 2, eps, np.array([s_jk]))
                     db = ens.paths[p, k] - ens.paths[p, j]
                     r_sq = float(db @ db)
+                    # The subtractor is in units of (2 pi eps)^{-d/2}.
                     phi = ((2.0 * math.pi * eps) ** -1.0
-                           * math.exp(-0.5 * r_sq / eps)
-                           - subtract(np.array([r_sq]))[0])
+                           * (math.exp(-0.5 * r_sq / eps)
+                              - subtract(np.array([r_sq]))[0]))
                     total += w[j - 1] * w[k - 1] * phi
             vals.append(total * weights[p])
         assert est.mean == pytest.approx(np.mean(vals), rel=1e-12)
@@ -569,6 +584,62 @@ class TestEstimators:
         assert full.mean - trunc.mean == pytest.approx(const, rel=1e-10)
 
 
+def _lag_subtractors(ens, eps, n_trunc):
+    """One truncation subtractor per lag, at the fBm pair variance
+    |t_k - t_j|^{2H}, laid out as _pair_sums takes them."""
+    times = ens.times[1:]
+    return [_truncation_subtractor(
+        n_trunc, ens.d, eps,
+        ((times[lag:] - times[:-lag]) ** (2.0 * ens.hurst.h))[:, None])
+        for lag in range(1, times.size)]
+
+
+def _pair_sums_by_loop(ens, eps, n_trunc):
+    """Per-path pair sums taken pair by pair, and the sums of the
+    magnitudes of their terms."""
+    times = ens.times[1:]
+    w = _voronoi_widths(times)
+    pref = (2.0 * math.pi * eps) ** (-0.5 * ens.d)
+    sums, sizes = [], []
+    for p in range(ens.n_paths):
+        total = size = 0.0
+        for j in range(times.size):
+            for k in range(j + 1, times.size):
+                db = ens.paths[p, k + 1] - ens.paths[p, j + 1]
+                r_sq = float(db @ db)
+                gauss = math.exp(-0.5 * r_sq / eps)
+                sub = 0.0
+                if n_trunc:
+                    s_jk = (times[k] - times[j]) ** (2.0 * ens.hurst.h)
+                    sub = _truncation_subtractor(
+                        n_trunc, ens.d, eps, np.array([s_jk]))(
+                            np.array([r_sq]))[0]
+                total += w[j] * w[k] * pref * (gauss - sub)
+                size += w[j] * w[k] * pref * (gauss + abs(sub))
+        sums.append(total)
+        sizes.append(size)
+    return np.array(sums), np.array(sizes)
+
+
+class TestPairSums:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n_trunc", [0, 1, 2])
+    @pytest.mark.parametrize("grid", ["uniform", "subset"])
+    def test_matches_double_loop(self, d, n_trunc, grid):
+        # The subset keeps unequal cells, so every lag has its own
+        # weights; 1e-13 of the terms' magnitudes allows the change of
+        # summation order and nothing else.
+        ens = sample_paths_cholesky(0.4, d, make_midpoint_times(16), 5,
+                                    seed=d)
+        if grid == "subset":
+            ens = ens.restrict_times([0, 1, 2, 4, 7, 8, 12, 16])
+        eps = 0.03
+        subtract = _lag_subtractors(ens, eps, n_trunc) if n_trunc else None
+        got = _pair_sums(ens, eps, subtract=subtract)
+        want, size = _pair_sums_by_loop(ens, eps, n_trunc)
+        assert np.all(np.abs(got - want) <= 1e-13 * size)
+
+
 def _hermite_subtractor(n_trunc, d, eps, sigma_sq, db):
     """Composition-sum oracle for the truncation subtractor.
 
@@ -611,7 +682,8 @@ class TestTruncationSubtractor:
         db = rng.normal(size=(5, 40, d)) * np.sqrt(sigma_sq + 0.01)[:, None]
         eps = 0.05
         subtract = _truncation_subtractor(n_trunc, d, eps, sigma_sq)
-        got = subtract(np.sum(db * db, axis=2))
+        pref = (2.0 * math.pi * eps) ** (-0.5 * d)
+        got = pref * subtract(np.sum(db * db, axis=2))
         want, largest = _hermite_subtractor(n_trunc, d, eps, sigma_sq, db)
         assert np.max(np.abs(got - want)) <= 1e-10 * largest
 
@@ -676,8 +748,8 @@ class TestGridBias:
 
 THREAD_COUNTS = (1, 2, 3, None)
 # (TILE_BYTES, TILE_FLOOR): the defaults, under which the calls below
-# split into tiles only on two or more threads, and pair-sum tiles of 16
-# to 32 rows with no floor on the samplers' thread shares.
+# split into tiles only on two or more threads, and pair-sum tiles of
+# 16 KiB (10 to 292 rows) with no floor on the samplers' thread shares.
 TILE_SETTINGS = ((mc.TILE_BYTES, mc.TILE_FLOOR), (1 << 14, 1))
 
 
@@ -687,30 +759,53 @@ def tiles(request, monkeypatch):
     monkeypatch.setattr(mc, "TILE_FLOOR", request.param[1])
 
 
+def _pair_sums_across_threads(d):
+    # 1,100 paths: a multiple of neither BLOCK nor any tile size.
+    ens = sample_paths_cholesky(0.4, d, make_midpoint_times(64), 1100,
+                                n_threads=1)
+    sub = ens.restrict_times(np.arange(0, 65, 2))
+    ref = [_pair_sums(e, 0.03, n_threads=1) for e in (ens, sub)]
+    for n in THREAD_COUNTS:
+        for e, want in zip((ens, sub), ref):
+            assert np.array_equal(_pair_sums(e, 0.03, n_threads=n), want)
+    # A path alone makes a one-path tile.
+    for e, want in zip((ens, sub), ref):
+        for p in (0, 537, 1099):
+            alone = PathEnsemble(hurst=e.hurst, times=e.times,
+                                 paths=e.paths[p:p + 1])
+            assert _pair_sums(alone, 0.03)[0] == want[p]
+
+
+def _s_transform_across_threads(d, n_trunc):
+    grid = WhiteNoiseGrid(n_cells=128, seed=4)
+    ens = sample_paths_whitenoise(0.6, d, make_midpoint_times(48), grid,
+                                  700, n_threads=1)
+    bumps = ((0.4, 0.3, 0.3), (0.2, 0.6, 0.3), (-0.3, 0.5, 0.25))
+    f = VectorTestFunction(tuple(gaussian_bump(*b) for b in bumps[:d]))
+    sub = ens.restrict_times([0, 2, 3, 5, 8, 12, 30, 48])
+    for e in (ens, sub):
+        ref = mc_s_transform(e, f, 0.05, n_trunc, n_threads=1)
+        for n in THREAD_COUNTS:
+            assert mc_s_transform(e, f, 0.05, n_trunc, n_threads=n) == ref
+
+
 class TestRowTiles:
     """Every Monte Carlo output is the same for any tiling and threads."""
 
     def test_pair_sums_identical_across_threads(self, tiles):
-        # 1,100 paths: a multiple of neither BLOCK nor any tile size.
-        ens = sample_paths_cholesky(0.4, 2, make_midpoint_times(64), 1100,
-                                    n_threads=1)
-        sub = ens.restrict_times(np.arange(0, 65, 2))
-        ref = [_pair_sums(e, 0.03, n_threads=1) for e in (ens, sub)]
-        for n in THREAD_COUNTS:
-            for e, want in zip((ens, sub), ref):
-                assert np.array_equal(_pair_sums(e, 0.03, n_threads=n), want)
+        _pair_sums_across_threads(2)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_pair_sums_identical_across_threads_in_d(self, tiles, d):
+        _pair_sums_across_threads(d)
 
     def test_truncated_s_transform_identical_across_threads(self, tiles):
-        grid = WhiteNoiseGrid(n_cells=128, seed=4)
-        ens = sample_paths_whitenoise(0.6, 2, make_midpoint_times(48), grid,
-                                      700, n_threads=1)
-        f = VectorTestFunction((gaussian_bump(0.4, 0.3, 0.3),
-                                gaussian_bump(0.2, 0.6, 0.3)))
-        sub = ens.restrict_times([0, 2, 3, 5, 8, 12, 30, 48])
-        for e in (ens, sub):
-            ref = mc_s_transform(e, f, 0.05, 1, n_threads=1)
-            for n in THREAD_COUNTS:
-                assert mc_s_transform(e, f, 0.05, 1, n_threads=n) == ref
+        _s_transform_across_threads(2, 1)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_second_order_s_transform_identical_across_threads(self, tiles,
+                                                               d):
+        _s_transform_across_threads(d, 2)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_samplers_identical_within_one_block(self, tiles, d):

@@ -1,6 +1,8 @@
 import math
 import tracemalloc
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
@@ -129,6 +131,25 @@ class TestExpTruncated:
         # even N, exp_N(x) lies between 0 and its leading term x^N / N!
         lead = 3.0 ** 170 / math.factorial(170)
         assert 0.0 < exp_truncated(-3.0, 170) < lead
+
+    @pytest.mark.parametrize("x, n", [(100.0, 170), (-800.0, 150),
+                                      (200.0, 150)])
+    def test_high_order_stays_finite(self, x, n):
+        # x^N alone overflows here although exp_N(x) is a double; the
+        # reference sums the series with 300 digits, past the largest
+        # term and on until the terms are 1e-30 of the sum
+        with mpmath.workdps(300):
+            term = mpmath.mpf(x) ** n / mpmath.factorial(n)
+            total, k = term, n
+            while k < abs(x) or abs(term) > 1e-30 * abs(total):
+                k += 1
+                term *= mpmath.mpf(x) / k
+                total += term
+            want = float(total)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = exp_truncated(x, n)
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_scalar_in_float_out(self):
         assert isinstance(exp_truncated(0.3, 2), float)
