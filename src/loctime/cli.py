@@ -41,9 +41,10 @@ import numpy as np
 from . import __version__
 from .errors import (AccuracyError, AdmissibilityError, ConfigError,
                      ConsistencyError, NonIntegrableError,
-                     SingularPointError)
-from .fracops import (Interval, PairingTable, bound_ratio, increment_kernel,
-                      normalization_constant, pairing_indicator)
+                     SingularPointError, _finite, _integer, _order)
+from .fracops import (Hurst, Interval, PairingTable, bound_ratio,
+                      increment_kernel, normalization_constant,
+                      pairing_closed_form, pairing_indicator)
 from .kernels import odd_kernel_zero, series_reconstruction
 from .mc import (WhiteNoiseGrid, covariance_from_kernels, fbm_covariance,
                  make_midpoint_times, mc_grid_bias,
@@ -68,24 +69,23 @@ CSV_HEADER = ("experiment", "id", "H", "d", "N", "eps", "f", "tol", "m",
               "n_paths", "seed", "value", "err", "units")
 
 
-def _number(name: str, value, kind: type):
-    """Config field ``name`` as a float or an int (``kind``); an int
-    takes only integral values, such as 2 or "2", never 1.5."""
-    try:
-        out = kind(value)
-        exact = kind is float or out == float(value)
-    except (TypeError, ValueError, OverflowError):
-        exact = False
-    if not exact:
-        what = "an integer" if kind is int else "a number"
-        raise ConfigError(f"config field {name!r} must be {what}, "
-                          f"got {value!r}")
-    return out
+def _from_text(value):
+    """A JSON string that spells a number as that number (an int when
+    it spells one), a list element by element; anything else as is."""
+    if isinstance(value, list):
+        return [_from_text(x) for x in value]
+    if isinstance(value, str):
+        for kind in (int, float):
+            try:
+                return kind(value)
+            except ValueError:
+                pass
+    return value
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated description of one experiment run."""
+    """Description of one experiment run, checked when it is built."""
 
     kind: str
     hurst: float = 0.5
@@ -103,48 +103,40 @@ class ExperimentConfig:
     seed: int = 0
     out: str = "loctime-out"
 
-    def validate(self) -> None:
-        if self.kind not in KINDS:
-            raise ConfigError(
-                f"experiment kind must be one of {KINDS}, got {self.kind!r}")
-        if not (0.0 < self.hurst < 1.0) or not math.isfinite(self.hurst):
-            raise ConfigError(f"H must lie in (0, 1), got {self.hurst}")
-        if self.d < 1:
-            raise ConfigError(f"d must be >= 1, got {self.d}")
-        if self.n_trunc < 0:
-            raise ConfigError(f"N must be >= 0, got {self.n_trunc}")
-        if self.eps < 0.0 or not math.isfinite(self.eps):
-            raise ConfigError(f"eps must be >= 0, got {self.eps}")
-        if any(e <= 0.0 or not math.isfinite(e) for e in self.eps_schedule):
-            raise ConfigError(
-                "eps schedule entries must be positive; the eps = 0 "
-                "endpoint is computed automatically")
-        if self.family not in FAMILIES:
-            raise ConfigError(
-                f"test-function family must be one of {FAMILIES}, "
-                f"got {self.family!r}")
-        if any(i < 0 for i in self.indices):
-            raise ConfigError(
-                f"hermite indices must be >= 0, got {self.indices}")
+    def __post_init__(self):
+        for name, choices in (("kind", KINDS), ("family", FAMILIES),
+                              ("generator", GENERATORS)):
+            if getattr(self, name) not in choices:
+                raise ConfigError(f"config field {name!r} must be one of "
+                                  f"{choices}, got {getattr(self, name)!r}")
+        for name in ("eps_schedule", "indices"):
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise ConfigError(f"config field {name!r} must be a list, "
+                                  f"got {getattr(self, name)!r}")
+        checked = {
+            "hurst": Hurst(self.hurst).h,
+            "d": _integer("d", self.d, 1),
+            "n_trunc": _order("N", self.n_trunc),
+            "eps": _finite("eps", self.eps, 0.0, strict=False),
+            # The eps = 0 endpoint of a schedule is computed anyway.
+            "eps_schedule": tuple(
+                _finite("eps schedule entry", e, 0.0, strict=True)
+                for e in self.eps_schedule),
+            "indices": tuple(_integer("hermite index", i, 0)
+                             for i in self.indices),
+            "scale": _finite("scale", self.scale, -math.inf, strict=True),
+            "tol": _finite("tol", self.tol, 0.0, strict=True),
+            "m": _integer("m", self.m, 2),
+            "n_paths": _integer("n_paths", self.n_paths, 1),
+            "seed": _integer("seed", self.seed, 0),
+        }
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
         if self.indices and self.family != "hermite":
-            raise ConfigError(
-                "indices only apply to the hermite family")
-        if not (self.tol > 0.0 and math.isfinite(self.tol)):
-            raise ConfigError(f"tolerances must be positive, got {self.tol}")
-        if self.m < 2:
-            raise ConfigError(f"time grid needs m >= 2, got {self.m}")
-        if self.n_paths < 1:
-            raise ConfigError(f"n_paths must be >= 1, got {self.n_paths}")
-        if self.generator not in GENERATORS:
-            raise ConfigError(
-                f"generator must be one of {GENERATORS}, "
-                f"got {self.generator!r}")
-        if not math.isfinite(self.scale):
-            raise ConfigError(f"scale must be finite, got {self.scale}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if not self.out:
-            raise ConfigError("output directory must be nonempty")
+            raise ConfigError("indices only apply to the hermite family")
+        if not isinstance(self.out, str) or not self.out:
+            raise ConfigError(f"output directory must be a nonempty "
+                              f"string, got {self.out!r}")
 
     @property
     def f_label(self) -> str:
@@ -173,24 +165,9 @@ class ExperimentConfig:
                 f"unknown config fields: {sorted(unknown)}")
         if "kind" not in data:
             raise ConfigError("config needs an experiment kind")
-        kw = dict(data)
-        for name in ("kind", "family", "generator", "out"):
-            if not isinstance(kw.get(name, ""), str):
-                raise ConfigError(f"config field {name!r} must be a string, "
-                                  f"got {kw[name]!r}")
-        for name in ("hurst", "eps", "scale", "tol"):
-            if name in kw:
-                kw[name] = _number(name, kw[name], float)
-        for name in ("d", "n_trunc", "m", "n_paths", "seed"):
-            if name in kw:
-                kw[name] = _number(name, kw[name], int)
-        for name, kind in (("eps_schedule", float), ("indices", int)):
-            if name in kw:
-                if not isinstance(kw[name], (list, tuple)):
-                    raise ConfigError(
-                        f"config field {name!r} must be a list, "
-                        f"got {kw[name]!r}")
-                kw[name] = tuple(_number(name, x, kind) for x in kw[name])
+        # A JSON string in a text field is never a number.
+        kw = {name: value if name in ("kind", "family", "generator", "out")
+              else _from_text(value) for name, value in data.items()}
         return ExperimentConfig(**kw)
 
     @staticmethod
@@ -324,10 +301,8 @@ def _run_kernels(cfg):
 
 
 def _run_mc(cfg):
-    if cfg.eps <= 0.0:
-        raise ConfigError(
-            "mc experiment needs eps > 0: only the regularized local "
-            "time has a pathwise estimator")
+    # Only the regularized local time has a pathwise estimator.
+    _finite("the mc experiment's eps", cfg.eps, 0.0, strict=True)
     times = make_midpoint_times(cfg.m)
     if cfg.generator == "whitenoise":
         grid = WhiteNoiseGrid(seed=cfg.seed)
@@ -409,11 +384,12 @@ def _selftest_checks():
                 abs(covariance_from_kernels(0.7, 1.0, 1.0, tol=1e-8) - 1.0),
                 1e-6))
 
+    fb, iv = hermite_bundle((0,)).scaled(0.5), Interval(0.2, 0.9)
     for h in (0.35, 0.75):
-        vec = pairing_indicator(h, hermite_bundle((0,)).scaled(0.5),
-                                Interval(0.2, 0.9), tol=1e-8)
+        gap = (pairing_indicator(h, fb, iv, tol=1e-8)
+               - pairing_closed_form(h, fb, iv, tol=1e-12))
         out.append((f"pairing_dual_routes_h{h:g}",
-                    0.0 if np.all(np.isfinite(vec)) else 1.0, 0.5))
+                    float(np.max(np.abs(gap))), 1e-7))
 
     res = integrate_triangle_singular(0.75, lambda t1, tau: np.ones_like(t1),
                                       tol=1e-10)
@@ -478,7 +454,6 @@ _RUNNERS = {
 
 def run(config: ExperimentConfig) -> ResultRecord:
     """Execute one experiment and persist its artifacts."""
-    config.validate()
     threads = resolve_threads()
     start = time.perf_counter()
     rows, plot = _RUNNERS[config.kind](config)

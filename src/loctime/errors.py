@@ -79,11 +79,12 @@ def _order(name: str, value, least: int = 0) -> int:
 
 def _finite(name: str, value, least: float, *, strict: bool) -> float:
     """``value`` as a finite float >= least (> least when ``strict``);
-    a string is refused rather than parsed."""
+    a string is refused rather than parsed, and so is an int beyond the
+    double range."""
     try:
         if (value > least if strict else value >= least) and value < math.inf:
             return float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         pass
     sign = ">" if strict else ">="
     raise ConfigError(

@@ -42,7 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, ConsistencyError, SingularPointError
+from .errors import ConfigError, ConsistencyError, SingularPointError, _finite
 from .quadrature import QuadratureResult, gauss_panels, integrate_interval
 from .testfunctions import TestFunction, _as_bundle
 
@@ -66,9 +66,11 @@ class Hurst:
     h: float
 
     def __post_init__(self):
-        if not (0.0 < self.h < 1.0) or not math.isfinite(self.h):
+        h = _finite("Hurst parameter", self.h, 0.0, strict=True)
+        if h >= 1.0:
             raise ConfigError(
-                f"Hurst parameter must lie strictly inside (0, 1), got {self.h}")
+                f"Hurst parameter must lie strictly inside (0, 1), got {h}")
+        object.__setattr__(self, "h", h)
 
     @property
     def a(self) -> float:
@@ -76,7 +78,7 @@ class Hurst:
 
 
 def _hurst(h) -> Hurst:
-    return h if isinstance(h, Hurst) else Hurst(float(h))
+    return h if isinstance(h, Hurst) else Hurst(h)
 
 
 @dataclass(frozen=True)

@@ -76,9 +76,8 @@ def fbm_covariance(h, s: float, t: float) -> float:
     and [0, t].
     """
     hu = _hurst(h)
-    if not (0.0 <= s < math.inf and 0.0 <= t < math.inf):
-        raise ConfigError(
-            f"times must be nonnegative and finite, got ({s}, {t})")
+    s = _finite("time s", s, 0.0, strict=False)
+    t = _finite("time t", t, 0.0, strict=False)
     two_h = 2.0 * hu.h
     return 0.5 * (s ** two_h + t ** two_h - abs(t - s) ** two_h)
 
@@ -134,9 +133,8 @@ def covariance_from_kernels(h, s: float, t: float, tol: float = 1e-8) -> float:
     accurate where direct subtraction cancels.
     """
     hu = _hurst(h)
-    if not (0.0 <= s < math.inf and 0.0 <= t < math.inf):
-        raise ConfigError(
-            f"times must be nonnegative and finite, got ({s}, {t})")
+    s = _finite("time s", s, 0.0, strict=False)
+    t = _finite("time t", t, 0.0, strict=False)
     if s == 0.0 or t == 0.0:
         return 0.0
     a = hu.a
@@ -222,9 +220,10 @@ class WhiteNoiseGrid:
                 f"x_hi = {self.x_hi}")
         object.__setattr__(self, "n_cells",
                            _integer("n_cells", self.n_cells, 8))
-        if self.tail_budget is not None and not self.tail_budget > 0.0:
-            raise ConfigError(
-                f"tail budget must be positive, got {self.tail_budget}")
+        object.__setattr__(self, "seed", _integer("seed", self.seed, 0))
+        if self.tail_budget is not None:
+            object.__setattr__(self, "tail_budget", _finite(
+                "tail budget", self.tail_budget, 0.0, strict=True))
 
     @property
     def dx(self) -> float:
@@ -252,11 +251,10 @@ class WhiteNoiseGrid:
     def required_x_lo(self, h, budget: float) -> float:
         """Left truncation point that brings ``tail_mass`` under budget."""
         hu = _hurst(h)
+        budget = _finite("budget", budget, 0.0, strict=True)
         a = hu.a
         if a == 0.0:
             return -1.0
-        if budget <= 0.0:
-            raise ConfigError(f"budget must be positive, got {budget}")
         c = _kernel_scale(hu.h)
         return -((c * c * a * a / ((2.0 - 2.0 * hu.h) * budget))
                  ** (1.0 / (2.0 - 2.0 * hu.h)))
@@ -304,7 +302,8 @@ class PathEnsemble:
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
-        if times.ndim != 1 or times[0] != 0.0 or np.any(np.diff(times) <= 0):
+        if (times.ndim != 1 or times[0] != 0.0
+                or not np.all(np.diff(times) > 0.0)):
             raise ConfigError(
                 "time grid must start at 0 and increase strictly")
         if times[-1] > 1.0:
@@ -507,6 +506,7 @@ def sample_paths_whitenoise(h, d: int, times, grid: WhiteNoiseGrid,
     hu = _hurst(h)
     d = _integer("d", d, 1)
     n_paths = _integer("n_paths", n_paths, 1)
+    stream = _integer("stream", stream, 0)
     times = np.asarray(times, dtype=float)
     grid.validate(hu)
     K = _kernel_matrix(hu, times, grid)
@@ -539,6 +539,8 @@ def sample_paths_cholesky(h, d: int, times, n_paths: int, stream: int = 0, *,
     hu = _hurst(h)
     d = _integer("d", d, 1)
     n_paths = _integer("n_paths", n_paths, 1)
+    stream = _integer("stream", stream, 0)
+    seed = _integer("seed", seed, 0)
     times = np.asarray(times, dtype=float)
     if times[0] != 0.0:
         raise ConfigError("time grid must start at 0")
@@ -601,7 +603,8 @@ def _pair_sums(ens: PathEnsemble, eps: float, subtract=None,
     column, since einsum sums a lone column by another loop.  The lag
     sums are added in increasing lag order, so a path's sum is
     bit-identical for any tiling and thread count, and (2 pi eps)^{-d/2}
-    multiplies each total once, at the end.
+    multiplies each total once, at the end.  If every path's total is
+    exactly 0, the kernel underflowed at every pair: AccuracyError.
     """
     m = ens.times.size - 1
     if m < 2:
@@ -645,8 +648,14 @@ def _pair_sums(ens: PathEnsemble, eps: float, subtract=None,
     with _Pool(n_threads) as pool:
         rows = _tile_rows(ens.n_paths, m * d * B.itemsize, pool.n_threads,
                           TILE_BYTES)
-        return _map_rows(tile, _tiles(0, ens.n_paths, rows), pool,
+        sums = _map_rows(tile, _tiles(0, ens.n_paths, rows), pool,
                          np.empty(ens.n_paths))
+    if not np.any(sums):
+        raise AccuracyError(
+            f"every pair sum is exactly 0 over {ens.n_paths} paths at "
+            f"eps = {eps:.3g}: the Gaussian kernel underflowed at every "
+            "pair, and the estimate would read 0 +- 0")
+    return sums
 
 
 def mc_local_time_regularized(ens: PathEnsemble, eps: float, *,

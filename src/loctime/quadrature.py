@@ -46,7 +46,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import AccuracyError, ConfigError, NonIntegrableError
+from .errors import AccuracyError, ConfigError, NonIntegrableError, _finite
 
 __all__ = [
     "QuadratureResult",
@@ -174,9 +174,7 @@ def integrate_interval(f: Callable[..., np.ndarray], lo, hi, *,
     A batch returns arrays of values and errors, one entry per row;
     ``evaluations`` is always the total number of integrand points.
     """
-    if not 0.0 < tol < math.inf:
-        raise ConfigError(
-            f"quadrature tolerance must be positive and finite, got {tol}")
+    tol = _finite("quadrature tolerance", tol, 0.0, strict=True)
     batch = np.ndim(lo) > 0 or np.ndim(hi) > 0
     los, his = np.broadcast_arrays(np.atleast_1d(np.asarray(lo, float)),
                                    np.atleast_1d(np.asarray(hi, float)))
@@ -274,19 +272,13 @@ def integrate_interval(f: Callable[..., np.ndarray], lo, hi, *,
     return QuadratureResult(float(value[0]), float(error[0]), evaluations)
 
 
-def _require_finite_alpha(alpha: float) -> None:
-    if not math.isfinite(alpha):
-        raise ConfigError(
-            f"singular exponent alpha must be finite, got {alpha}")
-
-
 def triangle_power_moment(alpha: float) -> float:
     """Exact value of ``int_Delta tau^(-alpha)`` over the unit triangle.
 
     Equals ``int_0^1 (1 - tau) tau^(-alpha) dtau = 1/((1-alpha)(2-alpha))``
     for alpha < 1; diverges otherwise.
     """
-    _require_finite_alpha(alpha)
+    alpha = _finite("singular exponent alpha", alpha, -math.inf, strict=True)
     if alpha >= 1.0:
         raise NonIntegrableError(
             f"tau^(-{alpha:g}) is not integrable on the triangle; "
@@ -390,7 +382,7 @@ def divergence_probe(alpha: float,
     the values grow without bound as kappa -> 0; for alpha < 1 they
     converge to the full integral.  No integrability gate is applied.
     """
-    _require_finite_alpha(alpha)
+    alpha = _finite("singular exponent alpha", alpha, -math.inf, strict=True)
     kappas = np.array(cutoffs, dtype=float)
     for kappa in kappas.tolist():
         if not 0.0 < kappa < 1.0:

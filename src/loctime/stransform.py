@@ -97,13 +97,19 @@ def _order_weight(hurst, d: int, n: int, eps: float):
     At eps = 0 the weight is the power tau^(-alpha), alpha = dH -
     2n(1-H), so the order must pass the admissibility gate and
     weight(tau) = 1.  At eps > 0 it is bounded: alpha = 0 and weight(tau)
-    is the whole weight.
+    is the whole weight, formed as written: tau^2 <= tau^(2H) <= w, so
+    (tau^2 / w)^n stays in [0, 1] at any order, where w^(-n-d/2) and
+    tau^(2n) apart overflow and underflow.
     """
     if eps == 0.0:
         return -_require_admissible(hurst, d, n).exponent, lambda tau: 1.0
     two_h = 2.0 * _hurst(hurst).h
-    power = -(n + 0.5 * d)
-    return 0.0, lambda tau: (eps + tau ** two_h) ** power * tau ** (2 * n)
+
+    def weight(tau):
+        w = eps + tau ** two_h
+        return w ** (-0.5 * d) * (tau ** 2 / w) ** n
+
+    return 0.0, weight
 
 
 def is_admissible(h, d: int, n_trunc: int) -> bool:

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, _finite, _integer
 from .quadrature import integrate_interval
 
 __all__ = [
@@ -141,8 +141,7 @@ def hermite_function(n: int, shift: float = 0.0) -> TestFunction:
 
     Derivative uses h_n'(x) = sqrt(2n) h_{n-1}(x) - x h_n(x).
     """
-    if n < 0:
-        raise ConfigError(f"Hermite index must be nonnegative, got {n}")
+    n = _integer("Hermite index", n, 0)
     root2n = math.sqrt(2.0 * n)
 
     def ev(x):
@@ -165,9 +164,9 @@ def hermite_function(n: int, shift: float = 0.0) -> TestFunction:
 def gaussian_bump(amplitude: float = 1.0, center: float = 0.0,
                   width: float = 1.0) -> TestFunction:
     """A e^{-(x-c)^2 / (2 w^2)} with closed-form norms."""
-    if width <= 0.0:
-        raise ConfigError(f"width must be positive, got {width}")
-    a, c, w = float(amplitude), float(center), float(width)
+    a = _finite("amplitude", amplitude, -math.inf, strict=True)
+    c = _finite("center", center, -math.inf, strict=True)
+    w = _finite("width", width, 0.0, strict=True)
     if a == 0.0:
         return zero_function()
 

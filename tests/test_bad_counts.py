@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from loctime.errors import ConfigError
 from loctime.kernels import kernel_value, series_reconstruction
-from loctime.mc import (WhiteNoiseGrid, make_midpoint_times, resolve_threads,
-                        sample_paths_cholesky, sample_paths_whitenoise)
+from loctime.mc import (WhiteNoiseGrid, fbm_covariance, make_midpoint_times,
+                        resolve_threads, sample_paths_cholesky,
+                        sample_paths_whitenoise)
+from loctime.quadrature import integrate_interval, triangle_power_moment
 from loctime.stransform import DeltaSpec, admissibility, exp_truncated
-from loctime.testfunctions import gaussian_bump
+from loctime.testfunctions import gaussian_bump, hermite_function
 
 TIMES = make_midpoint_times(4)
 GRID = WhiteNoiseGrid(n_cells=64)
@@ -59,3 +61,36 @@ def test_bad_count_is_a_config_error(least, call):
             call(value)
 
     check()
+
+
+# Each of these ended in a ValueError, TypeError or OverflowError
+# traceback, or (the NaN grid) in a NaN ensemble without an error.
+BAD_VALUES = [
+    ("cholesky seed", lambda: sample_paths_cholesky(0.5, 1, TIMES, 4,
+                                                    seed=-1)),
+    ("WhiteNoiseGrid seed", lambda: WhiteNoiseGrid(seed=-1)),
+    ("cholesky stream", lambda: sample_paths_cholesky(0.5, 1, TIMES, 4,
+                                                      stream=1.5)),
+    ("whitenoise stream",
+     lambda: sample_paths_whitenoise(0.5, 1, TIMES, GRID, 4, stream=1.5)),
+    ("hermite_function float", lambda: hermite_function(1.5)),
+    ("hermite_function string", lambda: hermite_function("2")),
+    ("NaN time grid",
+     lambda: sample_paths_cholesky(0.5, 1, [0.0, math.nan], 4)),
+    ("integrate_interval tol", lambda: integrate_interval(
+        lambda x: x, 0.0, 1.0, tol="x")),
+    ("triangle_power_moment alpha", lambda: triangle_power_moment("x")),
+    ("fbm_covariance time", lambda: fbm_covariance(0.5, "a", 0.2)),
+    ("DeltaSpec eps beyond the double range",
+     lambda: DeltaSpec(0.5, 1, 0, 10**400)),
+    ("WhiteNoiseGrid tail budget", lambda: WhiteNoiseGrid(tail_budget="x")),
+    ("required_x_lo budget", lambda: GRID.required_x_lo(0.3, "x")),
+    ("gaussian_bump amplitude", lambda: gaussian_bump("x")),
+]
+
+
+@pytest.mark.parametrize("call", [c[1] for c in BAD_VALUES],
+                         ids=[c[0] for c in BAD_VALUES])
+def test_bad_value_is_a_config_error(call):
+    with pytest.raises(ConfigError):
+        call()

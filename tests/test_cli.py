@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 import os
 import platform
 import random
@@ -12,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import loctime.cli as cli_module
 from loctime import __version__
@@ -21,6 +24,7 @@ from loctime.cli import (CSV_HEADER, FAMILIES, GENERATORS, KINDS,
 from loctime.errors import ConfigError
 from loctime.fracops import PairingTable
 from loctime.mc import resolve_threads
+from loctime.stransform import DeltaSpec
 from loctime.svg import loglog_plot
 
 
@@ -37,7 +41,7 @@ def row_by_id(rows, row_id):
 
 class TestConfig:
     def test_defaults_validate(self):
-        ExperimentConfig(kind="selftest").validate()
+        ExperimentConfig(kind="selftest")
 
     @pytest.mark.parametrize("kwargs", [
         dict(kind="frobnicate"),
@@ -62,7 +66,7 @@ class TestConfig:
     ])
     def test_validation_rejects(self, kwargs):
         with pytest.raises(ConfigError):
-            ExperimentConfig(**kwargs).validate()
+            ExperimentConfig(**kwargs)
 
     def test_roundtrip_random_configs(self):
         rng = random.Random(20250814)
@@ -116,6 +120,50 @@ class TestConfig:
         assert cfg.hurst == 0.3
         assert cfg.d == 2
         assert cfg.eps == 0.01
+
+    def test_from_dict_fuzz_raises_only_config_errors(self):
+        # JSON values for every field: numbers near and beyond each
+        # range, the same as strings, and junk scalars and containers.
+        numbers = st.one_of(
+            st.integers(-1, 4), st.floats(0.0, 1.0),
+            st.sampled_from([0.999999, 170, 171, 1e308, 5e-324, 2 ** 64,
+                             10 ** 400, math.nan, math.inf]))
+        scalars = st.one_of(st.none(), st.booleans(), st.integers(),
+                            st.floats(), st.text(max_size=6))
+        junk = st.one_of(
+            scalars, st.lists(scalars, max_size=3),
+            st.dictionaries(st.text(max_size=3), scalars, max_size=2))
+        text = {"kind": KINDS, "family": FAMILIES, "generator": GENERATORS,
+                "out": ("o",)}
+        fields = {}
+        for f in dataclasses.fields(ExperimentConfig):
+            if f.name in text:
+                good = st.sampled_from(text[f.name])
+            elif f.name in ("eps_schedule", "indices"):
+                good = st.lists(st.one_of(numbers, numbers.map(str)),
+                                max_size=2)
+            else:
+                good = st.one_of(numbers, numbers.map(str))
+            # Three draws in four keep to the field's type, so that a
+            # fair share of configs build.
+            fields[f.name] = st.integers(0, 3).flatmap(
+                lambda i, good=good: good if i else junk)
+        kind = fields.pop("kind")
+        built = []
+
+        @settings(derandomize=True, database=None, deadline=None,
+                  max_examples=400)
+        @given(st.fixed_dictionaries({"kind": kind}, optional=fields))
+        def check(data):
+            try:
+                cfg = ExperimentConfig.from_dict(data)
+            except ConfigError:
+                return
+            DeltaSpec(cfg.hurst, cfg.d, cfg.n_trunc, cfg.eps)
+            built.append(cfg)
+
+        check()
+        assert built
 
     def test_f_labels_have_no_commas(self):
         cases = [
@@ -405,6 +453,28 @@ class TestExitCodes:
         assert main(["stransform", "--N", "200", "--eps", "0.1", "--out",
                      str(tmp_path)]) == 2
         assert "at most 170" in capsys.readouterr().err
+
+    def test_eps_beyond_the_double_range(self, tmp_path, capsys):
+        # float(10**400) raises OverflowError, which the finite-number
+        # check must turn into a config error
+        path = tmp_path / "cfg.json"
+        path.write_text('{"kind": "stransform", "eps": 1' + "0" * 400 + "}")
+        assert main(["stransform", "--config", str(path), "--out",
+                     str(tmp_path / "out")]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_seed_above_the_double_range_runs(self, tmp_path):
+        # numpy takes any seed >= 0; this one was refused as "not an
+        # integer" because it is no exact double
+        assert main(["mc", "--eps", "0.1", "--m", "4", "--paths", "8",
+                     "--seed", "99999999999999999999999", "--out",
+                     str(tmp_path)]) == 0
+
+    def test_underflowing_pair_kernels(self, tmp_path, capsys):
+        # this exited 0 with mc_local_time value=0.0 err=0.0
+        assert main(["mc", "--eps", "1e-300", "--m", "4", "--paths", "4",
+                     "--out", str(tmp_path)]) == 3
+        assert "underflowed" in capsys.readouterr().err
 
     def test_mc_requires_positive_eps(self, tmp_path):
         assert main(["mc", "--out", str(tmp_path)]) == 2

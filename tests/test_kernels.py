@@ -348,6 +348,18 @@ class TestSeries:
         assert rep.converged
         assert abs(rep.partial_sum - want) <= 10.0 * tol
 
+    def test_high_order_regularized_series_stays_finite(self):
+        # The order-n weight (eps + tau^(2H))^-(n+1/2) tau^(2n), formed as
+        # two factors, overflowed at eps = 1e-3 long before n = 120 and
+        # the partial sum read NaN.
+        rep = series_reconstruction(DeltaSpec(0.5, 1, 0, 1e-3),
+                                    gaussian_bump(0.5, 0.5, 0.3), 120,
+                                    tol=1e-6)
+        assert all(map(math.isfinite, rep.contributions))
+        # The order-60 partial sum and its reported budget, 6.25e-8.
+        budget = sum(rep.error_estimates) + 6.25e-8
+        assert abs(rep.partial_sum - 0.4993174324790911) <= budget
+
     def test_unconverged_is_reported_not_raised(self):
         # an order-0 cutoff leaves the whole deterministic term as the
         # last one, far above tolerance

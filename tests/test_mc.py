@@ -497,6 +497,13 @@ class TestEstimators:
         with pytest.raises(AccuracyError, match="underflowed"):
             mc_s_transform(ens, f, 0.05)
 
+    def test_underflowing_pair_kernels_raise(self):
+        # At eps = 1e-300 exp(-|dB|^2 / (2 eps)) is 0 at every pair; the
+        # estimate read 0 +- 0 against an analytic value of 0.53.
+        ens = sample_paths_cholesky(0.5, 1, make_midpoint_times(4), 4)
+        with pytest.raises(AccuracyError, match="underflowed"):
+            mc_local_time_regularized(ens, 1e-300)
+
     def test_truncated_pair_rule_matches_per_pair_loop(self):
         # Non-uniform times: every lag has its own weights and its own
         # pair variances, so a lag/diagonal mix-up changes the value.
