@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 
 class LoctimeError(Exception):
     """Base class for all package-specific errors."""
@@ -55,9 +57,11 @@ class AdmissibilityError(LoctimeError, ValueError):
 
 
 def _integer(name: str, value, least: int) -> int:
-    """``value`` as an int >= least; integral floats are accepted."""
+    """``value`` as an int >= least; integral floats are accepted, and
+    booleans are refused."""
     try:
-        if value >= least and value == int(value):
+        if (not isinstance(value, (bool, np.bool_)) and value >= least
+                and value == int(value)):
             return int(value)
     except (TypeError, ValueError, OverflowError):
         pass
@@ -79,10 +83,12 @@ def _order(name: str, value, least: int = 0) -> int:
 
 def _finite(name: str, value, least: float, *, strict: bool) -> float:
     """``value`` as a finite float >= least (> least when ``strict``);
-    a string is refused rather than parsed, and so is an int beyond the
-    double range."""
+    a string or a boolean is refused rather than converted, and so is an
+    int beyond the double range."""
     try:
-        if (value > least if strict else value >= least) and value < math.inf:
+        if (not isinstance(value, (bool, np.bool_))
+                and (value > least if strict else value >= least)
+                and value < math.inf):
             return float(value)
     except (TypeError, ValueError, OverflowError):
         pass

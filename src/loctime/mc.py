@@ -2,17 +2,19 @@
 
 Paths of d-dimensional fractional Brownian motion are simulated two
 ways: from the white-noise representation B_j(t) = sum_i K(t, x_i)
-dW_{j,i} on a truncated x-grid (which also exposes the noise
-coordinates needed for S-transform weighting), and from a Cholesky
+dW_{j,i} on a truncated x-grid (whose kernel matrix K also maps a test
+function to its Cameron-Martin drift), and from a Cholesky
 factorization of the exact covariance (the oracle generator, used to
 attribute discretization bias).
 
 Regularized self-intersection local times are estimated per path by a
-midpoint pair rule over the time triangle, and S-transforms by
-reweighting each path with the Wick exponential of its own noise.  The
-truncated functional subtracts, pair by pair, the low-order Hermite
-projections of the Gaussian kernel, so its weighted expectation closes
-in the discrete model exactly like the analytic truncated transform.
+midpoint pair rule over the time triangle.  The S-transform
+S F(f) = E[F(B + K(f dx))] is the same estimator on paths shifted by
+the drift K(f dx).  The truncated functional subtracts, pair by pair,
+the low-order Hermite projections of the Gaussian kernel, so its
+expectation on the shifted paths closes in the discrete model exactly
+like the analytic truncated transform.  Wick weights
+exp(<dW, f> - |f|^2/2) serve only ``mc_weight_check``.
 
 Everything is deterministic: path blocks draw from counter-based
 generators keyed by (seed, stream, block), and reductions run in fixed
@@ -24,7 +26,7 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -211,6 +213,9 @@ class WhiteNoiseGrid:
     tail_budget: float | None = None
 
     def __post_init__(self):
+        for name in ("x_lo", "x_hi"):
+            object.__setattr__(self, name, _finite(
+                name, getattr(self, name), -math.inf, strict=True))
         if not (self.x_lo < 0.0 < self.x_hi):
             raise ConfigError(
                 f"grid must bracket the origin, got [{self.x_lo}, {self.x_hi}]")
@@ -218,6 +223,8 @@ class WhiteNoiseGrid:
             raise ConfigError(
                 f"grid must cover kernel supports up to x = 1, got "
                 f"x_hi = {self.x_hi}")
+        _finite("grid width x_hi - x_lo", self.x_hi - self.x_lo, 0.0,
+                strict=True)
         object.__setattr__(self, "n_cells",
                            _integer("n_cells", self.n_cells, 8))
         object.__setattr__(self, "seed", _integer("seed", self.seed, 0))
@@ -290,8 +297,9 @@ class PathEnsemble:
 
     ``paths`` has shape (n_paths, len(times), d) with B(0) = 0 exactly
     in every path and component.  White-noise ensembles carry their
-    grid and stream so estimators can regenerate the underlying noise
-    block by block; Cholesky ensembles have no grid.
+    grid and stream, from which the S-transform estimator rebuilds the
+    kernel matrix and the weight check regenerates the noise block by
+    block; Cholesky ensembles have no grid.
     """
 
     hurst: Hurst
@@ -531,10 +539,10 @@ def sample_paths_cholesky(h, d: int, times, n_paths: int, stream: int = 0, *,
     """Simulate fBm paths with the exact covariance factorization.
 
     The reference generator: no x-truncation or cell-size bias, but
-    also no noise coordinates (so it cannot drive the S-transform
-    estimator).  Round-off can leave the covariance matrix marginally
-    indefinite; an escalating diagonal jitter up to 1e-6 of the mean
-    variance is applied before giving up.
+    also no noise grid (so it cannot drive the S-transform estimator).
+    Round-off can leave the covariance matrix marginally indefinite; an
+    escalating diagonal jitter up to 1e-6 of the mean variance is
+    applied before giving up.
     """
     hu = _hurst(h)
     d = _integer("d", d, 1)
@@ -603,15 +611,21 @@ def _pair_sums(ens: PathEnsemble, eps: float, subtract=None,
     column, since einsum sums a lone column by another loop.  The lag
     sums are added in increasing lag order, so a path's sum is
     bit-identical for any tiling and thread count, and (2 pi eps)^{-d/2}
-    multiplies each total once, at the end.  If every path's total is
-    exactly 0, the kernel underflowed at every pair: AccuracyError.
+    multiplies each total once, at the end.  If that constant overflows,
+    a total is not finite, or every path's total is exactly 0 (the
+    kernel underflowed at every pair), the sums raise AccuracyError.
     """
     m = ens.times.size - 1
     if m < 2:
         raise ConfigError("need at least two positive times for pair sums")
     d = ens.d
     w = _cell_widths(ens.times[1:])
-    pref = (_TWO_PI * eps) ** (-0.5 * d)
+    try:
+        pref = (_TWO_PI * eps) ** (-0.5 * d)
+    except OverflowError:
+        raise AccuracyError(
+            f"the Gaussian kernel's constant (2 pi eps)^(-d/2) is beyond "
+            f"the double range at eps = {eps:.3g}, d = {d}") from None
     scale = -0.5 / eps
     B = ens.paths[:, 1:, :]
 
@@ -624,25 +638,28 @@ def _pair_sums(ens: PathEnsemble, eps: float, subtract=None,
         part_buf = np.empty((m - 1) * cols) if d > 1 else None
         row = np.empty(cols)
         vals = np.zeros(cols)
-        for lag in range(1, m):
-            k = m - lag
-            sq = sq_buf[:k * cols].reshape(k, cols)
-            np.subtract(paths[0, lag:], paths[0, :-lag], out=sq)
-            np.square(sq, out=sq)
-            for c in range(1, d):
-                part = part_buf[:k * cols].reshape(k, cols)
-                np.subtract(paths[c, lag:], paths[c, :-lag], out=part)
-                np.square(part, out=part)
-                sq += part
-            if subtract is not None:
-                poly = subtract[lag - 1](sq)
-            np.multiply(sq, scale, out=sq)
-            np.exp(sq, out=sq)
-            w_lag = w[:-lag] * w[lag:]
-            np.einsum("ji,j->i", sq, w_lag, out=row)
-            if subtract is not None:
-                row -= np.einsum("ji,j->i", poly, w_lag)
-            vals += row
+        # |dB|^2 may overflow to inf, where the kernel is 0; a total that
+        # is not finite is refused below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lag in range(1, m):
+                k = m - lag
+                sq = sq_buf[:k * cols].reshape(k, cols)
+                np.subtract(paths[0, lag:], paths[0, :-lag], out=sq)
+                np.square(sq, out=sq)
+                for c in range(1, d):
+                    part = part_buf[:k * cols].reshape(k, cols)
+                    np.subtract(paths[c, lag:], paths[c, :-lag], out=part)
+                    np.square(part, out=part)
+                    sq += part
+                if subtract is not None:
+                    poly = subtract[lag - 1](sq)
+                np.multiply(sq, scale, out=sq)
+                np.exp(sq, out=sq)
+                w_lag = w[:-lag] * w[lag:]
+                np.einsum("ji,j->i", sq, w_lag, out=row)
+                if subtract is not None:
+                    row -= np.einsum("ji,j->i", poly, w_lag)
+                vals += row
         return pref * vals[:n]
 
     with _Pool(n_threads) as pool:
@@ -655,6 +672,11 @@ def _pair_sums(ens: PathEnsemble, eps: float, subtract=None,
             f"every pair sum is exactly 0 over {ens.n_paths} paths at "
             f"eps = {eps:.3g}: the Gaussian kernel underflowed at every "
             "pair, and the estimate would read 0 +- 0")
+    if not np.isfinite(sums).all():
+        raise AccuracyError(
+            f"a pair sum over {ens.n_paths} paths at eps = {eps:.3g} is "
+            "beyond the double range: |dB|^2 or a subtracted Hermite term "
+            "overflowed")
     return sums
 
 
@@ -690,9 +712,9 @@ def _truncation_subtractor(n_trunc: int, d: int, eps: float,
 
     a polynomial that needs no division by s and equals r^(2k)/k! at
     s = 0 (pairs whose increment the noise grid does not resolve).
-    Subtracting k < n_trunc makes the weighted estimator close exactly
-    onto exp_N in the discrete model.  The orders are summed here into
-    one polynomial in r^2 with per-pair coefficients
+    Subtracting k < n_trunc makes the estimator on drift-shifted paths
+    close exactly onto exp_N in the discrete model.  The orders are
+    summed here into one polynomial in r^2 with per-pair coefficients
 
         (eps/w)^{d/2} (-1/(2w))^i / i!
             sum_{i<=k<n_trunc} C(k+d/2-1, k-i) (s/w)^(k-i),
@@ -783,27 +805,30 @@ def mc_s_transform(ens: PathEnsemble, f, eps: float, n_trunc: int = 0, *,
                    n_threads: int | None = None) -> McEstimate:
     """Estimate the S-transform of the (truncated) regularized local time.
 
-    Each path's pair-rule functional is weighted by the Wick exponential
-    of the path's own noise against f.  For n_trunc >= 1 the functional
-    subtracts the Hermite projections of orders below n_trunc pair by
-    pair; conditional on the grids, the estimator's expectation is then
+    S F(f) = E[F(B + K(f dx))]: every path is shifted by the discrete
+    Cameron-Martin drift K (f dx), the kernel matrix applied to f at the
+    noise midpoints, and the pair-rule functional is averaged over the
+    shifted paths.  For n_trunc >= 1 the functional subtracts the
+    Hermite projections of orders below n_trunc pair by pair, at the
+    pair variances of the unshifted paths; conditional on the grids, the
+    estimator's expectation is then
 
         sum_{j<k} w_j w_k (2 pi (eps + s_jk))^{-d/2}
             exp_N(-|u_jk|^2 / (2 (eps + s_jk)))
 
     with s_jk the discrete pair variance and u_jk the discrete pairing,
     the exact pair-rule discretization of the analytic S-transform.
-    With f = 0 and n_trunc = 0 the result is bit-identical to
-    ``mc_local_time_regularized``.
+    At f = 0 the drift is exactly zero, so with n_trunc = 0 the result
+    is bit-identical to ``mc_local_time_regularized``.
     """
     _finite("the estimator's eps", eps, 0.0, strict=True)
     _require_whitenoise(ens, "the S-transform estimator")
     n_trunc = _order("truncation level", n_trunc)
-    fvals = _f_values(ens, f)
+    K = _kernel_matrix(ens.hurst, ens.times, ens.grid)
+    drift = K @ (_f_values(ens, f).T * ens.grid.dx)
 
     subtract = None
     if n_trunc >= 1:
-        K = _kernel_matrix(ens.hurst, ens.times, ens.grid)
         gram = (K * ens.grid.dx) @ K.T
         diag = np.diag(gram)[1:]
         # Lag diagonals are read below the diagonal, from gram[k, j] with
@@ -815,11 +840,9 @@ def mc_s_transform(ens: PathEnsemble, f, eps: float, n_trunc: int = 0, *,
                                            sigma_sq.diagonal(-lag)[:, None])
                     for lag in range(1, diag.size)]
 
-    per_path = _pair_sums(ens, eps, subtract=subtract, n_threads=n_threads)
-    if np.all(fvals == 0.0) and n_trunc == 0:
-        return _mc_reduce(per_path)
-    weights = _wick_weights(ens, fvals, n_threads=n_threads)
-    return _mc_reduce(per_path * weights)
+    shifted = replace(ens, paths=ens.paths + drift)
+    return _mc_reduce(_pair_sums(shifted, eps, subtract=subtract,
+                                 n_threads=n_threads))
 
 
 def mc_grid_bias(h, d: int, eps: float, m: int, n_paths: int,

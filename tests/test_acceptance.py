@@ -233,10 +233,10 @@ def test_criterion_08_mc_s_transform_closure():
     worst_c = max(g / a for _, _, g, a in closures)
     worst_w = max(g / a for _, g, a in wicks)
     ok = worst_c <= 1.0 and worst_w <= 1.0
-    _emit(8, ok, f"weighted S-transform vs analytic at eps=0.01, m=1024, "
-                 f"n=2500, H in {{0.5, 0.7}}, N in {{0, 1}}: worst gap = "
-                 f"{worst_c:.2f} of 3*stderr; Wick unit-mean deviation = "
-                 f"{worst_w:.2f} of 3*stderr", t0)
+    _emit(8, ok, f"drift-shifted S-transform vs analytic at eps=0.01, "
+                 f"m=1024, n=2500, H in {{0.5, 0.7}}, N in {{0, 1}}: "
+                 f"worst gap = {worst_c:.2f} of 3*stderr; Wick unit-mean "
+                 f"deviation = {worst_w:.2f} of 3*stderr", t0)
     for h, n, gap, allow in closures:
         assert gap <= allow, (h, n, gap, allow)
     for h, gap, allow in wicks:

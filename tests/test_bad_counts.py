@@ -42,11 +42,13 @@ COUNTS = [
 
 
 def not_a_count(least):
-    """Non-integers, NaN, +-inf, strings and integers below ``least``."""
+    """Non-integers, NaN, +-inf, strings, booleans and integers below
+    ``least``."""
     return st.one_of(
         st.sampled_from([math.nan, math.inf, -math.inf]),
         st.floats().filter(lambda x: not (x >= least and x.is_integer())),
         st.text(),
+        st.booleans(),
         st.integers(max_value=least - 1))
 
 
@@ -86,6 +88,11 @@ BAD_VALUES = [
     ("WhiteNoiseGrid tail budget", lambda: WhiteNoiseGrid(tail_budget="x")),
     ("required_x_lo budget", lambda: GRID.required_x_lo(0.3, "x")),
     ("gaussian_bump amplitude", lambda: gaussian_bump("x")),
+    ("WhiteNoiseGrid x_lo string", lambda: WhiteNoiseGrid(x_lo="a")),
+    ("WhiteNoiseGrid x_lo -inf", lambda: WhiteNoiseGrid(x_lo=-math.inf)),
+    ("WhiteNoiseGrid x_hi inf", lambda: WhiteNoiseGrid(x_hi=math.inf)),
+    ("WhiteNoiseGrid span beyond the double range",
+     lambda: WhiteNoiseGrid(x_lo=-1e308, x_hi=1e308)),
 ]
 
 

@@ -438,10 +438,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("field", [
         '"d": "abc"', '"hurst": null', '"eps_schedule": 5', '"d": 1.5',
-        '"out": 5'])
+        '"out": 5', '"d": true'])
     def test_malformed_config_field(self, tmp_path, capsys, field):
         # these ended in a ValueError or TypeError traceback, and d = 1.5
-        # ran as d = 1
+        # and d = true ran as d = 1
         path = tmp_path / "cfg.json"
         path.write_text('{"kind": "ops", ' + field + '}')
         assert main(["ops", "--config", str(path), "--out",
@@ -475,6 +475,13 @@ class TestExitCodes:
         assert main(["mc", "--eps", "1e-300", "--m", "4", "--paths", "4",
                      "--out", str(tmp_path)]) == 3
         assert "underflowed" in capsys.readouterr().err
+
+    def test_overflowing_pair_kernel_constant(self, tmp_path, capsys):
+        # (2 pi 1e-300)^(-3/2) is no double: this ended in an
+        # OverflowError traceback
+        assert main(["mc", "--eps", "1e-300", "--d", "3", "--m", "4",
+                     "--paths", "4", "--out", str(tmp_path)]) == 3
+        assert "double range" in capsys.readouterr().err
 
     def test_mc_requires_positive_eps(self, tmp_path):
         assert main(["mc", "--out", str(tmp_path)]) == 2

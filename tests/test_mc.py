@@ -231,6 +231,27 @@ class TestSampling:
         with pytest.raises(ConfigError):
             sample_paths_whitenoise(0.5, "2", times, WhiteNoiseGrid(), 8)
 
+    def test_kernel_matrix_nudges_singular_midpoints(self):
+        # Cells of width 1/2 from -3 put noise midpoints exactly on the
+        # times 1/4 and 3/4, where the H < 1/2 kernel is infinite; those
+        # nodes move right by 1e-9 of a cell.
+        grid = WhiteNoiseGrid(x_lo=-3.0, x_hi=1.0, n_cells=8)
+        times = make_midpoint_times(2)
+        hu = Hurst(0.3)
+        x = grid.midpoints
+        K = mc._kernel_matrix(hu, times, grid)
+        assert not K[0].any()
+        for k, t in enumerate(times[1:], 1):
+            hit = (x == 0.0) | (x == t)
+            assert hit.any()
+            nudged = np.where(hit, x + 1e-9 * grid.dx, x)
+            assert np.array_equal(
+                K[k], increment_kernel(hu, Interval(0.0, t), nudged))
+        ens = sample_paths_whitenoise(hu, 1, times, grid, 16)
+        assert np.all(np.isfinite(ens.paths))
+        est = mc_s_transform(ens, gaussian_bump(0.5, 0.4, 0.3), 0.05, 1)
+        assert math.isfinite(est.mean) and est.stderr > 0.0
+
     def test_whitenoise_restriction_matches_direct_sampling(self):
         # Path values depend only on each time's kernel row, so sampling
         # on a union grid and restricting must reproduce the direct run
@@ -323,7 +344,7 @@ def _discrete_gram(ens):
 
 
 def _discrete_transform(ens, f, eps, n_trunc):
-    """Pair-rule expectation of the weighted estimator, computed directly.
+    """Pair-rule expectation of the S-transform estimator, computed directly.
 
     Conditional on the noise grid, each pair contributes
     w_j w_k (2 pi (eps + s))^{-d/2} exp_N(-|u|^2 / (2 (eps + s))) with
@@ -487,7 +508,10 @@ class TestEstimators:
 
     def test_underflowing_weights_raise(self):
         # At amplitude 200 every weight exp(<dW, f> - |f|^2/2) is below
-        # the smallest double; the mean would read 0 +- 0.
+        # the smallest double, so the weight check's mean would read
+        # 0 +- 0.  The S-transform estimator raises for another reason:
+        # the drift K(f dx) moves the two times of the pair so far apart
+        # that every shifted pair kernel exp(-|dB|^2 / (2 eps)) underflows.
         grid = WhiteNoiseGrid()
         ens = sample_paths_whitenoise(0.5, 1, make_midpoint_times(2),
                                       grid, 512)
@@ -499,10 +523,23 @@ class TestEstimators:
 
     def test_underflowing_pair_kernels_raise(self):
         # At eps = 1e-300 exp(-|dB|^2 / (2 eps)) is 0 at every pair; the
-        # estimate read 0 +- 0 against an analytic value of 0.53.
-        ens = sample_paths_cholesky(0.5, 1, make_midpoint_times(4), 4)
-        with pytest.raises(AccuracyError, match="underflowed"):
-            mc_local_time_regularized(ens, 1e-300)
+        # estimate read 0 +- 0 against an analytic value of 0.53.  At
+        # d = 3 the constant (2 pi eps)^{-3/2} is beyond the double range
+        # first; that ended in an OverflowError traceback.
+        for d, match in ((1, "underflowed"), (3, "double range")):
+            ens = sample_paths_cholesky(0.5, d, make_midpoint_times(4), 4)
+            with pytest.raises(AccuracyError, match=match):
+                mc_local_time_regularized(ens, 1e-300)
+
+    def test_overflowing_shifted_pair_sums_raise(self):
+        # At amplitude 1e160 the drift puts |dB|^2 beyond the double
+        # range, so the order-2 subtractor's r^2 term is infinite; the
+        # estimate read inf +- nan.
+        ens = sample_paths_whitenoise(0.5, 1, make_midpoint_times(4),
+                                      WhiteNoiseGrid(n_cells=64), 4)
+        f = gaussian_bump(1e160, 0.5, 0.3)
+        with pytest.raises(AccuracyError, match="double range"):
+            mc_s_transform(ens, f, 0.05, 2)
 
     def test_truncated_pair_rule_matches_per_pair_loop(self):
         # Non-uniform times: every lag has its own weights and its own
@@ -515,11 +552,9 @@ class TestEstimators:
         eps, n_trunc = 0.05, 2
         est = mc_s_transform(ens, f, eps, n_trunc=n_trunc)
 
-        _, gram = _discrete_gram(ens)
+        K, gram = _discrete_gram(ens)
         fv = np.stack([fj.eval(grid.midpoints) for fj in f])
-        dW = grid.increments(2, ens.n_paths, ens.stream, 0)
-        weights = np.exp(np.sum(dW * fv[None], axis=(1, 2))
-                         - 0.5 * float(np.sum(fv * fv)) * grid.dx)
+        drift = K @ fv.T * grid.dx
         w = _voronoi_widths(times[1:])
         m = times.size - 1
         vals = []
@@ -530,14 +565,15 @@ class TestEstimators:
                     s_jk = gram[j, j] + gram[k, k] - 2.0 * gram[k, j]
                     subtract = _truncation_subtractor(
                         n_trunc, 2, eps, np.array([s_jk]))
-                    db = ens.paths[p, k] - ens.paths[p, j]
+                    db = ((ens.paths[p, k] + drift[k])
+                          - (ens.paths[p, j] + drift[j]))
                     r_sq = float(db @ db)
                     # The subtractor is in units of (2 pi eps)^{-d/2}.
                     phi = ((2.0 * math.pi * eps) ** -1.0
                            * (math.exp(-0.5 * r_sq / eps)
                               - subtract(np.array([r_sq]))[0]))
                     total += w[j - 1] * w[k - 1] * phi
-            vals.append(total * weights[p])
+            vals.append(total)
         assert est.mean == pytest.approx(np.mean(vals), rel=1e-12)
         assert est.stderr == pytest.approx(
             np.std(vals, ddof=1) / math.sqrt(len(vals)), rel=1e-12)
@@ -573,6 +609,22 @@ class TestEstimators:
         est = mc_s_transform(ens, f, eps, n_trunc=n_trunc)
         want = _discrete_transform(ens, f, eps, n_trunc)
         assert abs(est.mean - want) < 5 * est.stderr
+
+    @pytest.mark.parametrize("h", [0.3, 0.7])
+    @pytest.mark.parametrize("n_trunc", [0, 1])
+    def test_shifted_paths_close_at_large_f(self, h, n_trunc):
+        # |f|_2 = 2.9: a Wick weight of this f has variance e^8.5 - 1, so
+        # reweighting unshifted paths cannot meet the stderr bound; the
+        # shifted paths keep the spread of the unweighted functional.
+        grid = WhiteNoiseGrid(x_lo=-12.0, n_cells=768)
+        ens = sample_paths_whitenoise(h, 1, make_midpoint_times(32), grid,
+                                      3000)
+        f = VectorTestFunction((gaussian_bump(4.0, 0.5, 0.3),))
+        eps = 0.01
+        est = mc_s_transform(ens, f, eps, n_trunc)
+        want = _discrete_transform(ens, f, eps, n_trunc)
+        assert abs(est.mean - want) < 3 * est.stderr
+        assert est.stderr <= 0.03 * abs(want)
 
     def test_truncation_removes_deterministic_term(self):
         # Subtracting the order-0 projection shifts every path value by
