@@ -17,8 +17,13 @@ like the analytic truncated transform.  Wick weights
 exp(<dW, f> - |f|^2/2) serve only ``mc_weight_check``.
 
 Everything is deterministic: path blocks draw from counter-based
-generators keyed by (seed, stream, block), and reductions run in fixed
-order, so results are bit-identical for any worker count.
+generators keyed by (seed, stream, block), reductions run in fixed
+order, and every BLAS or LAPACK call runs in the calling thread on
+operands whose shapes follow from the inputs alone, so results are
+bit-identical for any worker count (``n_threads``, LOCTIME_THREADS).
+Values that pass through BLAS or LAPACK (the Cholesky factor and the
+paths drawn with it, the S-transform's drift and Gram matrix) depend on
+the BLAS build and its own thread setting, never on the worker count.
 """
 
 from __future__ import annotations
@@ -33,7 +38,8 @@ import numpy as np
 
 from .errors import (AccuracyError, ConfigError, ConsistencyError, _finite,
                      _integer, _order)
-from .fracops import Hurst, Interval, _hurst, _kernel_scale, increment_kernel
+from .fracops import (Hurst, Interval, _hurst, _kernel_scale, _plus_power,
+                      increment_kernel)
 from .quadrature import integrate_interval
 from .testfunctions import _as_bundle
 
@@ -186,6 +192,27 @@ def make_midpoint_times(m: int) -> np.ndarray:
     return np.concatenate([[0.0], (np.arange(m) + 0.5) / m])
 
 
+def _time_grid(times) -> np.ndarray:
+    """``times`` as a float grid 0 = t_0 < t_1 < ... <= 1 with at least
+    one positive time, or ConfigError; the check of both samplers and
+    ``PathEnsemble``, made before any work on the grid."""
+    try:
+        raw = np.asarray(times)
+    except (TypeError, ValueError):  # a ragged list
+        raw = None
+    if (raw is None or raw.dtype.kind not in "iuf" or raw.ndim != 1
+            or raw.size < 2):
+        raise ConfigError(
+            "time grid must be a one-dimensional array of numbers that "
+            "holds 0 and at least one positive time")
+    t = raw.astype(float)
+    if t[0] != 0.0 or not np.all(np.diff(t) > 0.0):
+        raise ConfigError("time grid must start at 0 and increase strictly")
+    if t[-1] > 1.0:
+        raise ConfigError("time grid must stay within [0, 1]")
+    return t
+
+
 def _cell_widths(times_pos: np.ndarray) -> np.ndarray:
     """Voronoi cell widths of the positive times within [0, 1]."""
     edges = np.concatenate([[0.0],
@@ -309,13 +336,7 @@ class PathEnsemble:
     stream: int = 0
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        if (times.ndim != 1 or times[0] != 0.0
-                or not np.all(np.diff(times) > 0.0)):
-            raise ConfigError(
-                "time grid must start at 0 and increase strictly")
-        if times[-1] > 1.0:
-            raise ConfigError("time grid must stay within [0, 1]")
+        times = _time_grid(self.times)
         if self.paths.ndim != 3 or self.paths.shape[1] != times.size:
             raise ConfigError(
                 f"paths shape {self.paths.shape} does not match "
@@ -447,34 +468,47 @@ def _map_rows(fn: Callable[[int, int], np.ndarray],
     return out
 
 
+def _block_waves(draw: Callable[[int, int], np.ndarray], n_paths: int,
+                 pool: _Pool):
+    """Yield (wave, drawn): the RNG blocks of n_paths paths, one per thread
+    in a wave, with the draws draw(b, n) of each block b of n paths.
+
+    Blocks hold BLOCK paths (the last one the rest) and ``draw`` keys its
+    generator by b, so the draws do not depend on the thread count.
+    ``wave`` lists the blocks' row ranges (lo, hi); their draws run in
+    parallel.
+    """
+    blocks = _tiles(0, n_paths, BLOCK)
+    for w in range(0, len(blocks), pool.n_threads):
+        wave = blocks[w:w + pool.n_threads]
+        yield wave, pool.run([functools.partial(draw, b, hi - lo)
+                              for b, (lo, hi) in enumerate(wave, w)])
+
+
 def _map_blocks(draw: Callable[[int, int], np.ndarray],
                 apply: Callable[[np.ndarray], np.ndarray], n_paths: int,
                 n_threads: int | None, out: np.ndarray) -> np.ndarray:
     """Fill out with apply(draw(b, n)) over the RNG blocks b of n paths.
 
-    Blocks hold BLOCK paths (the last one the rest) and ``draw`` keys its
-    generator by b, so the draws do not depend on the thread count.
-    Blocks go in waves of one per thread: the wave's draws run in
-    parallel, then ``apply`` on row tiles of the drawn blocks, split so
-    that every thread has a share even when there is a single block;
-    the floor is counted in bytes of ``out``, which tracks the work of
-    ``apply``.  ``apply`` must give each row the same bits in a tile of
-    any size.
+    Per wave of ``_block_waves``, ``apply`` runs on row tiles of the
+    drawn blocks, split so that every thread has a share even when there
+    is a single block; the floor is counted in bytes of ``out``, which
+    tracks the work of ``apply``.  ``apply`` must give each row the same
+    bits in a tile of any size, so it may not be a BLAS product, whose
+    bits depend on the shape (the Cholesky sampler keeps its products
+    whole, one per block).
     """
-    blocks = _tiles(0, n_paths, BLOCK)
     with _Pool(n_threads) as pool:
-        width = pool.n_threads
-        for w in range(0, len(blocks), width):
-            wave = blocks[w:w + width]
-            drawn = pool.run([functools.partial(draw, b, hi - lo)
-                              for b, (lo, hi) in enumerate(wave, w)])
+        for wave, drawn in _block_waves(draw, n_paths, pool):
+            first = wave[0][0]
 
             def fn(lo: int, hi: int) -> np.ndarray:
                 start = lo // BLOCK * BLOCK
-                return apply(drawn[lo // BLOCK - w][lo - start:hi - start])
+                return apply(drawn[(lo - first) // BLOCK][lo - start:
+                                                          hi - start])
 
-            rows = _tile_rows(wave[-1][1] - wave[0][0], out[:1].nbytes,
-                              width)
+            rows = _tile_rows(wave[-1][1] - first, out[:1].nbytes,
+                              pool.n_threads)
             _map_rows(fn, [t for lo, hi in wave for t in _tiles(lo, hi, rows)],
                       pool, out)
     return out
@@ -482,22 +516,25 @@ def _map_blocks(draw: Callable[[int, int], np.ndarray],
 
 def _kernel_matrix(hu: Hurst, times: np.ndarray,
                    grid: WhiteNoiseGrid) -> np.ndarray:
-    """K[k, i] = (K1_[0, t_k])(x_i) at cell midpoints; row 0 is zero."""
+    """K[k, i] = (K1_[0, t_k])(x_i) at cell midpoints; row 0 is zero.
+
+    Row k is ``increment_kernel(hu, Interval(0, t_k), x)`` bit for bit.
+    The term (0 - x)_+^a that every row subtracts is formed once, and
+    since the midpoints increase, a row's power (t_k - x)_+^a is taken
+    on its prefix x < t_k alone; both terms vanish beyond it.
+    """
     x = grid.midpoints
+    if hu.a < 0.0:
+        # A midpoint landing exactly on the kernel singularity x = 0 is a
+        # measure-zero grid accident; nudge it by a deterministic
+        # fraction of a cell.  One on x = t_k lies outside the prefix.
+        x = np.where(x == 0.0, x + 1e-9 * grid.dx, x)
+    c = _kernel_scale(hu.h)
+    origin = _plus_power(0.0 - x, hu.a)
     K = np.zeros((times.size, x.size))
-    for k, t in enumerate(times):
-        if t == 0.0:
-            continue
-        xs = x
-        if hu.a < 0.0:
-            hit = (xs == 0.0) | (xs == t)
-            if np.any(hit):
-                # A midpoint landing exactly on a kernel singularity is a
-                # measure-zero grid accident; nudge those nodes by a
-                # deterministic fraction of a cell.
-                xs = xs.copy()
-                xs[hit] += 1e-9 * grid.dx
-        K[k] = increment_kernel(hu, Interval(0.0, t), xs)
+    for k, t in enumerate(times[1:], 1):
+        n = np.searchsorted(x, t)
+        K[k, :n] = c * ((t - x[:n]) ** hu.a - origin[:n])
     return K
 
 
@@ -515,7 +552,7 @@ def sample_paths_whitenoise(h, d: int, times, grid: WhiteNoiseGrid,
     d = _integer("d", d, 1)
     n_paths = _integer("n_paths", n_paths, 1)
     stream = _integer("stream", stream, 0)
-    times = np.asarray(times, dtype=float)
+    times = _time_grid(times)
     grid.validate(hu)
     K = _kernel_matrix(hu, times, grid)
 
@@ -533,26 +570,13 @@ def sample_paths_whitenoise(h, d: int, times, grid: WhiteNoiseGrid,
                         stream=stream)
 
 
-def sample_paths_cholesky(h, d: int, times, n_paths: int, stream: int = 0, *,
-                          seed: int = 0,
-                          n_threads: int | None = None) -> PathEnsemble:
-    """Simulate fBm paths with the exact covariance factorization.
+def _covariance_factor(hu: Hurst, pos: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of the fBm covariance at the times ``pos``.
 
-    The reference generator: no x-truncation or cell-size bias, but
-    also no noise grid (so it cannot drive the S-transform estimator).
     Round-off can leave the covariance matrix marginally indefinite; an
     escalating diagonal jitter up to 1e-6 of the mean variance is
     applied before giving up.
     """
-    hu = _hurst(h)
-    d = _integer("d", d, 1)
-    n_paths = _integer("n_paths", n_paths, 1)
-    stream = _integer("stream", stream, 0)
-    seed = _integer("seed", seed, 0)
-    times = np.asarray(times, dtype=float)
-    if times[0] != 0.0:
-        raise ConfigError("time grid must start at 0")
-    pos = times[1:]
     mm = pos.size
     two_h = 2.0 * hu.h
     cov = 0.5 * (pos[:, None] ** two_h + pos[None, :] ** two_h
@@ -569,19 +593,45 @@ def sample_paths_cholesky(h, d: int, times, n_paths: int, stream: int = 0, *,
         raise ConsistencyError(
             f"covariance factorization failed for H={hu.h:g} with {mm} "
             "times even with relative jitter 1e-6")
+    return chol
 
+
+def sample_paths_cholesky(h, d: int, times, n_paths: int, stream: int = 0, *,
+                          seed: int = 0,
+                          n_threads: int | None = None) -> PathEnsemble:
+    """Simulate fBm paths with the exact covariance factorization.
+
+    The reference generator: no x-truncation or cell-size bias, but
+    also no noise grid (so it cannot drive the S-transform estimator).
+    Each RNG block draws z of shape (n d, m), row j d + c for component
+    c of the block's path j, and its paths are the one BLAS product
+    z @ chol.T.  The draws of a wave run on the threads; the products
+    run in the calling thread, each on a whole block, so their shapes,
+    and with them the bits, depend on the block layout only.  The paths
+    thus depend on the BLAS build and its own thread setting, as the
+    LAPACK factor does, but never on ``n_threads``.
+    """
+    hu = _hurst(h)
+    d = _integer("d", d, 1)
+    n_paths = _integer("n_paths", n_paths, 1)
+    stream = _integer("stream", stream, 0)
+    seed = _integer("seed", seed, 0)
+    times = _time_grid(times)
+    mm = times.size - 1
+    chol_t = _covariance_factor(hu, times[1:]).T
     out = np.empty((n_paths, times.size, d))
+    out[:, 0, :] = 0.0
 
     def draw(b: int, n: int) -> np.ndarray:
         ss = np.random.SeedSequence((seed, stream, b))
         rng = np.random.Generator(np.random.Philox(ss))
-        return rng.standard_normal(size=(n, d, mm))
+        return rng.standard_normal(size=(n * d, mm))
 
-    def apply(z: np.ndarray) -> np.ndarray:
-        return np.einsum("jdm,km->jkd", z, chol, optimize=False)
-
-    _map_blocks(draw, apply, n_paths, n_threads, out[:, 1:, :])
-    out[:, 0, :] = 0.0
+    with _Pool(n_threads) as pool:
+        for wave, drawn in _block_waves(draw, n_paths, pool):
+            for (lo, hi), z in zip(wave, drawn):
+                out[lo:hi, 1:] = (z @ chol_t).reshape(
+                    hi - lo, d, mm).transpose(0, 2, 1)
     return PathEnsemble(hurst=hu, times=times, paths=out, stream=stream)
 
 
@@ -695,9 +745,10 @@ def mc_local_time_regularized(ens: PathEnsemble, eps: float, *,
     return _mc_reduce(_pair_sums(ens, eps, n_threads=n_threads))
 
 
-def _truncation_subtractor(n_trunc: int, d: int, eps: float,
-                           sigma_sq: np.ndarray):
-    """Per-pair function of r^2 = |dB|^2 removing chaos orders below n_trunc.
+def _subtractor_coeffs(n_trunc: int, d: int, eps: float,
+                       sigma_sq: np.ndarray) -> list[np.ndarray]:
+    """Coefficients, per pair, of the polynomial in r^2 = |dB|^2 that
+    removes chaos orders below n_trunc (lowest order first).
 
     The order-2k Hermite projection of p_eps(dB) for a centered
     Gaussian pair increment of per-component variance s = sigma^2 is
@@ -743,14 +794,45 @@ def _truncation_subtractor(n_trunc: int, d: int, eps: float,
         raise AccuracyError(
             f"the truncation subtractor of order {n_trunc} at d = {d}, "
             f"eps = {eps:.3g} has coefficients beyond the double range")
+    return coeffs
 
-    def subtract(r_sq: np.ndarray) -> np.ndarray:
-        out = coeffs[-1]
-        for c in reversed(coeffs[:-1]):
-            out = out * r_sq + c
-        return out
 
-    return subtract
+def _horner(coeffs: list[np.ndarray], r_sq: np.ndarray) -> np.ndarray:
+    out = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        out = out * r_sq + c
+    return out
+
+
+def _truncation_subtractor(n_trunc: int, d: int, eps: float,
+                           sigma_sq: np.ndarray):
+    """Per-pair function of r^2 = |dB|^2 removing chaos orders below
+    n_trunc, at the pair variances ``sigma_sq``."""
+    return functools.partial(_horner,
+                             _subtractor_coeffs(n_trunc, d, eps, sigma_sq))
+
+
+def _lag_subtractors(n_trunc: int, d: int, eps: float,
+                     gram: np.ndarray) -> list:
+    """The truncation subtractors of lags 1, ..., m - 1, as ``_pair_sums``
+    takes them, from the Gram matrix of the m + 1 times (t_0 = 0 first).
+
+    The diagonals of the pair-variance matrix s_jk = g_jj + g_kk - 2 g_kj,
+    one per lag, are laid out lag after lag in one column, so the
+    coefficients are computed once, and each lag reads its slice, one
+    contiguous row per pair.  Each value is the one a subtractor of that
+    lag alone gives, bit for bit.
+    """
+    diag = np.diag(gram)[1:]
+    sigma_sq = diag[:, None] + diag[None, :] - 2.0 * gram[1:, 1:]
+    by_lag = [sigma_sq.diagonal(-lag) for lag in range(1, diag.size)]
+    if not by_lag:
+        return []
+    coeffs = _subtractor_coeffs(n_trunc, d, eps,
+                                np.concatenate(by_lag)[:, None])
+    starts = np.cumsum([0] + [v.size for v in by_lag])
+    return [functools.partial(_horner, [c[lo:hi] for c in coeffs])
+            for lo, hi in zip(starts[:-1], starts[1:])]
 
 
 def _wick_weights(ens: PathEnsemble, fvals: np.ndarray, *,
@@ -829,16 +911,10 @@ def mc_s_transform(ens: PathEnsemble, f, eps: float, n_trunc: int = 0, *,
 
     subtract = None
     if n_trunc >= 1:
-        gram = (K * ens.grid.dx) @ K.T
-        diag = np.diag(gram)[1:]
-        # Lag diagonals are read below the diagonal, from gram[k, j] with
-        # k > j: the BLAS product is symmetric only up to rounding.
-        sigma_sq = diag[:, None] + diag[None, :] - 2.0 * gram[1:, 1:]
-        # A column of one row per pair of the lag, as _pair_sums lays
-        # the lag's pairs out.
-        subtract = [_truncation_subtractor(n_trunc, ens.d, eps,
-                                           sigma_sq.diagonal(-lag)[:, None])
-                    for lag in range(1, diag.size)]
+        # K scaled in place by sqrt(dx): numpy takes K @ K.T as one
+        # symmetric rank-k update, so the Gram matrix is exactly symmetric.
+        K *= math.sqrt(ens.grid.dx)
+        subtract = _lag_subtractors(n_trunc, ens.d, eps, K @ K.T)
 
     shifted = replace(ens, paths=ens.paths + drift)
     return _mc_reduce(_pair_sums(shifted, eps, subtract=subtract,

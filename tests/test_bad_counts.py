@@ -1,6 +1,7 @@
 """Property test: every count or order argument refuses what is not an
 integer in its range with ``ConfigError``, before any heavy work."""
 
+import functools
 import math
 
 import pytest
@@ -94,6 +95,23 @@ BAD_VALUES = [
     ("WhiteNoiseGrid span beyond the double range",
      lambda: WhiteNoiseGrid(x_lo=-1e308, x_hi=1e308)),
 ]
+
+# Bad time grids; each ended in an IndexError, ZeroDivisionError or
+# ValueError traceback, or (negative times) in a RuntimeWarning first.
+BAD_TIME_GRIDS = [
+    ("empty", []),
+    ("zero alone", [0.0]),
+    ("2-D", [[0.0, 0.5]]),
+    ("strings", ["0", "a"]),
+    ("negative", [0.0, -0.5, -0.25]),
+    ("ragged", [0.0, [0.5, 1.0]]),
+]
+BAD_VALUES += [
+    (f"{name} {grid_name} time grid", functools.partial(call, grid))
+    for grid_name, grid in BAD_TIME_GRIDS
+    for name, call in (
+        ("cholesky", lambda t: sample_paths_cholesky(0.5, 1, t, 4)),
+        ("whitenoise", lambda t: sample_paths_whitenoise(0.5, 1, t, GRID, 4)))]
 
 
 @pytest.mark.parametrize("call", [c[1] for c in BAD_VALUES],

@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 import subprocess
 import sys
 import threading
@@ -230,6 +231,36 @@ class TestSampling:
             sample_paths_cholesky(0.5, 1, times, 8.5)
         with pytest.raises(ConfigError):
             sample_paths_whitenoise(0.5, "2", times, WhiteNoiseGrid(), 8)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_cholesky_products_match_einsum(self, d):
+        # The thread tests pass for any deterministic layout; this pins
+        # row j d + c of a block's product to component c of path j, in
+        # all three blocks of 1,100 paths.
+        times = make_midpoint_times(64)
+        n_paths, stream, seed = 1100, 2, 5
+        chol = mc._covariance_factor(Hurst(0.3), times[1:])
+        z = np.concatenate([
+            np.random.Generator(np.random.Philox(
+                np.random.SeedSequence((seed, stream, b))))
+            .standard_normal(size=(hi - lo, d, 64))
+            for b, (lo, hi) in enumerate(mc._tiles(0, n_paths, BLOCK))])
+        want = np.einsum("jdm,km->jkd", z, chol)
+        got = sample_paths_cholesky(0.3, d, times, n_paths, stream,
+                                    seed=seed).paths
+        assert not got[:, 0].any()
+        assert (np.max(np.abs(got[:, 1:] - want))
+                <= 1e-13 * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("h", [0.3, 0.5, 0.7])
+    def test_kernel_matrix_rows_are_increment_kernels(self, h):
+        grid = WhiteNoiseGrid()
+        times = make_midpoint_times(64)
+        K = mc._kernel_matrix(Hurst(h), times, grid)
+        assert not K[0].any()
+        for k, t in enumerate(times[1:], 1):
+            assert np.array_equal(
+                K[k], increment_kernel(h, Interval(0.0, t), grid.midpoints))
 
     def test_kernel_matrix_nudges_singular_midpoints(self):
         # Cells of width 1/2 from -3 put noise midpoints exactly on the
@@ -746,6 +777,25 @@ class TestTruncationSubtractor:
         want, largest = _hermite_subtractor(n_trunc, d, eps, sigma_sq, db)
         assert np.max(np.abs(got - want)) <= 1e-10 * largest
 
+    @pytest.mark.parametrize("n_trunc, d", [(1, 1), (2, 1), (3, 2)])
+    def test_lag_subtractors_match_per_lag_construction(self, n_trunc, d):
+        # Non-uniform times, so every lag has its own pair variances.
+        times = np.array([0.0, 0.05, 0.1, 0.15, 0.4, 0.7, 0.72, 0.95])
+        grid = WhiteNoiseGrid(x_lo=-8.0, n_cells=256)
+        K = mc._kernel_matrix(Hurst(0.7), times, grid) * math.sqrt(grid.dx)
+        gram = K @ K.T
+        diag = np.diag(gram)[1:]
+        sigma_sq = diag[:, None] + diag[None, :] - 2.0 * gram[1:, 1:]
+        eps = 0.05
+        got = mc._lag_subtractors(n_trunc, d, eps, gram)
+        assert len(got) == diag.size - 1
+        rng = np.random.default_rng(n_trunc)
+        for lag, subtract in enumerate(got, 1):
+            r_sq = rng.uniform(0.0, 1.0, (diag.size - lag, 3))
+            want = _truncation_subtractor(
+                n_trunc, d, eps, sigma_sq.diagonal(-lag)[:, None])
+            assert np.array_equal(subtract(r_sq), want(r_sq))
+
     def test_truncated_estimator_imports_no_scipy(self):
         # Importing scipy costs more than the whole Monte Carlo setup.
         code = (
@@ -882,6 +932,32 @@ class TestRowTiles:
                 assert np.array_equal(
                     sample_paths_whitenoise(0.7, d, times, grid, n_paths,
                                             n_threads=n).paths, wn.paths)
+
+    def test_identical_across_threads_with_one_blas_thread(self):
+        # perfbench pins OpenBLAS to one thread; the suite otherwise runs
+        # with OpenBLAS unpinned.
+        code = (
+            "import hashlib\n"
+            "from loctime.mc import (WhiteNoiseGrid, make_midpoint_times,\n"
+            "                        mc_s_transform, sample_paths_cholesky,\n"
+            "                        sample_paths_whitenoise)\n"
+            "from loctime.testfunctions import gaussian_bump\n"
+            "times = make_midpoint_times(64)\n"
+            "wn = sample_paths_whitenoise(0.7, 1, times,\n"
+            "                             WhiteNoiseGrid(n_cells=256), 600)\n"
+            "f = gaussian_bump(0.3, 0.4, 0.3)\n"
+            "for n in (1, 3):\n"
+            "    chol = sample_paths_cholesky(0.3, 2, times, 1100,\n"
+            "                                 n_threads=n)\n"
+            "    est = mc_s_transform(wn, f, 0.05, 1, n_threads=n)\n"
+            "    print(hashlib.sha256(chol.paths.tobytes()).hexdigest(),\n"
+            "          est.mean.hex(), est.stderr.hex())\n")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        one, three = proc.stdout.splitlines()
+        assert one == three
 
     def test_small_calls_start_no_thread(self, monkeypatch):
         def refuse(self):
