@@ -89,6 +89,10 @@ class Interval:
     t: float
 
     def __post_init__(self):
+        for end in ("s", "t"):
+            object.__setattr__(self, end, _finite(
+                f"interval end {end}", getattr(self, end), -math.inf,
+                strict=True))
         if not (self.t > self.s):
             raise ConfigError(
                 f"degenerate interval: need s < t, got [{self.s}, {self.t}]")
@@ -101,8 +105,12 @@ class Interval:
 def _interval(iv) -> Interval:
     if isinstance(iv, Interval):
         return iv
-    s, t = iv
-    return Interval(float(s), float(t))
+    try:
+        s, t = iv
+    except (TypeError, ValueError):
+        raise ConfigError(
+            f"an interval must be a pair (s, t), got {iv!r}") from None
+    return Interval(s, t)
 
 
 def _kernel_scale(h: float) -> float:
@@ -218,7 +226,9 @@ def dual_apply(h, f: TestFunction, x: float, tol: float = 1e-9) -> float:
     norms and support radius are honest.
     """
     hu = _hurst(h)
-    return float(_dual_apply_many(hu, f, np.array([float(x)]), tol)[0])
+    x = _finite("point x", x, -math.inf, strict=True)
+    tol = _finite("tolerance", tol, 0.0, strict=True)
+    return float(_dual_apply_many(hu, f, np.array([x]), tol)[0])
 
 
 def _pairing_component_closed(hu: Hurst, f: TestFunction, ivl: Interval,

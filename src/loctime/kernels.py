@@ -32,8 +32,8 @@ from .errors import (ConfigError, NonIntegrableError, _finite, _integer,
                      _order)
 from .fracops import Hurst, PairingTable, _hurst, _kernel_scale
 from .quadrature import integrate_triangle_singular
-from .stransform import (AdmissibilityResult, DeltaSpec, _order_weight,
-                         admissibility)
+from .stransform import (AdmissibilityResult, DeltaSpec, _order_term,
+                         _order_weight, admissibility)
 from .testfunctions import _as_bundle
 
 __all__ = [
@@ -240,26 +240,26 @@ def series_reconstruction(spec: DeltaSpec, f, max_order: int,
     (the sum over half-indices |k| = n of prod_j v_j^(2 k_j) / k_j!
     collapses to |v|^(2n) / n! by the multinomial theorem), with
     w_n = tau^(-(dH+2nH)) (eps = 0) or (eps+tau^(2H))^(-(n+d/2)),
-    and v the pairing vector of f with the increment kernel.  The sum
-    converges to s_local_time(spec, f); an insufficient max_order is
-    reported through ``converged``/``last_term`` rather than raised.
+    and v the pairing vector of f with the increment kernel.  The
+    integrand is the order-n term of ``_order_term``, whose orders
+    n >= N ``s_local_time`` sums in closed form, so the sum converges to
+    s_local_time(spec, f); an insufficient max_order is reported through
+    ``converged``/``last_term`` rather than raised.
     """
     max_order = _order("max_order", max_order, spec.n_trunc)
     orders = tuple(range(spec.n_trunc, max_order + 1))
-    # The order weights open the gate at order N before the table is built.
-    weights = [_order_weight(spec.hurst, spec.d, n, spec.eps) for n in orders]
+    # The order terms open the gate at order N before the table is built.
+    terms = [_order_term(spec.hurst, spec.d, n, spec.eps) for n in orders]
     bundle = _as_bundle(f, spec.d)
     table = PairingTable(spec.hurst, bundle)
-    pref = _TWO_PI ** (-0.5 * spec.d)
     per_order_tol = tol / (2.0 * len(orders))
 
     contributions = []
     errors = []
-    for n, (alpha, weight) in zip(orders, weights):
-        scale = pref * (-0.5) ** n / math.factorial(n)
+    for alpha, term in terms:
 
-        def g(t1, tau, scale=scale, n=n, weight=weight):
-            return scale * weight(tau) * table.v_quotient_sq(t1, tau) ** n
+        def g(t1, tau, term=term):
+            return term(tau, table.v_quotient_sq(t1, tau))[0]
 
         res = integrate_triangle_singular(alpha, g, tol=per_order_tol)
         contributions.append(res.value)

@@ -336,14 +336,25 @@ class PathEnsemble:
     stream: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "hurst", _hurst(self.hurst))
+        object.__setattr__(self, "stream", _integer("stream", self.stream, 0))
+        if not isinstance(self.grid, (WhiteNoiseGrid, type(None))):
+            raise ConfigError(f"grid must be a WhiteNoiseGrid or None, got "
+                              f"{self.grid!r}")
         times = _time_grid(self.times)
-        if self.paths.ndim != 3 or self.paths.shape[1] != times.size:
+        try:
+            paths = np.asarray(self.paths, dtype=float)
+        except (TypeError, ValueError):
+            raise ConfigError("paths must be an array of numbers of shape "
+                              "(n_paths, times, d)") from None
+        if paths.ndim != 3 or paths.shape[1] != times.size:
             raise ConfigError(
-                f"paths shape {self.paths.shape} does not match "
+                f"paths shape {paths.shape} does not match "
                 f"{times.size} times")
-        if np.any(self.paths[:, 0, :] != 0.0):
+        if np.any(paths[:, 0, :] != 0.0):
             raise ConfigError("paths must start at B(0) = 0 exactly")
         object.__setattr__(self, "times", times)
+        object.__setattr__(self, "paths", paths)
 
     @property
     def n_paths(self) -> int:
@@ -356,13 +367,22 @@ class PathEnsemble:
     def restrict_times(self, indices) -> "PathEnsemble":
         """The ensemble on a subset of its time columns.
 
-        ``indices`` must keep index 0 (the anchor B(0) = 0).  The paths
+        ``indices`` are integers below the number of times, increasing
+        from 0 (the anchor B(0) = 0), else ``ConfigError``.  The paths
         are copied in C order, so each path's columns stay contiguous;
         the noise coordinates stay those of the full ensemble.
         """
-        idx = np.asarray(indices, dtype=int)
-        if idx.size == 0 or idx[0] != 0:
+        try:
+            idx = [_integer("time index", i, 0) for i in indices]
+        except TypeError:
+            raise ConfigError(f"time subset must be a sequence of indices, "
+                              f"got {indices!r}") from None
+        if not idx or idx[0] != 0:
             raise ConfigError("time subset must keep the t = 0 anchor")
+        if max(idx) >= self.times.size:
+            raise ConfigError(f"time index {max(idx)} is out of range for "
+                              f"{self.times.size} times")
+        idx = np.array(idx)
         return PathEnsemble(hurst=self.hurst, times=self.times[idx],
                             paths=np.take(self.paths, idx, axis=1),
                             grid=self.grid, stream=self.stream)
@@ -639,17 +659,19 @@ def sample_paths_cholesky(h, d: int, times, n_paths: int, stream: int = 0, *,
 # Estimators
 
 
-def _pair_sums(ens: PathEnsemble, eps: float, subtract=None,
+def _pair_sums(ens: PathEnsemble, eps: float, n_trunc: int = 0,
+               sigma_sq: np.ndarray | None = None,
                n_threads: int | None = None) -> np.ndarray:
     """Per-path weighted pair sums of the Gaussian kernel.
 
-    Computes sum_{j<k} w_j w_k [p_eps(dB) - subtract(|dB|^2)] with
+    Computes sum_{j<k} w_j w_k [p_eps(dB) - q_jk(|dB|^2)] with
     dB = B_k - B_j over the positive-time columns for every path.  The
     pairs are taken lag by lag, l = k - j = 1, ..., m-1, with weights
-    w[:-l] * w[l:].  ``subtract``, when given, holds one function per
-    lag in that order; it takes the lag's |dB|^2, one row per pair and
-    one column per path, and gives values in units of (2 pi eps)^{-d/2},
-    one per entry or one per row.
+    w[:-l] * w[l:].  q_jk is 0 at n_trunc = 0, else the truncation
+    subtractor at the pair variance ``sigma_sq[k, j]``, an (m, m) matrix
+    over the positive times: its coefficients are computed once on the
+    diagonals of ``sigma_sq`` laid end to end, lag after lag, and each
+    lag evaluates its slice on its |dB|^2 by Horner's rule.
 
     A row tile of about TILE_BYTES copies its paths to shape (d, m, n),
     so a lag's differences B[l:] - B[:-l] are contiguous blocks.  Per
@@ -678,6 +700,12 @@ def _pair_sums(ens: PathEnsemble, eps: float, subtract=None,
             f"the double range at eps = {eps:.3g}, d = {d}") from None
     scale = -0.5 / eps
     B = ens.paths[:, 1:, :]
+    if n_trunc:
+        coeffs = _subtractor_coeffs(n_trunc, d, eps, np.concatenate(
+            [sigma_sq.diagonal(-lag) for lag in range(1, m)])[:, None])
+        starts = np.cumsum([0] + list(range(m - 1, 0, -1)))
+        lag_coeffs = [[c[lo:hi] for c in coeffs]
+                      for lo, hi in zip(starts[:-1], starts[1:])]
 
     def tile(lo: int, hi: int) -> np.ndarray:
         n = hi - lo
@@ -701,13 +729,13 @@ def _pair_sums(ens: PathEnsemble, eps: float, subtract=None,
                     np.subtract(paths[c, lag:], paths[c, :-lag], out=part)
                     np.square(part, out=part)
                     sq += part
-                if subtract is not None:
-                    poly = subtract[lag - 1](sq)
+                if n_trunc:
+                    poly = _horner(lag_coeffs[lag - 1], sq)
                 np.multiply(sq, scale, out=sq)
                 np.exp(sq, out=sq)
                 w_lag = w[:-lag] * w[lag:]
                 np.einsum("ji,j->i", sq, w_lag, out=row)
-                if subtract is not None:
+                if n_trunc:
                     row -= np.einsum("ji,j->i", poly, w_lag)
                 vals += row
         return pref * vals[:n]
@@ -771,7 +799,10 @@ def _subtractor_coeffs(n_trunc: int, d: int, eps: float,
             sum_{i<=k<n_trunc} C(k+d/2-1, k-i) (s/w)^(k-i),
 
     in units of p_eps's constant (2 pi eps)^{-d/2}, which ``_pair_sums``
-    applies to each path's total.  The binomials and (-1/(2w))^i / i!
+    applies to each path's total.  The coefficients are elementwise in
+    ``sigma_sq``: ``_pair_sums`` computes them once on every lag's pair
+    variances, laid end to end, and each value is the one that lag's
+    variances alone give.  The binomials and (-1/(2w))^i / i!
     are running products, so no large gamma or power is formed; a
     coefficient that still overflows raises AccuracyError.
     """
@@ -802,37 +833,6 @@ def _horner(coeffs: list[np.ndarray], r_sq: np.ndarray) -> np.ndarray:
     for c in reversed(coeffs[:-1]):
         out = out * r_sq + c
     return out
-
-
-def _truncation_subtractor(n_trunc: int, d: int, eps: float,
-                           sigma_sq: np.ndarray):
-    """Per-pair function of r^2 = |dB|^2 removing chaos orders below
-    n_trunc, at the pair variances ``sigma_sq``."""
-    return functools.partial(_horner,
-                             _subtractor_coeffs(n_trunc, d, eps, sigma_sq))
-
-
-def _lag_subtractors(n_trunc: int, d: int, eps: float,
-                     gram: np.ndarray) -> list:
-    """The truncation subtractors of lags 1, ..., m - 1, as ``_pair_sums``
-    takes them, from the Gram matrix of the m + 1 times (t_0 = 0 first).
-
-    The diagonals of the pair-variance matrix s_jk = g_jj + g_kk - 2 g_kj,
-    one per lag, are laid out lag after lag in one column, so the
-    coefficients are computed once, and each lag reads its slice, one
-    contiguous row per pair.  Each value is the one a subtractor of that
-    lag alone gives, bit for bit.
-    """
-    diag = np.diag(gram)[1:]
-    sigma_sq = diag[:, None] + diag[None, :] - 2.0 * gram[1:, 1:]
-    by_lag = [sigma_sq.diagonal(-lag) for lag in range(1, diag.size)]
-    if not by_lag:
-        return []
-    coeffs = _subtractor_coeffs(n_trunc, d, eps,
-                                np.concatenate(by_lag)[:, None])
-    starts = np.cumsum([0] + [v.size for v in by_lag])
-    return [functools.partial(_horner, [c[lo:hi] for c in coeffs])
-            for lo, hi in zip(starts[:-1], starts[1:])]
 
 
 def _wick_weights(ens: PathEnsemble, fvals: np.ndarray, *,
@@ -900,6 +900,8 @@ def mc_s_transform(ens: PathEnsemble, f, eps: float, n_trunc: int = 0, *,
 
     with s_jk the discrete pair variance and u_jk the discrete pairing,
     the exact pair-rule discretization of the analytic S-transform.
+    The pair variances s_jk = g_jj + g_kk - 2 g_jk come from the Gram
+    matrix g of the kernel rows and go to ``_pair_sums`` with n_trunc.
     At f = 0 the drift is exactly zero, so with n_trunc = 0 the result
     is bit-identical to ``mc_local_time_regularized``.
     """
@@ -909,15 +911,20 @@ def mc_s_transform(ens: PathEnsemble, f, eps: float, n_trunc: int = 0, *,
     K = _kernel_matrix(ens.hurst, ens.times, ens.grid)
     drift = K @ (_f_values(ens, f).T * ens.grid.dx)
 
-    subtract = None
+    sigma_sq = None
     if n_trunc >= 1:
         # K scaled in place by sqrt(dx): numpy takes K @ K.T as one
         # symmetric rank-k update, so the Gram matrix is exactly symmetric.
         K *= math.sqrt(ens.grid.dx)
-        subtract = _lag_subtractors(n_trunc, ens.d, eps, K @ K.T)
+        gram = K @ K.T
+        diag = np.diag(gram)[1:]
+        sigma_sq = diag[:, None] + diag[None, :] - 2.0 * gram[1:, 1:]
+        del gram, diag
+    # K and its Gram matrix would only add to the pair sums' peak memory.
+    del K
 
     shifted = replace(ens, paths=ens.paths + drift)
-    return _mc_reduce(_pair_sums(shifted, eps, subtract=subtract,
+    return _mc_reduce(_pair_sums(shifted, eps, n_trunc, sigma_sq,
                                  n_threads=n_threads))
 
 

@@ -333,6 +333,7 @@ def integrate_triangle_singular(
     jump; they are added to the outer panel edges.  alpha >= 1 raises
     ``NonIntegrableError``.
     """
+    tol = _finite("quadrature tolerance", tol, 0.0, strict=True)
     moment = triangle_power_moment(alpha)
     inner_tol = 0.25 * tol / max(moment, 1.0)
     G, evaluations = _inner_integrals(g, inner_tol, inner_singularities)
@@ -383,9 +384,11 @@ def divergence_probe(alpha: float,
     converge to the full integral.  No integrability gate is applied.
     """
     alpha = _finite("singular exponent alpha", alpha, -math.inf, strict=True)
-    kappas = np.array(cutoffs, dtype=float)
+    tol = _finite("quadrature tolerance", tol, 0.0, strict=True)
+    kappas = np.array([_finite("cutoff", k, 0.0, strict=True)
+                       for k in cutoffs])
     for kappa in kappas.tolist():
-        if not 0.0 < kappa < 1.0:
+        if kappa >= 1.0:
             raise ConfigError(f"cutoff {kappa} must lie in (0, 1)")
     G, _ = _inner_integrals(g, 0.1 * tol, None)
 

@@ -21,13 +21,13 @@ integral exists for eps > 0 always, and for eps = 0 exactly when
     2 N (1 - H) - d H > -1,
 
 the admissibility condition; ``minimal_truncation_level`` returns the
-smallest valid N.  The singular factor extracted for quadrature is
-tau^(-(dH - 2N(1-H))); the remaining factor
-
-    tau^(-2N(1-H)) exp_N( -|v|^2 / (2 tau^(2H)) )
-
-is bounded on the triangle because |v| <= C_H tau |||f||| and
-|exp_N(-y)| <= y^N / N!.
+smallest valid N.  ``_order_term`` builds the order-n term
+tau^alpha (2 pi w)^(-d/2) (-y)^n / n!, y = |v|^2 / (2 w).  The chaos
+series sums these terms order by order, and the S-transform sums the
+orders n >= N in closed form.  At eps = 0 the singular factor
+tau^(-alpha), alpha = dH - 2n(1-H), goes to the quadrature engine with
+every power of tau, and the rest is bounded because
+|v| <= C_H tau |||f|||.
 """
 
 from __future__ import annotations
@@ -92,7 +92,8 @@ def _require_admissible(h, d: int, n_trunc: int) -> AdmissibilityResult:
 
 def _order_weight(hurst, d: int, n: int, eps: float):
     """Time weight w^(-d/2) (tau^2 / w)^n of chaos order n, w = eps +
-    tau^(2H), split as tau^(-alpha) * weight(tau).
+    tau^(2H), split as tau^(-alpha) * weight(tau); the chaos kernels'
+    weight, and the gate of every order-n integrand.
 
     At eps = 0 the weight is the power tau^(-alpha), alpha = dH -
     2n(1-H), so the order must pass the admissibility gate and
@@ -110,6 +111,38 @@ def _order_weight(hurst, d: int, n: int, eps: float):
         return w ** (-0.5 * d) * (tau ** 2 / w) ** n
 
     return 0.0, weight
+
+
+def _order_term(hurst, d: int, n: int, eps: float):
+    """alpha, gated by ``_order_weight``, and term(tau, r) -> (term, y):
+    the order-n term tau^alpha (2 pi w)^(-d/2) (-y)^n / n!, y = |v|^2 /
+    (2 w), w = eps + tau^(2H), from r = |v|^2 / tau^2.
+
+    (-y)^n / n! is the product of x / k over k <= n, as in
+    ``exp_truncated``, so it overflows only where the term does.  At
+    eps > 0, x = -y.  At eps = 0, tau^(-alpha) = w^(-d/2) (tau^2 / w)^n
+    goes to the engine and x = -r/2, so nothing is 0 * inf as tau -> 0.
+    """
+    alpha, _ = _order_weight(hurst, d, n, eps)
+    pref = _TWO_PI ** (-0.5 * d)
+    two_h = 2.0 * _hurst(hurst).h
+
+    def term(tau, r):
+        if eps == 0.0:
+            x = -0.5 * r
+            y = -x * tau ** (2.0 - two_h)
+            scale = pref
+        else:
+            w = eps + tau ** two_h
+            x = -0.5 * tau ** 2 * r / w
+            y = -x
+            scale = pref * w ** (-0.5 * d)
+        lead = 1.0
+        for k in range(1, n + 1):
+            lead = lead * (x / k)
+        return scale * lead, y
+
+    return alpha, term
 
 
 def is_admissible(h, d: int, n_trunc: int) -> bool:
@@ -210,7 +243,10 @@ def s_char_exp(h, lam, s: float, t: float, f, tol: float = 1e-8) -> complex:
     sign of (t - s); modulus is at most 1.
     """
     hu = _hurst(h)
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    lam = np.array([_finite("lambda component", x, -math.inf, strict=True)
+                    for x in np.atleast_1d(lam)])
+    s = _finite("time s", s, -math.inf, strict=True)
+    t = _finite("time t", t, -math.inf, strict=True)
     if s == t:
         raise ConfigError("degenerate time pair: s and t must differ")
     lo, hi = (s, t) if t > s else (t, s)
@@ -232,6 +268,8 @@ def s_delta(spec: DeltaSpec, t1: float, t2: float, f,
     (2 pi w)^(-d/2) exp_N(-|v|^2 / (2 w)) with w = eps + tau^(2H); the
     bare delta is N = 0, eps = 0.  Coincident times need eps > 0.
     """
+    t1 = _finite("time t1", t1, -math.inf, strict=True)
+    t2 = _finite("time t2", t2, -math.inf, strict=True)
     if t1 == t2 and spec.eps == 0.0:
         raise ConfigError("degenerate time pair: t1 = t2 requires eps > 0")
     bundle = _as_bundle(f, spec.d)
@@ -247,11 +285,12 @@ def s_local_time(spec: DeltaSpec, f, tol: float = 1e-9, *,
                  pairing: PairingTable | None = None) -> QuadratureResult:
     """S-transform of the self-intersection local time over the triangle.
 
-    alpha is the exponent of the order-N time weight: at eps = 0 it is
-    dH - 2N(1-H), behind the admissibility gate, and the singular factor
-    tau^(-alpha) is handed to the singular quadrature engine; the bounded
-    remainder carries the truncated exponential.  For eps > 0 the
-    integrand is bounded and alpha = 0.
+    The integrand is the sum of the ``_order_term`` terms of orders
+    n >= N, and tau^(-alpha) goes to the singular quadrature engine.  At
+    eps = 0, alpha = dH - 2N(1-H), behind the admissibility gate, and
+    the sum is the order-N term times the tail ratio exp_N(-y) N! /
+    (-y)^N.  For eps > 0 every order has alpha = 0 and x = -y, so the
+    sum is the order-0 term times exp_N(-y), from ``exp_truncated``.
 
     A prebuilt ``pairing`` table of f saves its build; one for another
     H, d or f raises ``ConfigError``.
@@ -259,7 +298,8 @@ def s_local_time(spec: DeltaSpec, f, tol: float = 1e-9, *,
     h = spec.hurst.h
     d = spec.d
     n = spec.n_trunc
-    alpha, _ = _order_weight(spec.hurst, d, n, spec.eps)
+    alpha, term = _order_term(spec.hurst, d, n if spec.eps == 0.0 else 0,
+                              spec.eps)
     bundle = _as_bundle(f, d)
     if pairing is None:
         pairing = PairingTable(spec.hurst, bundle)
@@ -269,26 +309,12 @@ def s_local_time(spec: DeltaSpec, f, tol: float = 1e-9, *,
     elif pairing.components != bundle.components:
         raise ConfigError("pairing table built from another test function "
                           "than f")
-    pref = _TWO_PI ** (-0.5 * d)
-    two_h = 2.0 * h
 
-    if spec.eps == 0.0:
-
-        def g(t1, tau):
-            # |v|^2 ~ tau^2 as tau -> 0, and tau^(-2N(1-H)) cancels
-            # exactly against exp_N(-y) ~ y^N, y = |v|^2 / (2 tau^(2H)).
-            # Written through r = |v|^2 / tau^2 and the tail ratio
-            # exp_N(-y) N! / (-y)^N, nothing is 0 * inf or overflows.
-            r = pairing.v_quotient_sq(t1, tau)
-            y = 0.5 * r * tau ** (2.0 - two_h)
-            return (pref * (-0.5 * r) ** n / math.factorial(n)
-                    * _exp_tail_ratio(y, n))
-    else:
-
-        def g(t1, tau):
-            w = spec.eps + tau ** two_h
-            y = -0.5 * tau ** 2 * pairing.v_quotient_sq(t1, tau) / w
-            return pref * w ** (-0.5 * d) * exp_truncated(y, n)
+    def g(t1, tau):
+        value, y = term(tau, pairing.v_quotient_sq(t1, tau))
+        if spec.eps == 0.0:
+            return value * _exp_tail_ratio(y, n)
+        return value * exp_truncated(-y, n)
 
     return integrate_triangle_singular(alpha, g, tol=tol)
 
@@ -314,7 +340,7 @@ def u_estimate_check(spec: DeltaSpec, f, z_values, tol: float = 1e-8) -> UEstima
     flagged; with a sane quadrature there should be none.
     """
     bundle = _as_bundle(f, spec.d)
-    zs = [float(z) for z in z_values]
+    zs = [_finite("z sample", z, -math.inf, strict=True) for z in z_values]
     if len(zs) < 2:
         raise ConfigError("need at least two z samples for an envelope")
     norm_sq = bundle.norm ** 2

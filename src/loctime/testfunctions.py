@@ -192,7 +192,9 @@ def linear_combination(coeffs: Sequence[float],
     """sum_k c_k f_k with norms recomputed numerically."""
     if len(coeffs) != len(funcs):
         raise ConfigError("one coefficient per function required")
-    pairs = [(float(c), f) for c, f in zip(coeffs, funcs) if float(c) != 0.0
+    coeffs = [_finite("coefficient", c, -math.inf, strict=True)
+              for c in coeffs]
+    pairs = [(c, f) for c, f in zip(coeffs, funcs) if c != 0.0
              and not f.is_zero]
     if not pairs:
         return zero_function()

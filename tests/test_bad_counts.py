@@ -8,19 +8,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
 from loctime.errors import ConfigError
+from loctime.fracops import Interval, bound_ratio, dual_apply, pairing_indicator
 from loctime.kernels import kernel_value, series_reconstruction
-from loctime.mc import (WhiteNoiseGrid, fbm_covariance, make_midpoint_times,
-                        resolve_threads, sample_paths_cholesky,
-                        sample_paths_whitenoise)
-from loctime.quadrature import integrate_interval, triangle_power_moment
-from loctime.stransform import DeltaSpec, admissibility, exp_truncated
-from loctime.testfunctions import gaussian_bump, hermite_function
+from loctime.mc import (PathEnsemble, WhiteNoiseGrid, fbm_covariance,
+                        make_midpoint_times, resolve_threads,
+                        sample_paths_cholesky, sample_paths_whitenoise)
+from loctime.quadrature import (divergence_probe, integrate_interval,
+                                triangle_power_moment)
+from loctime.stransform import (DeltaSpec, admissibility, exp_truncated,
+                                s_char_exp, s_delta, s_local_time,
+                                u_estimate_check)
+from loctime.testfunctions import (gaussian_bump, hermite_function,
+                                   linear_combination)
 
 TIMES = make_midpoint_times(4)
 GRID = WhiteNoiseGrid(n_cells=64)
 SPEC = DeltaSpec(0.5, 1, 1)
 BUMP = gaussian_bump(0.5, 0.45, 0.2)
+PATHS = np.zeros((2, TIMES.size, 1))
+ENSEMBLE = PathEnsemble(hurst=0.5, times=TIMES, paths=PATHS)
+
+
+def _ones(t1, tau):
+    return np.ones_like(t1)
 
 # (argument, smallest valid value, call with the value in its place)
 COUNTS = [
@@ -94,6 +107,52 @@ BAD_VALUES = [
     ("WhiteNoiseGrid x_hi inf", lambda: WhiteNoiseGrid(x_hi=math.inf)),
     ("WhiteNoiseGrid span beyond the double range",
      lambda: WhiteNoiseGrid(x_lo=-1e308, x_hi=1e308)),
+    ("pairing_indicator interval end string",
+     lambda: pairing_indicator(0.5, BUMP, ("a", 1.0))),
+    ("pairing_indicator interval of one end",
+     lambda: pairing_indicator(0.5, BUMP, (0.2,))),
+    ("bound_ratio interval strings",
+     lambda: bound_ratio(0.5, BUMP, ("a", "b"))),
+    ("s_char_exp lambda string",
+     lambda: s_char_exp(0.5, ["a"], 0.2, 0.5, BUMP)),
+    ("divergence_probe cutoff string",
+     lambda: divergence_probe(0.5, _ones, ["a"])),
+    ("linear_combination coefficient string",
+     lambda: linear_combination(["a"], [BUMP])),
+    ("u_estimate_check z string",
+     lambda: u_estimate_check(SPEC, BUMP, [1.0, "a"])),
+    ("s_delta time string", lambda: s_delta(SPEC, "a", 0.5, BUMP)),
+    ("dual_apply negative tol", lambda: dual_apply(0.3, BUMP, 0.5, tol=-1)),
+    ("s_local_time tol string", lambda: s_local_time(SPEC, BUMP, tol="x")),
+    # These returned inf, NaN or (nan+nanj) without an error.
+    ("Interval infinite ends", lambda: Interval(-math.inf, math.inf)),
+    ("pairing_indicator infinite interval end",
+     lambda: pairing_indicator(0.7, BUMP, (0.2, math.inf))),
+    ("bound_ratio infinite interval end",
+     lambda: bound_ratio(0.7, BUMP, (0.2, math.inf))),
+    ("s_char_exp lambda NaN",
+     lambda: s_char_exp(0.5, [math.nan], 0.2, 0.5, BUMP)),
+    ("dual_apply point NaN", lambda: dual_apply(0.7, BUMP, math.nan)),
+    # PathEnsemble kept a float H (the S-transform estimator then ended
+    # in AttributeError) and a list of paths (AttributeError at once);
+    # restrict_times ended in IndexError, or truncated 1.7 to 1.
+    ("PathEnsemble Hurst parameter",
+     lambda: PathEnsemble(hurst=1.5, times=TIMES, paths=PATHS)),
+    ("PathEnsemble paths of strings",
+     lambda: PathEnsemble(hurst=0.5, times=TIMES[:2],
+                          paths=[[[0.0], ["a"]]])),
+    ("restrict_times index out of range",
+     lambda: ENSEMBLE.restrict_times([0, 9])),
+    ("restrict_times fractional index",
+     lambda: ENSEMBLE.restrict_times([0, 1.7, 2.2])),
+    # A string stream or grid was kept until the weight check ended in
+    # ValueError or AttributeError; a string tol ended in TypeError.
+    ("PathEnsemble stream string",
+     lambda: PathEnsemble(hurst=0.5, times=TIMES, paths=PATHS, stream="a")),
+    ("PathEnsemble grid string",
+     lambda: PathEnsemble(hurst=0.5, times=TIMES, paths=PATHS, grid="g")),
+    ("divergence_probe tol string",
+     lambda: divergence_probe(0.5, _ones, [0.1], tol="x")),
 ]
 
 # Bad time grids; each ended in an IndexError, ZeroDivisionError or

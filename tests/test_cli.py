@@ -505,10 +505,13 @@ class TestExitCodes:
 
 
 class TestModuleEntry:
+    # -W error: pytest's filterwarnings reaches in-process calls only, so
+    # a numpy overflow or NaN warning in a CLI run fails here too.
     def test_golden_local_time(self, tmp_path):
         out = tmp_path / "golden"
         proc = subprocess.run(
-            [sys.executable, "-m", "loctime", "stransform", "--H", "0.5",
+            [sys.executable, "-W", "error", "-m", "loctime", "stransform",
+             "--H", "0.5",
              "--tol", "1e-9", "--out", str(out)],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
@@ -520,8 +523,9 @@ class TestModuleEntry:
 
     def test_inadmissible_exit_code(self, tmp_path):
         proc = subprocess.run(
-            [sys.executable, "-m", "loctime", "kernels", "--H", "0.9",
-             "--d", "3", "--N", "0", "--out", str(tmp_path / "x")],
+            [sys.executable, "-W", "error", "-m", "loctime", "kernels",
+             "--H", "0.9", "--d", "3", "--N", "0",
+             "--out", str(tmp_path / "x")],
             capture_output=True, text=True)
         assert proc.returncode == 4
         assert "admissibility error" in proc.stderr

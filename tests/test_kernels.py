@@ -360,6 +360,18 @@ class TestSeries:
         budget = sum(rep.error_estimates) + 6.25e-8
         assert abs(rep.partial_sum - 0.4993174324790911) <= budget
 
+    def test_high_order_truncated_series_matches_transform(self):
+        # (-1/2)^n r^n overflowed where its order-n weight underflowed, so
+        # every contribution, and the partial sum, read NaN.
+        spec = DeltaSpec(0.5, 1, 150, 0.1)
+        f = gaussian_bump(20.0, 0.5, 0.2)
+        rep = series_reconstruction(spec, f, 160)
+        assert all(map(math.isfinite, rep.contributions))
+        want = s_local_time(spec, f)
+        budget = (abs(rep.last_term) + sum(rep.error_estimates)
+                  + want.error_estimate)
+        assert abs(rep.partial_sum - want.value) <= budget
+
     def test_unconverged_is_reported_not_raised(self):
         # an order-0 cutoff leaves the whole deterministic term as the
         # last one, far above tolerance

@@ -14,7 +14,7 @@ import loctime.mc as mc
 from loctime.errors import AccuracyError, ConfigError
 from loctime.fracops import Hurst, Interval, increment_kernel
 from loctime.mc import (BLOCK, McEstimate, PathEnsemble, WhiteNoiseGrid,
-                        _pair_sums, _truncation_subtractor,
+                        _horner, _pair_sums, _subtractor_coeffs,
                         covariance_from_kernels, fbm_covariance,
                         make_midpoint_times, mc_grid_bias,
                         mc_local_time_regularized, mc_s_transform,
@@ -192,6 +192,19 @@ class TestEnsembleValidation:
         assert sub.paths.flags.c_contiguous
         with pytest.raises(ConfigError):
             ens.restrict_times([1, 2])
+
+    def test_float_hurst_and_path_list_are_coerced(self):
+        # A float H was kept as given, and the S-transform estimator then
+        # ended in AttributeError; a list of paths ended in one at once.
+        ens = sample_paths_whitenoise(0.7, 1, make_midpoint_times(4),
+                                      WhiteNoiseGrid(n_cells=64), 8)
+        same = PathEnsemble(hurst=0.7, times=ens.times,
+                            paths=ens.paths.tolist(), grid=ens.grid)
+        assert same.hurst == Hurst(0.7)
+        assert np.array_equal(same.paths, ens.paths)
+        f = gaussian_bump(0.5, 0.5, 0.2)
+        assert (mc_s_transform(same, f, 0.05, 1)
+                == mc_s_transform(ens, f, 0.05, 1))
 
 
 class TestSampling:
@@ -594,15 +607,13 @@ class TestEstimators:
             for j in range(1, m + 1):
                 for k in range(j + 1, m + 1):
                     s_jk = gram[j, j] + gram[k, k] - 2.0 * gram[k, j]
-                    subtract = _truncation_subtractor(
-                        n_trunc, 2, eps, np.array([s_jk]))
                     db = ((ens.paths[p, k] + drift[k])
                           - (ens.paths[p, j] + drift[j]))
                     r_sq = float(db @ db)
                     # The subtractor is in units of (2 pi eps)^{-d/2}.
                     phi = ((2.0 * math.pi * eps) ** -1.0
                            * (math.exp(-0.5 * r_sq / eps)
-                              - subtract(np.array([r_sq]))[0]))
+                              - _subtract(n_trunc, 2, eps, s_jk, r_sq)))
                     total += w[j - 1] * w[k - 1] * phi
             vals.append(total)
         assert est.mean == pytest.approx(np.mean(vals), rel=1e-12)
@@ -674,14 +685,18 @@ class TestEstimators:
         assert full.mean - trunc.mean == pytest.approx(const, rel=1e-10)
 
 
-def _lag_subtractors(ens, eps, n_trunc):
-    """One truncation subtractor per lag, at the fBm pair variance
-    |t_k - t_j|^{2H}, laid out as _pair_sums takes them."""
+def _subtract(n_trunc, d, eps, sigma_sq, r_sq):
+    """The truncation subtractor at pair variances ``sigma_sq``, evaluated
+    at r^2 = ``r_sq``, in units of (2 pi eps)^{-d/2}."""
+    coeffs = _subtractor_coeffs(n_trunc, d, eps, np.asarray(sigma_sq, float))
+    return _horner(coeffs, r_sq)
+
+
+def _pair_variances(ens):
+    """The fBm pair variances |t_k - t_j|^{2H} of the positive times, the
+    matrix _pair_sums takes."""
     times = ens.times[1:]
-    return [_truncation_subtractor(
-        n_trunc, ens.d, eps,
-        ((times[lag:] - times[:-lag]) ** (2.0 * ens.hurst.h))[:, None])
-        for lag in range(1, times.size)]
+    return np.abs(times[:, None] - times[None, :]) ** (2.0 * ens.hurst.h)
 
 
 def _pair_sums_by_loop(ens, eps, n_trunc):
@@ -701,9 +716,7 @@ def _pair_sums_by_loop(ens, eps, n_trunc):
                 sub = 0.0
                 if n_trunc:
                     s_jk = (times[k] - times[j]) ** (2.0 * ens.hurst.h)
-                    sub = _truncation_subtractor(
-                        n_trunc, ens.d, eps, np.array([s_jk]))(
-                            np.array([r_sq]))[0]
+                    sub = _subtract(n_trunc, ens.d, eps, s_jk, r_sq)
                 total += w[j] * w[k] * pref * (gauss - sub)
                 size += w[j] * w[k] * pref * (gauss + abs(sub))
         sums.append(total)
@@ -724,8 +737,7 @@ class TestPairSums:
         if grid == "subset":
             ens = ens.restrict_times([0, 1, 2, 4, 7, 8, 12, 16])
         eps = 0.03
-        subtract = _lag_subtractors(ens, eps, n_trunc) if n_trunc else None
-        got = _pair_sums(ens, eps, subtract=subtract)
+        got = _pair_sums(ens, eps, n_trunc, _pair_variances(ens))
         want, size = _pair_sums_by_loop(ens, eps, n_trunc)
         assert np.all(np.abs(got - want) <= 1e-13 * size)
 
@@ -771,9 +783,9 @@ class TestTruncationSubtractor:
         sigma_sq[::7] = 0.0
         db = rng.normal(size=(5, 40, d)) * np.sqrt(sigma_sq + 0.01)[:, None]
         eps = 0.05
-        subtract = _truncation_subtractor(n_trunc, d, eps, sigma_sq)
         pref = (2.0 * math.pi * eps) ** (-0.5 * d)
-        got = pref * subtract(np.sum(db * db, axis=2))
+        got = pref * _subtract(n_trunc, d, eps, sigma_sq,
+                               np.sum(db * db, axis=2))
         want, largest = _hermite_subtractor(n_trunc, d, eps, sigma_sq, db)
         assert np.max(np.abs(got - want)) <= 1e-10 * largest
 
@@ -786,15 +798,32 @@ class TestTruncationSubtractor:
         gram = K @ K.T
         diag = np.diag(gram)[1:]
         sigma_sq = diag[:, None] + diag[None, :] - 2.0 * gram[1:, 1:]
-        eps = 0.05
-        got = mc._lag_subtractors(n_trunc, d, eps, gram)
-        assert len(got) == diag.size - 1
         rng = np.random.default_rng(n_trunc)
-        for lag, subtract in enumerate(got, 1):
-            r_sq = rng.uniform(0.0, 1.0, (diag.size - lag, 3))
-            want = _truncation_subtractor(
-                n_trunc, d, eps, sigma_sq.diagonal(-lag)[:, None])
-            assert np.array_equal(subtract(r_sq), want(r_sq))
+        paths = rng.normal(0.0, 0.3, (5, times.size, d))
+        paths[:, 0, :] = 0.0
+        ens = PathEnsemble(hurst=0.7, times=times, paths=paths)
+        eps = 0.05
+        got = _pair_sums(ens, eps, n_trunc, sigma_sq)
+
+        # _pair_sums's arithmetic on all paths at once, lag by lag, with
+        # each lag's coefficients computed on its own pair variances.
+        B = paths[:, 1:, :]
+        m = B.shape[1]
+        w = mc._cell_widths(times[1:])
+        vals = np.zeros(ens.n_paths)
+        for lag in range(1, m):
+            diff = B[:, lag:, :] - B[:, :-lag, :]
+            sq = np.ascontiguousarray(np.square(diff[:, :, 0]).T)
+            for c in range(1, d):
+                sq += np.square(diff[:, :, c]).T
+            coeffs = _subtractor_coeffs(n_trunc, d, eps,
+                                        sigma_sq.diagonal(-lag)[:, None])
+            poly = _horner(coeffs, sq)
+            w_lag = w[:-lag] * w[lag:]
+            vals += (np.einsum("ji,j->i", np.exp(sq * (-0.5 / eps)), w_lag)
+                     - np.einsum("ji,j->i", poly, w_lag))
+        want = (2.0 * math.pi * eps) ** (-0.5 * d) * vals
+        assert np.array_equal(got, want)
 
     def test_truncated_estimator_imports_no_scipy(self):
         # Importing scipy costs more than the whole Monte Carlo setup.

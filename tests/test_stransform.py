@@ -363,6 +363,28 @@ class TestLocalTimeTransform:
         with pytest.raises(ConfigError):
             s_local_time(DeltaSpec(0.5, 1, 0), f, pairing=other)
 
+    @pytest.mark.parametrize("eps, pinned", [
+        (0.1, 4.832025750337758e-16), (1e-3, 1.407457972664507e-4)])
+    def test_high_order_values_pinned(self, eps, pinned):
+        # At N = 170, y^N alone overflows for y > 65; (-y)^N / N! is a
+        # running product of -y / k.  A 1,500^2 midpoint rule on the erf
+        # pairing at H = 1/2 agrees to 2.1e-5 (eps = 0.1) and 7e-7.
+        amp, center, width = 20.0, 0.5, 0.2
+        res = s_local_time(DeltaSpec(0.5, 1, 170, eps),
+                           gaussian_bump(amp, center, width), tol=1e-6)
+        assert res.value == pytest.approx(pinned, rel=1e-12)
+        n = 1500
+        t = (np.arange(n) + 0.5) / n
+        u = (amp * width * math.sqrt(0.5 * math.pi)
+             * erf((t - center) / (width * math.sqrt(2.0))))
+        total = 0.0
+        for i in range(n - 1):
+            v = u[i + 1:] - u[i]
+            w = eps + (t[i + 1:] - t[i])
+            total += np.sum((TWO_PI * w) ** -0.5
+                            * exp_truncated(-0.5 * v * v / w, 170))
+        assert res.value == pytest.approx(total / n ** 2, rel=3e-5)
+
     def test_error_estimate_within_tolerance(self):
         res = s_local_time(DeltaSpec(0.4, 1, 0), bump(), tol=1e-9)
         assert res.error_estimate <= 1e-9
