@@ -415,7 +415,8 @@ def _selftest_checks():
                 abs(fbm_covariance(0.5, 0.3, 0.8) - 0.3), 1e-12))
     grid = WhiteNoiseGrid(n_cells=512, seed=7)
     times = make_midpoint_times(16)
-    ens_a, ens_b = (sample_paths_whitenoise(0.6, 1, times, grid, 256,
+    # Two RNG blocks, so the two-thread run draws one on a worker thread.
+    ens_a, ens_b = (sample_paths_whitenoise(0.6, 1, times, grid, 600,
                                             n_threads=n) for n in (1, 2))
     out.append(("mc_determinism",
                 float(np.max(np.abs(ens_a.paths - ens_b.paths))), 0.0))

@@ -21,9 +21,10 @@ generators keyed by (seed, stream, block), reductions run in fixed
 order, and every BLAS or LAPACK call runs in the calling thread on
 operands whose shapes follow from the inputs alone, so results are
 bit-identical for any worker count (``n_threads``, LOCTIME_THREADS).
-Values that pass through BLAS or LAPACK (the Cholesky factor and the
-paths drawn with it, the S-transform's drift and Gram matrix) depend on
-the BLAS build and its own thread setting, never on the worker count.
+Values that pass through BLAS or LAPACK (the Cholesky factor, the paths
+of both samplers, the Wick weights, the S-transform's drift and Gram
+matrix) depend on the BLAS build and its own thread setting, never on
+the worker count.
 """
 
 from __future__ import annotations
@@ -68,12 +69,18 @@ BLOCK = 512
 
 # Row tiles.  A pair-sum tile holds about TILE_BYTES of path data, which
 # stays in cache through its whole lag loop.  No tile is cut below
-# TILE_FLOOR bytes (of path data in the pair sums, of output in
-# _map_blocks) to give more threads a share: with pair-sum tiles of
-# 256 KiB, two threads ran slower than one on a 2-CPU host, because the
-# short numpy calls of a small tile contend for the interpreter lock.
+# TILE_FLOOR bytes of path data to give more threads a share: with
+# pair-sum tiles of 256 KiB, two threads ran slower than one on a 2-CPU
+# host, because the short numpy calls of a small tile contend for the
+# interpreter lock.
 TILE_BYTES = 1 << 20
 TILE_FLOOR = 1 << 19
+
+# The white-noise sampler multiplies a block's noise by the kernel rows
+# of WINDOW times at once.  With the product's shape fixed, a time's
+# path values keep their bits whichever other times are sampled; one
+# product over all the times did not keep them.
+WINDOW = 64
 
 
 def fbm_covariance(h, s: float, t: float) -> float:
@@ -326,7 +333,9 @@ class PathEnsemble:
     in every path and component.  White-noise ensembles carry their
     grid and stream, from which the S-transform estimator rebuilds the
     kernel matrix and the weight check regenerates the noise block by
-    block; Cholesky ensembles have no grid.
+    block; Cholesky ensembles have no grid.  Either sampler forms the
+    paths of an RNG block by BLAS products of fixed shape, so they are
+    bit-identical for any worker count.
     """
 
     hurst: Hurst
@@ -462,75 +471,35 @@ def _tiles(lo: int, hi: int, rows: int) -> list[tuple[int, int]]:
     return [(a, min(a + rows, hi)) for a in range(lo, hi, rows)]
 
 
-def _tile_rows(n_rows: int, row_bytes: int, n_threads: int,
-               budget: int | None = None) -> int:
-    """Rows per tile: a thread's share of ``n_rows``, capped at ``budget``
-    bytes, but never split below TILE_FLOOR bytes for the sake of threads.
+def _tile_rows(n_rows: int, row_bytes: int, n_threads: int) -> int:
+    """Rows per pair-sum tile: a thread's share of ``n_rows``, capped at
+    TILE_BYTES, but never split below TILE_FLOOR bytes for the sake of
+    threads.
     """
     rows = max(-(-n_rows // n_threads), TILE_FLOOR // row_bytes)
-    if budget is not None:
-        rows = min(rows, budget // row_bytes)
-    return max(rows, 1)
+    return max(min(rows, TILE_BYTES // row_bytes), 1)
 
 
-def _map_rows(fn: Callable[[int, int], np.ndarray],
-              tiles: list[tuple[int, int]], pool: _Pool,
-              out: np.ndarray) -> np.ndarray:
-    """Fill out[lo:hi] with fn(lo, hi) for every tile (lo, hi).
-
-    Each task writes its own rows, so ``out`` (or a view of it) is the
-    same for any thread count.
-    """
-    def fill(lo: int, hi: int) -> None:
-        out[lo:hi] = fn(lo, hi)
-
-    pool.run([functools.partial(fill, lo, hi) for lo, hi in tiles])
-    return out
-
-
-def _block_waves(draw: Callable[[int, int], np.ndarray], n_paths: int,
-                 pool: _Pool):
-    """Yield (wave, drawn): the RNG blocks of n_paths paths, one per thread
-    in a wave, with the draws draw(b, n) of each block b of n paths.
+def _fill_blocks(draw: Callable[[int, int], np.ndarray],
+                 apply: Callable[[np.ndarray], np.ndarray], n_paths: int,
+                 n_threads: int | None, out: np.ndarray) -> np.ndarray:
+    """Fill out[lo:hi] with apply(draw(b, hi - lo)) over the RNG blocks b.
 
     Blocks hold BLOCK paths (the last one the rest) and ``draw`` keys its
-    generator by b, so the draws do not depend on the thread count.
-    ``wave`` lists the blocks' row ranges (lo, hi); their draws run in
-    parallel.
+    generator by b, so the draws do not depend on the thread count.  The
+    draws of a wave, one block per thread, run in parallel; ``apply``
+    runs in the calling thread, each time on a whole block, so a BLAS
+    product in it has shapes, and with them bits, that follow from the
+    block layout alone.
     """
     blocks = _tiles(0, n_paths, BLOCK)
-    for w in range(0, len(blocks), pool.n_threads):
-        wave = blocks[w:w + pool.n_threads]
-        yield wave, pool.run([functools.partial(draw, b, hi - lo)
-                              for b, (lo, hi) in enumerate(wave, w)])
-
-
-def _map_blocks(draw: Callable[[int, int], np.ndarray],
-                apply: Callable[[np.ndarray], np.ndarray], n_paths: int,
-                n_threads: int | None, out: np.ndarray) -> np.ndarray:
-    """Fill out with apply(draw(b, n)) over the RNG blocks b of n paths.
-
-    Per wave of ``_block_waves``, ``apply`` runs on row tiles of the
-    drawn blocks, split so that every thread has a share even when there
-    is a single block; the floor is counted in bytes of ``out``, which
-    tracks the work of ``apply``.  ``apply`` must give each row the same
-    bits in a tile of any size, so it may not be a BLAS product, whose
-    bits depend on the shape (the Cholesky sampler keeps its products
-    whole, one per block).
-    """
     with _Pool(n_threads) as pool:
-        for wave, drawn in _block_waves(draw, n_paths, pool):
-            first = wave[0][0]
-
-            def fn(lo: int, hi: int) -> np.ndarray:
-                start = lo // BLOCK * BLOCK
-                return apply(drawn[(lo - first) // BLOCK][lo - start:
-                                                          hi - start])
-
-            rows = _tile_rows(wave[-1][1] - first, out[:1].nbytes,
-                              pool.n_threads)
-            _map_rows(fn, [t for lo, hi in wave for t in _tiles(lo, hi, rows)],
-                      pool, out)
+        for w in range(0, len(blocks), pool.n_threads):
+            wave = blocks[w:w + pool.n_threads]
+            drawn = pool.run([functools.partial(draw, b, hi - lo)
+                              for b, (lo, hi) in enumerate(wave, w)])
+            for (lo, hi), z in zip(wave, drawn):
+                out[lo:hi] = apply(z)
     return out
 
 
@@ -567,6 +536,17 @@ def sample_paths_whitenoise(h, d: int, times, grid: WhiteNoiseGrid,
     sharing the kernel matrix.  Conditional on the grid, the covariance
     is the discrete kernel inner product; it approaches
     ``fbm_covariance`` as dx -> 0 and x_lo -> -inf.
+
+    Each RNG block's noise, as z of shape (n d, cells) with row j d + c
+    for component c of path j, is multiplied by the kernel rows of
+    WINDOW times at a time, z @ K[r:r + WINDOW].T, in the calling
+    thread.  A window starts at min(r, T - WINDOW) for T times: the last
+    one overlaps the one before it instead of being padded, so K is not
+    copied; only below WINDOW times does K get zero rows up to WINDOW.
+    Every product has one shape, so a time's values are the same bits in
+    any time grid that holds it, and for any ``n_threads``; like the
+    Cholesky paths, they depend on the BLAS build and its own thread
+    setting.
     """
     hu = _hurst(h)
     d = _integer("d", d, 1)
@@ -575,17 +555,26 @@ def sample_paths_whitenoise(h, d: int, times, grid: WhiteNoiseGrid,
     times = _time_grid(times)
     grid.validate(hu)
     K = _kernel_matrix(hu, times, grid)
+    if times.size < WINDOW:
+        K = np.concatenate([K, np.zeros((WINDOW - times.size, grid.n_cells))])
+    n_rows = K.shape[0]
 
     def draw(b: int, n: int) -> np.ndarray:
         return grid.increments(d, n, stream, b)
 
     def apply(dW: np.ndarray) -> np.ndarray:
-        # (rows, d, cells) x (times, cells) -> (rows, times, d)
-        return np.einsum("jdc,tc->jtd", dW, K, optimize=False)
+        n = dW.shape[0]
+        z = dW.reshape(n * d, grid.n_cells)
+        rows = np.empty((n, n_rows, d))
+        for r in range(0, n_rows, WINDOW):
+            lo = min(r, n_rows - WINDOW)
+            rows[:, lo:lo + WINDOW] = (z @ K[lo:lo + WINDOW].T).reshape(
+                n, d, WINDOW).transpose(0, 2, 1)
+        return rows[:, :times.size]
 
-    out = _map_blocks(draw, apply, n_paths, n_threads,
-                      np.empty((n_paths, times.size, d)))
-    out[:, times == 0.0, :] = 0.0
+    out = _fill_blocks(draw, apply, n_paths, n_threads,
+                       np.empty((n_paths, times.size, d)))
+    out[:, 0] = 0.0
     return PathEnsemble(hurst=hu, times=times, paths=out, grid=grid,
                         stream=stream)
 
@@ -647,11 +636,10 @@ def sample_paths_cholesky(h, d: int, times, n_paths: int, stream: int = 0, *,
         rng = np.random.Generator(np.random.Philox(ss))
         return rng.standard_normal(size=(n * d, mm))
 
-    with _Pool(n_threads) as pool:
-        for wave, drawn in _block_waves(draw, n_paths, pool):
-            for (lo, hi), z in zip(wave, drawn):
-                out[lo:hi, 1:] = (z @ chol_t).reshape(
-                    hi - lo, d, mm).transpose(0, 2, 1)
+    def apply(z: np.ndarray) -> np.ndarray:
+        return (z @ chol_t).reshape(-1, d, mm).transpose(0, 2, 1)
+
+    _fill_blocks(draw, apply, n_paths, n_threads, out[:, 1:])
     return PathEnsemble(hurst=hu, times=times, paths=out, stream=stream)
 
 
@@ -707,7 +695,9 @@ def _pair_sums(ens: PathEnsemble, eps: float, n_trunc: int = 0,
         lag_coeffs = [[c[lo:hi] for c in coeffs]
                       for lo, hi in zip(starts[:-1], starts[1:])]
 
-    def tile(lo: int, hi: int) -> np.ndarray:
+    sums = np.empty(ens.n_paths)
+
+    def tile(lo: int, hi: int) -> None:
         n = hi - lo
         cols = max(n, 2)
         paths = np.zeros((d, m, cols))
@@ -738,13 +728,13 @@ def _pair_sums(ens: PathEnsemble, eps: float, n_trunc: int = 0,
                 if n_trunc:
                     row -= np.einsum("ji,j->i", poly, w_lag)
                 vals += row
-        return pref * vals[:n]
+        # Each tile writes only its own paths' sums.
+        sums[lo:hi] = pref * vals[:n]
 
     with _Pool(n_threads) as pool:
-        rows = _tile_rows(ens.n_paths, m * d * B.itemsize, pool.n_threads,
-                          TILE_BYTES)
-        sums = _map_rows(tile, _tiles(0, ens.n_paths, rows), pool,
-                         np.empty(ens.n_paths))
+        rows = _tile_rows(ens.n_paths, m * d * B.itemsize, pool.n_threads)
+        pool.run([functools.partial(tile, lo, hi)
+                  for lo, hi in _tiles(0, ens.n_paths, rows)])
     if not np.any(sums):
         raise AccuracyError(
             f"every pair sum is exactly 0 over {ens.n_paths} paths at "
@@ -841,7 +831,7 @@ def _wick_weights(ens: PathEnsemble, fvals: np.ndarray, *,
 
     ``fvals`` holds f_j at the grid midpoints, shape (d, n_cells).  The
     discrete norm makes the weight's expectation exactly one for the
-    generated noise.
+    generated noise.  <noise, f> is one BLAS product per RNG block.
     """
     grid = ens.grid
     half_norm = 0.5 * float(np.sum(fvals * fvals)) * grid.dx
@@ -850,11 +840,11 @@ def _wick_weights(ens: PathEnsemble, fvals: np.ndarray, *,
         return grid.increments(ens.d, n, ens.stream, b)
 
     def apply(dW: np.ndarray) -> np.ndarray:
-        dot = np.sum(dW * fvals[None, :, :], axis=(1, 2))
-        return np.exp(dot - half_norm)
+        return np.exp(dW.reshape(dW.shape[0], -1) @ fvals.ravel()
+                      - half_norm)
 
-    weights = _map_blocks(draw, apply, ens.n_paths, n_threads,
-                          np.empty(ens.n_paths))
+    weights = _fill_blocks(draw, apply, ens.n_paths, n_threads,
+                           np.empty(ens.n_paths))
     if not np.any(weights):
         raise AccuracyError(
             f"every Wick weight underflowed to 0 over {ens.n_paths} paths "
@@ -957,6 +947,9 @@ def mc_grid_bias(h, d: int, eps: float, m: int, n_paths: int,
         ens = sample_paths_whitenoise(h, d, union, grid, n_paths, stream,
                                       n_threads=n_threads)
     elif generator == "cholesky":
+        if grid is not None:
+            raise ConfigError("the Cholesky generator takes no noise grid; "
+                              "sample with generator='whitenoise' to use it")
         ens = sample_paths_cholesky(h, d, union, n_paths, stream, seed=seed,
                                     n_threads=n_threads)
     else:

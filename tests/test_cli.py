@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import threading
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -361,18 +362,28 @@ class TestRunArtifacts:
     def test_selftest_compares_one_thread_with_two(self, tmp_path,
                                                     monkeypatch):
         # with two threads resolved for the run, the determinism check
-        # must still sample once on one thread and once on two
+        # must still sample once on one thread and once on two, and the
+        # two-thread run must really start a thread
         seen = []
+        started = []
         sample = cli_module.sample_paths_whitenoise
+        start = threading.Thread.start
+
+        def counting_start(self):
+            started.append(self)
+            start(self)
 
         def spy(*args, n_threads=None, **kwargs):
-            seen.append(n_threads)
-            return sample(*args, n_threads=n_threads, **kwargs)
+            before = len(started)
+            ens = sample(*args, n_threads=n_threads, **kwargs)
+            seen.append((n_threads, len(started) > before))
+            return ens
 
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
         monkeypatch.setattr(cli_module, "sample_paths_whitenoise", spy)
         monkeypatch.setenv("LOCTIME_THREADS", "2")
         assert main(["selftest", "--out", str(tmp_path)]) == 0
-        assert {1, 2} <= set(seen)
+        assert {(1, False), (2, True)} <= set(seen)
 
     def test_manifest_keys(self, tmp_path):
         assert main(["stransform", "--out", str(tmp_path)]) == 0

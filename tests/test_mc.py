@@ -265,6 +265,24 @@ class TestSampling:
         assert (np.max(np.abs(got[:, 1:] - want))
                 <= 1e-13 * np.max(np.abs(want)))
 
+    @pytest.mark.parametrize("m", [16, 128])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_whitenoise_products_match_einsum(self, d, m):
+        # As above for the white-noise sampler: 17 times fill one padded
+        # window and 129 end in a window that overlaps the one before it.
+        times = make_midpoint_times(m)
+        grid = WhiteNoiseGrid(n_cells=256, seed=3)
+        n_paths, stream = 1100, 2
+        dW = np.concatenate([
+            grid.increments(d, hi - lo, stream, b)
+            for b, (lo, hi) in enumerate(mc._tiles(0, n_paths, BLOCK))])
+        K = mc._kernel_matrix(Hurst(0.7), times, grid)
+        want = np.einsum("jdc,tc->jtd", dW, K)
+        got = sample_paths_whitenoise(0.7, d, times, grid, n_paths,
+                                      stream).paths
+        assert not got[:, 0].any()
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
     @pytest.mark.parametrize("h", [0.3, 0.5, 0.7])
     def test_kernel_matrix_rows_are_increment_kernels(self, h):
         grid = WhiteNoiseGrid()
@@ -312,6 +330,20 @@ class TestSampling:
         est_sub = mc_local_time_regularized(sub, 0.05)
         est_direct = mc_local_time_regularized(ens_direct, 0.05)
         assert est_sub == est_direct
+
+    @pytest.mark.parametrize("m, d", [(64, 3), (128, 1)])
+    def test_whitenoise_restriction_beyond_one_window(self, m, d):
+        # The m and 2m grids share m + 1 times, which sit at other window
+        # positions in the direct run; 1,100 paths end in a block of 76.
+        # With the windows' product transposed, the bits of (64, 3) moved;
+        # with one product over all the times, those of (128, 1) did.
+        grid = WhiteNoiseGrid(n_cells=512, seed=1)
+        t1 = make_midpoint_times(m)
+        union = np.unique(np.concatenate([t1, make_midpoint_times(2 * m)]))
+        ens_union = sample_paths_whitenoise(0.3, d, union, grid, 1100)
+        ens_direct = sample_paths_whitenoise(0.3, d, t1, grid, 1100)
+        sub = ens_union.restrict_times(np.searchsorted(union, t1))
+        assert np.array_equal(sub.paths, ens_direct.paths)
 
     def test_cholesky_moments(self):
         times = np.array([0.0, 0.5, 1.0])
@@ -869,6 +901,12 @@ class TestGridBias:
         with pytest.raises(ConfigError):
             mc_grid_bias(0.5, 1, 0.05, 4, 100, generator="euler")
 
+    def test_cholesky_refuses_a_noise_grid(self):
+        # The grid was ignored without a word.
+        with pytest.raises(ConfigError, match="no noise grid"):
+            mc_grid_bias(0.5, 1, 0.05, 4, 100, grid=WhiteNoiseGrid(),
+                         generator="cholesky")
+
     def test_non_finite_eps_rejected_before_sampling(self, monkeypatch):
         def no_sampling(*args, **kwargs):
             raise AssertionError("paths sampled for a bad eps")
@@ -887,7 +925,7 @@ class TestGridBias:
 THREAD_COUNTS = (1, 2, 3, None)
 # (TILE_BYTES, TILE_FLOOR): the defaults, under which the calls below
 # split into tiles only on two or more threads, and pair-sum tiles of
-# 16 KiB (10 to 292 rows) with no floor on the samplers' thread shares.
+# 16 KiB (10 to 292 rows) with no floor on a thread's share.
 TILE_SETTINGS = ((mc.TILE_BYTES, mc.TILE_FLOOR), (1 << 14, 1))
 
 
@@ -947,7 +985,7 @@ class TestRowTiles:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_samplers_identical_within_one_block(self, tiles, d):
-        # At most one RNG block, so only the row tiles inside it differ.
+        # At most one RNG block, which every thread count samples inline.
         times = make_midpoint_times(128)
         grid = WhiteNoiseGrid(n_cells=256, seed=2)
         for n_paths in (BLOCK, 301):
@@ -967,6 +1005,7 @@ class TestRowTiles:
         # with OpenBLAS unpinned.
         code = (
             "import hashlib\n"
+            "import numpy as np\n"
             "from loctime.mc import (WhiteNoiseGrid, make_midpoint_times,\n"
             "                        mc_s_transform, sample_paths_cholesky,\n"
             "                        sample_paths_whitenoise)\n"
@@ -974,6 +1013,13 @@ class TestRowTiles:
             "times = make_midpoint_times(64)\n"
             "wn = sample_paths_whitenoise(0.7, 1, times,\n"
             "                             WhiteNoiseGrid(n_cells=256), 600)\n"
+            "union = np.unique(np.concatenate([times,\n"
+            "                                  make_midpoint_times(128)]))\n"
+            "grid = WhiteNoiseGrid(n_cells=512, seed=1)\n"
+            "sub = sample_paths_whitenoise(0.3, 3, union, grid, 1100)\n"
+            "sub = sub.restrict_times(np.searchsorted(union, times))\n"
+            "direct = sample_paths_whitenoise(0.3, 3, times, grid, 1100)\n"
+            "assert np.array_equal(sub.paths, direct.paths)\n"
             "f = gaussian_bump(0.3, 0.4, 0.3)\n"
             "for n in (1, 3):\n"
             "    chol = sample_paths_cholesky(0.3, 2, times, 1100,\n"
