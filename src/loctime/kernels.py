@@ -132,13 +132,18 @@ def _product_factory(hu: Hurst, points: tuple[float, ...]):
         return out
 
     mults = Counter(points)
+    distinct = np.array(list(mults), dtype=float)
+    sigmas = np.repeat(a * np.array(list(mults.values()), dtype=float), 2)
 
-    def marks(tau: float) -> list[tuple[float, float]]:
-        sig: dict[float, float] = {}
-        for u, mult in mults.items():
-            for p in (u, u - tau):
-                sig[p] = sig.get(p, 0.0) + mult * a
-        return sorted(sig.items())
+    def marks(taus: np.ndarray) -> np.ndarray:
+        # Marks (point, sigma) at u and u - tau for each distinct u, of
+        # shape (tau.size, 2k, 2); the engine adds up the exponents of
+        # coincident ones.
+        at = np.stack(np.broadcast_arrays(distinct, distinct - taus[:, None]),
+                      axis=-1)
+        return np.stack([at.reshape(taus.size, -1),
+                         np.broadcast_to(sigmas, (taus.size, sigmas.size))],
+                        axis=-1)
 
     # A point u >= 0 repeated m times makes the product blow up like
     # |t1 - u|^(m a) on the triangle; for u < 0 every factor is smooth

@@ -920,7 +920,7 @@ def mc_s_transform(ens: PathEnsemble, f, eps: float, n_trunc: int = 0, *,
 
 def mc_grid_bias(h, d: int, eps: float, m: int, n_paths: int,
                  grid: WhiteNoiseGrid | None = None, stream: int = 0, *,
-                 seed: int = 0, generator: str = "cholesky",
+                 seed: int | None = None, generator: str = "cholesky",
                  n_threads: int | None = None
                  ) -> tuple[McEstimate, McEstimate, float]:
     """Time-grid bias of the pair rule, measured on shared paths.
@@ -936,8 +936,15 @@ def mc_grid_bias(h, d: int, eps: float, m: int, n_paths: int,
     rough paths converge like m^(-2H), while for H >= 1/2 the smooth
     midpoint error O(1/m) dominates.  Taking the min over-reports the
     bias slightly for H > 1/2, which keeps the estimate conservative.
+
+    ``seed`` (default 0) seeds the paths; a noise ``grid`` carries its
+    own seed, so giving both raises ``ConfigError``.
     """
     _finite("the estimator's eps", eps, 0.0, strict=True)
+    if grid is not None and seed is not None:
+        raise ConfigError("a noise grid carries its own seed; give either "
+                          "the grid or the seed")
+    seed = 0 if seed is None else seed
     t1 = make_midpoint_times(m)
     t2 = make_midpoint_times(2 * m)
     union = np.unique(np.concatenate([t1, t2]))

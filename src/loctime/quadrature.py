@@ -7,11 +7,12 @@ marked points and each singular endpoint is removed exactly by the
 substitution ``x = p + w**(1/(1+sigma))``, which maps ``(x-p)^sigma dx``
 to a constant multiple of ``dw``.  Panels are then refined adaptively
 with an embedded Gauss pair (order n vs 2n), by generations: each
-generation evaluates all new panels in as few integrand calls as its
-block size allows.  One call integrates a batch of intervals (arrays
-``lo``, ``hi``, one mark list and one set of parameters ``args`` per
-row); a row's result is bit-identical whether it is integrated alone or
-in a batch, as long as the integrand is computed point by point.
+generation evaluates all new panels in calls of the integrand of at
+most _MAX_POINTS points.  One call integrates a batch of intervals
+(arrays ``lo``, ``hi``, one mark list and one set of parameters ``args``
+per row); a row's result is bit-identical whether it is integrated alone
+or in a batch, as long as the integrand is computed point by point.
+The panels of all rows are set up at once, in numpy.
 
 ``integrate_triangle_singular`` computes
 
@@ -28,10 +29,13 @@ geometric edges shrinking toward tau = 0 (ratio 1/2) and at the
 integrand's outer breakpoints; for alpha > 0 it is computed after the
 substitution tau = v**(1/(1-alpha)), which removes the singularity
 exactly for constant G.  The outer integrand gets G at its tau nodes
-from batched inner calls, 48 tau (one outer panel) per call, so
-``g(t1, tau)`` receives ``tau`` as an array of the shape of ``t1``.  All
-rules are open, so g is never evaluated at tau = 0 or at marked
-singular points.
+from batched inner calls of at most _MAX_ROWS tau each, so
+``g(t1, tau)`` receives ``tau`` as an array of the shape of ``t1``.  The
+two caps, points per integrand call and rows per inner call, bound the
+memory the engine holds.  All rules are open, so g is never evaluated at
+tau = 0 or at marked singular points.  A triangle integral stops with
+``AccuracyError`` once its inner integrals have used more than
+``max_evaluations`` integrand points.
 
 Integrands must be vectorized over numpy arrays.  Panel results are
 summed in a fixed order, so repeated runs give bit-identical values.
@@ -46,7 +50,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import AccuracyError, ConfigError, NonIntegrableError, _finite
+from .errors import (AccuracyError, ConfigError, NonIntegrableError,
+                     _finite, _integer)
 
 __all__ = [
     "QuadratureResult",
@@ -76,13 +81,12 @@ class QuadratureResult:
         return self.value
 
 
-# Most panels evaluated in one call of the integrand by
-# ``integrate_interval``, and most tau in one batch of inner integrals
-# of the triangle engine (the 48 Gauss nodes of one outer panel), and
-# the Gauss order of the inner panels.
-_BLOCK = 512
-_TAU_BLOCK = 48
-_INNER_ORDER = 16
+# The two caps on the engine's state: most integrand points in one call
+# of the integrand by ``integrate_interval`` (128 panels of an order-16
+# pair), and most rows in one batch of inner integrals of the triangle
+# engine.
+_MAX_POINTS = 6144
+_MAX_ROWS = 384
 
 
 @lru_cache(maxsize=None)
@@ -105,44 +109,105 @@ def gauss_panels(edges, order: int):
     return nodes, weights
 
 
-def _branches(lo: float, hi: float, singular) -> list:
-    """Substitution branches ``(p, side, q, w_hi)`` covering ``[lo, hi]``.
+def _marks(singular, n_rows: int):
+    """Row, point and exponent arrays of a batch's marks: one sequence of
+    (point, sigma) pairs per row (an array of shape (rows, k, 2) too), or
+    none at all."""
+    if len(singular) == 0:
+        return np.zeros(0, np.intp), np.zeros(0), np.zeros(0)
+    if len(singular) != n_rows:
+        raise ConfigError(f"{len(singular)} mark lists for a batch of "
+                          f"{n_rows} intervals")
+    if isinstance(singular, np.ndarray):
+        pairs = np.asarray(singular, float).reshape(-1, 2)
+        sizes = singular.shape[1]
+    else:
+        sizes = [len(marks) for marks in singular]
+        pairs = np.array([pair for marks in singular for pair in marks],
+                         dtype=float).reshape(-1, 2)
+    return np.repeat(np.arange(n_rows), sizes), pairs[:, 0], pairs[:, 1]
 
-    A branch maps ``w`` in ``[0, w_hi]`` to ``x = p + side * w**q``; a
-    plain branch is ``q = 1``.  Exponents of coincident marks add up (a
-    product of factors that are each singular at the same point).
+
+def _panels(los, his, mark_row, mark_p, mark_s):
+    """Substitution panels covering each row's ``[lo, hi]``: arrays of
+    row, p, side, q and w_hi, each row's panels in position order.
+
+    A panel maps ``w`` in ``[0, w_hi]`` to ``x = p + side * w**q``; a
+    plain panel has ``q = 1``.  A row without marks in ``[lo, hi]`` is one
+    plain panel.  A marked row is split at its marks: exponents of
+    coincident marks add up (a product of factors that are each singular
+    at the same point), a combined exponent <= -1 raises
+    ``NonIntegrableError``, a piece is substituted only at its singular
+    (sigma < 0) ends, and a piece singular at both ends is split at its
+    midpoint.  Empty rows (hi <= lo) get no panel.
     """
-    marks: dict[float, float] = {}
-    for p, sigma in singular:
-        p = float(p)
-        if lo <= p <= hi:
-            marks[p] = marks.get(p, 0.0) + float(sigma)
-    for p, sigma in marks.items():
-        if sigma <= -1.0:
-            raise NonIntegrableError(
-                f"combined exponent {sigma:g} at x={p:g} is not integrable "
-                "(must exceed -1)")
+    live = his > los
+    keep = (live[mark_row] & (los[mark_row] <= mark_p)
+            & (mark_p <= his[mark_row]))
+    mark_row, mark_p, mark_s = mark_row[keep], mark_p[keep], mark_s[keep]
+    marked = np.zeros(los.size, dtype=bool)
+    marked[mark_row] = True
+    plain = np.flatnonzero(live & ~marked)
+    ones = np.ones(plain.size)
+    panels = (plain, los[plain], ones, ones, his[plain] - los[plain])
+    if not mark_row.size:
+        return panels
+    mr = np.flatnonzero(marked)
 
-    points = sorted(set([lo, hi]) | set(marks))
-    out = []
-    for a, b in zip(points[:-1], points[1:]):
-        sa = marks.get(a)
-        sb = marks.get(b)
-        # Substitute only at genuinely singular endpoints.  A positive
-        # exponent is just a kink; substituting there would manufacture
-        # a w^(q-1) blow-up from the smooth additive part.
-        sub_a = sa is not None and sa < 0.0
-        sub_b = sb is not None and sb < 0.0
-        if not (sub_a or sub_b):
-            out.append((a, 1.0, 1.0, b - a))
-            continue
-        # Both ends singular: split at the midpoint m, one branch each.
-        m = 0.5 * (a + b) if sub_a and sub_b else (b if sub_a else a)
-        if sub_a:
-            out.append((a, 1.0, 1.0 / (1.0 + sa), (m - a) ** (1.0 + sa)))
-        if sub_b:
-            out.append((b, -1.0, 1.0 / (1.0 + sb), (b - m) ** (1.0 + sb)))
-    return out
+    # The points of the marked rows: lo, hi and the marks in the order
+    # given, sorted stably by position, so that of coincident points lo
+    # or hi comes first and the exponents add up in the order given
+    # (bincount sums in array order).
+    row = np.concatenate([mr, mr, mark_row])
+    x = np.concatenate([los[mr], his[mr], mark_p])
+    s = np.concatenate([np.zeros(2 * mr.size), mark_s])
+    is_mark = np.arange(row.size) >= 2 * mr.size
+    order = np.lexsort((x, row))
+    row, x, s, is_mark = row[order], x[order], s[order], is_mark[order]
+    head = np.ones(row.size, dtype=bool)
+    head[1:] = (row[1:] != row[:-1]) | (x[1:] != x[:-1])
+    group = np.cumsum(head) - 1
+    sigma = np.bincount(group, weights=s)
+    has_mark = np.bincount(group, weights=is_mark) > 0.0
+    bad = np.flatnonzero(has_mark & (sigma <= -1.0))
+    if bad.size:
+        raise NonIntegrableError(
+            f"combined exponent {sigma[bad[0]]:g} at x={x[head][bad[0]]:g} "
+            "is not integrable (must exceed -1)")
+    # Substitute only at genuinely singular ends.  A positive exponent is
+    # just a kink; substituting there would manufacture a w^(q-1) blow-up
+    # from the smooth additive part.
+    sub = has_mark & (sigma < 0.0)
+
+    g_row, g_x = row[head], x[head]
+    seg = np.flatnonzero(g_row[1:] == g_row[:-1])
+    a, b = g_x[seg], g_x[seg + 1]
+    sub_a, sub_b = sub[seg], sub[seg + 1]
+    e_a, e_b = 1.0 + sigma[seg], 1.0 + sigma[seg + 1]
+    # Both ends singular: split at the midpoint m, one branch each.
+    m = np.where(sub_a & sub_b, 0.5 * (a + b), np.where(sub_a, b, a))
+    # Each piece has a branch at a (plain, or substituted at a) unless
+    # only b is singular, and one at b if b is.
+    at_a = ~sub_b | sub_a
+    q_a, w_a = np.ones(seg.size), b - a
+    q_a[sub_a] = 1.0 / e_a[sub_a]
+    w_a[sub_a] = _pow(m[sub_a] - a[sub_a], e_a[sub_a])
+    q_b, w_b = np.ones(seg.size), np.zeros(seg.size)
+    q_b[sub_b] = 1.0 / e_b[sub_b]
+    w_b[sub_b] = _pow(b[sub_b] - m[sub_b], e_b[sub_b])
+    both = np.stack([at_a, sub_b], axis=1).ravel()
+    ones = np.ones(seg.size)
+    branches = ((g_row[seg], g_row[seg]), (a, b), (ones, -ones), (q_a, q_b),
+                (w_a, w_b))
+    return tuple(np.concatenate([on_plain, np.stack(on, axis=1).ravel()[both]])
+                 for on_plain, on in zip(panels, branches))
+
+
+def _pow(base, expo):
+    """base**expo rounded as the C library's pow (Python's float power)
+    rounds it.  numpy's vectorized power differs from pow in the last bit
+    for some arguments, and a panel edge that moves moves the value."""
+    return np.power(base.astype(object), expo.astype(object)).astype(float)
 
 
 def integrate_interval(f: Callable[..., np.ndarray], lo, hi, *,
@@ -164,7 +229,9 @@ def integrate_interval(f: Callable[..., np.ndarray], lo, hi, *,
         Locations where the integrand behaves like ``|x - point|^sigma``
         with sigma > -1.  ``sigma == 0`` marks a plain breakpoint (jump
         or kink) where the interval is split without substitution.  A
-        batch takes one such sequence per row (or none at all).
+        batch takes one such sequence per row, an array of shape
+        (rows, k, 2), or none at all.  Marks outside a row's interval,
+        NaN points among them, do not count.
     tol : float
         Absolute error target for the embedded-rule estimate, per row.
     args : sequence
@@ -184,29 +251,21 @@ def integrate_interval(f: Callable[..., np.ndarray], lo, hi, *,
     n_rows = los.size
     if not batch:
         singular = (singular,)
-    elif not singular:
-        singular = ((),) * n_rows
-    elif len(singular) != n_rows:
-        raise ConfigError(
-            f"{len(singular)} mark lists for a batch of {n_rows} intervals")
     params = [np.broadcast_to(np.asarray(a, float), (n_rows,)) for a in args]
 
     # One panel per branch: row, x = p + side * w**q for w in [w_lo, w_hi].
-    panels = np.array([(r,) + br for r in range(n_rows) if his[r] > los[r]
-                       for br in _branches(float(los[r]), float(his[r]),
-                                           singular[r])]).reshape(-1, 5)
-    rows = panels[:, 0].astype(np.intp)
-    p, side, q, w_hi = panels[:, 1:].T
+    rows, p, side, q, w_hi = _panels(los, his, *_marks(singular, n_rows))
     w_lo, val, err = np.zeros((3, rows.size))
     fresh = np.ones(rows.size, dtype=bool)
     (gx_c, gw_c), (gx_f, gw_f) = _leggauss(order), _leggauss(2 * order)
     unit = np.concatenate([gx_c, gx_f])
+    block = max(1, _MAX_POINTS // unit.size)
     evaluations = 0
     while fresh.any():
-        # At most _BLOCK panels per call of f bound its array sizes.
+        # At most _MAX_POINTS points per call of f bound its array sizes.
         todo = np.flatnonzero(fresh)
-        for start in range(0, todo.size, _BLOCK):
-            idx = todo[start:start + _BLOCK]
+        for start in range(0, todo.size, block):
+            idx = todo[start:start + block]
             half = 0.5 * (w_hi[idx] - w_lo[idx])
             w = (w_lo[idx] + half)[:, None] + half[:, None] * unit
             # A real array, not a broadcast view: numpy's power takes
@@ -286,28 +345,39 @@ def triangle_power_moment(alpha: float) -> float:
     return 1.0 / ((1.0 - alpha) * (2.0 - alpha))
 
 
-def _inner_integrals(g, tol: float, marks_of):
+def _inner_integrals(g, tol: float, marks_of, budget: float = math.inf):
     """G(tau) = int_0^{1-tau} g(t1, tau) dt1 at an array of tau (zero for
     tau outside (0, 1)), and a one-element list counting the points where
-    g was evaluated.  Each block of _TAU_BLOCK tau is one batched
-    ``integrate_interval`` call; the block bounds the refinement state
-    held at once, which grows with the number of rows."""
+    g was evaluated.  Each _MAX_ROWS tau are one batched
+    ``integrate_interval`` call; the cap bounds the refinement state held
+    at once, which grows with the number of rows.  Once the count passes
+    ``budget`` after a call, ``AccuracyError`` is raised."""
     evaluations = [0]
 
     def G(taus: np.ndarray) -> np.ndarray:
         out = np.empty_like(taus)
-        for start in range(0, taus.size, _TAU_BLOCK):
-            t = taus[start:start + _TAU_BLOCK]
+        for start in range(0, taus.size, _MAX_ROWS):
+            t = taus[start:start + _MAX_ROWS]
             widths = np.where(t > 0.0, 1.0 - t, 0.0)
             marks = ()
             if marks_of is not None:
-                marks = [[(p, s) for p, s in marks_of(tau) if 0.0 < p < w]
-                         for tau, w in zip(t.tolist(), widths.tolist())]
+                marks = np.asarray(marks_of(t), float)
+                if marks.ndim < 3:
+                    marks = marks.reshape(-1, 2)
+                marks = np.broadcast_to(marks, t.shape + marks.shape[-2:])
+                # Only marks inside (0, 1 - tau) count; a NaN point lies in
+                # no interval, so the engine drops it.
+                p = marks[..., 0]
+                inside = (0.0 < p) & (p < widths[:, None])
+                marks = np.where(inside[..., None], marks, np.nan)
             res = integrate_interval(g, np.zeros_like(t), widths, tol=tol,
-                                     singular=marks, order=_INNER_ORDER,
-                                     strict=False, args=(t,))
+                                     singular=marks, strict=False, args=(t,))
             evaluations[0] += res.evaluations
-            out[start:start + _TAU_BLOCK] = res.value
+            if evaluations[0] > budget:
+                raise AccuracyError(
+                    f"triangle quadrature stopped after {evaluations[0]:,} "
+                    f"integrand evaluations, over its budget of {budget:,}")
+            out[start:start + _MAX_ROWS] = res.value
         return out
 
     return G, evaluations
@@ -316,9 +386,9 @@ def _inner_integrals(g, tol: float, marks_of):
 def integrate_triangle_singular(
         alpha: float, g: Callable[[np.ndarray, np.ndarray], np.ndarray], *,
         tol: float = 1e-9,
-        inner_singularities: Callable[[float], list[tuple[float, float]]]
-        | None = None,
-        outer_breakpoints: Sequence[float] = ()) -> QuadratureResult:
+        inner_singularities: Callable[[np.ndarray], Sequence] | None = None,
+        outer_breakpoints: Sequence[float] = (),
+        max_evaluations: int = 200_000_000) -> QuadratureResult:
     """Integrate ``tau^(-alpha) g(t1, t2)`` over ``0 < t1 < t2 < 1``.
 
     ``g`` must be bounded and vectorized: ``g(t1, tau) -> array`` takes
@@ -327,16 +397,20 @@ def integrate_triangle_singular(
     exactly rather than reconstructed from t2 - t1, which would round to
     zero once tau drops below the floating-point spacing of t1 (the
     engine probes tau many orders of magnitude below that).
-    ``inner_singularities``, if given, maps tau to a list of
-    ``(t1_location, sigma)`` marks for the inner integral at that tau.
+    ``inner_singularities``, if given, maps an array of tau to the
+    ``(t1_location, sigma)`` marks of the inner integrals there: pairs
+    of shape (k, 2) shared by every tau, or (tau.size, k, 2).
     ``outer_breakpoints`` lists the tau at which G(tau) has a kink or a
     jump; they are added to the outer panel edges.  alpha >= 1 raises
-    ``NonIntegrableError``.
+    ``NonIntegrableError``.  Once the inner integrals have used more than
+    ``max_evaluations`` integrand points, ``AccuracyError`` is raised.
     """
     tol = _finite("quadrature tolerance", tol, 0.0, strict=True)
+    max_evaluations = _integer("max_evaluations", max_evaluations, 1)
     moment = triangle_power_moment(alpha)
     inner_tol = 0.25 * tol / max(moment, 1.0)
-    G, evaluations = _inner_integrals(g, inner_tol, inner_singularities)
+    G, evaluations = _inner_integrals(g, inner_tol, inner_singularities,
+                                      max_evaluations)
 
     # Geometric edges toward tau = 0 (ratio 1/2) and the breakpoints of G
     # split the tau axis.

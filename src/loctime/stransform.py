@@ -59,6 +59,8 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+# Most points of one call of a Gauss rule in ``_exp_tail_ratio``.
+_TAIL_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -192,20 +194,24 @@ def _exp_tail_ratio(y, n: int):
     xs = -np.atleast_1d(np.asarray(y, dtype=float))
     if n == 0:
         return np.exp(xs)
+    # 0 panels stands for the far rule.  The points of each rule go in
+    # chunks of _TAIL_CHUNK, which bounds the (points x nodes) temporaries.
+    n_panels = np.where(xs < -50.0, 0.0, np.ceil(xs / 50.0).clip(min=1.0))
     out = np.empty(xs.shape)
-    far = xs < -50.0
-    if far.any():
-        u, w = gauss_panels((0.0, 1.0), 48)
-        length = -50.0 / xs[far]
-        s = length[:, None] * u
-        out[far] = length * np.sum(
-            np.exp(xs[far, None] * s) * (1.0 - s) ** (n - 1) * w, axis=1)
-    n_panels = np.ceil(xs / 50.0).clip(min=1.0)
-    for k in np.unique(n_panels[~far]):
-        at = ~far & (n_panels == k)
-        u, w = gauss_panels(np.linspace(0.0, 1.0, int(k) + 1), 48)
-        out[at] = np.sum(np.exp(xs[at, None] * u) * ((1.0 - u) ** (n - 1) * w),
-                         axis=1)
+    for k in np.unique(n_panels):
+        u, w = gauss_panels(np.linspace(0.0, 1.0, max(int(k), 1) + 1), 48)
+        at = np.flatnonzero(n_panels == k)
+        for start in range(0, at.size, _TAIL_CHUNK):
+            chunk = at[start:start + _TAIL_CHUNK]
+            x = xs[chunk, None]
+            if k == 0.0:
+                length = -50.0 / xs[chunk]
+                s = length[:, None] * u
+                out[chunk] = length * np.sum(
+                    np.exp(x * s) * (1.0 - s) ** (n - 1) * w, axis=1)
+            else:
+                out[chunk] = np.sum(np.exp(x * u) * ((1.0 - u) ** (n - 1) * w),
+                                    axis=1)
     return n * out
 
 

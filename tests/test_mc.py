@@ -907,6 +907,27 @@ class TestGridBias:
             mc_grid_bias(0.5, 1, 0.05, 4, 100, grid=WhiteNoiseGrid(),
                          generator="cholesky")
 
+    def test_whitenoise_refuses_a_grid_and_a_seed(self):
+        # The seed was ignored without a word: the grid carries its own.
+        for seed in (0, 5):
+            with pytest.raises(ConfigError, match="own seed"):
+                mc_grid_bias(0.5, 1, 0.1, 4, 100, grid=WhiteNoiseGrid(),
+                             seed=seed, generator="whitenoise")
+
+    @pytest.mark.parametrize("generator", ["cholesky", "whitenoise"])
+    def test_default_seed_is_seed_zero(self, generator):
+        def bias(**kw):
+            est1, est2, b = mc_grid_bias(0.5, 1, 0.1, 4, 200,
+                                         generator=generator, **kw)
+            return est1.mean, est2.mean, b
+
+        default = bias()
+        assert default == bias(seed=0)
+        assert default != bias(seed=5)
+        if generator == "whitenoise":
+            assert default == bias(grid=WhiteNoiseGrid(seed=0))
+            assert bias(seed=5) == bias(grid=WhiteNoiseGrid(seed=5))
+
     def test_non_finite_eps_rejected_before_sampling(self, monkeypatch):
         def no_sampling(*args, **kwargs):
             raise AssertionError("paths sampled for a bad eps")

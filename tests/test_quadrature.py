@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from loctime import quadrature
+from loctime import (DeltaSpec, VectorTestFunction, gaussian_bump,
+                     kernel_value, quadrature, s_local_time, zero_bundle)
 from loctime.errors import AccuracyError, ConfigError, NonIntegrableError
 from loctime.quadrature import (divergence_probe, integrate_interval,
                                 integrate_triangle_singular,
@@ -91,8 +92,9 @@ class TestIntervalEngine:
 class TestBatchedIntervals:
     # (lo, hi, k, (c, s), (e, t)): the integrand cos(k x) |x-c|^s |x-e|^t,
     # marked at c and e.  An unmarked row, an interior mark, a singular
-    # left end (sigma < 0), a kink (sigma > 0), both ends singular, and
-    # an empty row.
+    # left end (sigma < 0), a kink (sigma > 0), both ends singular, an
+    # empty row, coincident marks whose exponents add, marks on lo and
+    # hi, and an interior piece singular at both ends.
     ROWS = [
         (0.0, 1.0, 3.0, (0.3, 0.0), (0.5, 0.0)),
         (0.0, 1.0, 5.0, (0.3, -0.4), (0.5, 0.0)),
@@ -100,6 +102,9 @@ class TestBatchedIntervals:
         (0.2, 0.9, 2.0, (0.5, 0.5), (0.5, 0.0)),
         (0.0, 1.0, 4.0, (0.0, -0.3), (1.0, -0.6)),
         (0.5, 0.5, 1.0, (0.3, 0.0), (0.5, 0.0)),
+        (0.0, 1.0, 2.0, (0.3, -0.2), (0.3, -0.5)),
+        (0.2, 0.9, 3.0, (0.2, -0.5), (0.9, -0.25)),
+        (0.0, 1.0, 1.0, (0.4, -0.5), (0.6, -0.3)),
     ]
 
     @staticmethod
@@ -126,7 +131,7 @@ class TestBatchedIntervals:
     def test_rows_match_scalar_calls(self):
         counts = np.zeros(len(self.ROWS), dtype=int)
         res = self.batch(range(len(self.ROWS)), counts)
-        assert res.value.shape == res.error_estimate.shape == (6,)
+        assert res.value.shape == res.error_estimate.shape == (9,)
         assert isinstance(res.evaluations, int)
         assert res.evaluations == counts.sum()
         for r, row in enumerate(self.ROWS):
@@ -158,13 +163,10 @@ class TestBatchedIntervals:
         # Rows that never reach tol end at exactly max_panels panels: each
         # split adds 2 x 48 points to a row's first 48, so p panels cost
         # 48 (2p - 1).  Refining all panels of a row at once would have
-        # gone from 512 to 1,024.  The 1,024 fresh panels of the two
-        # oscillating rows also take two blocks of f calls.
-        sizes = []
+        # gone from 512 to 1,024.
         counts = np.zeros(3, dtype=int)
 
         def f(x, r, k):
-            sizes.append(x.size)
             np.add.at(counts, r.astype(int), 1)
             return np.sin(k * x)
 
@@ -173,13 +175,165 @@ class TestBatchedIntervals:
                                  max_panels=600, strict=False,
                                  args=(np.arange(3.0), ks))
         assert list((counts // 48 + 1) // 2) == [600, 600, 1]
-        assert max(sizes) <= quadrature._BLOCK * 48
         for r, k in enumerate(ks):
             one = integrate_interval(lambda x, k: np.sin(k * x), 0.0, 1.0,
                                      tol=1e-13, max_panels=600, strict=False,
                                      args=(k,))
             assert res.value[r] == one.value
             assert counts[r] == one.evaluations
+
+
+def branches(lo, hi, singular):
+    """The panels of one row, rule by rule: the scalar reference for the
+    engine's vectorized set-up.  Each is (p, side, q, w_hi)."""
+    marks = {}
+    for p, sigma in singular:
+        if lo <= p <= hi:
+            marks[p] = marks.get(p, 0.0) + sigma
+    for p, sigma in marks.items():
+        if sigma <= -1.0:
+            raise NonIntegrableError(f"combined exponent {sigma} at {p}")
+    points = sorted({lo, hi} | set(marks))
+    out = []
+    for a, b in zip(points[:-1], points[1:]):
+        sub_a = marks.get(a, 0.0) < 0.0
+        sub_b = marks.get(b, 0.0) < 0.0
+        if not (sub_a or sub_b):
+            out.append((a, 1.0, 1.0, b - a))
+            continue
+        m = 0.5 * (a + b) if sub_a and sub_b else (b if sub_a else a)
+        if sub_a:
+            sa = marks[a]
+            out.append((a, 1.0, 1.0 / (1.0 + sa), (m - a) ** (1.0 + sa)))
+        if sub_b:
+            sb = marks[b]
+            out.append((b, -1.0, 1.0 / (1.0 + sb), (b - m) ** (1.0 + sb)))
+    return out
+
+
+def reference_panels(los, his, singular):
+    return np.array([(r,) + br for r, (lo, hi, marks)
+                     in enumerate(zip(los, his, singular)) if hi > lo
+                     for br in branches(lo, hi, marks)]).reshape(-1, 5)
+
+
+def panels(los, his, singular):
+    """The engine's panels, row by row; each row's come in position
+    order, but the rows need not come in order."""
+    los, his = np.asarray(los, float), np.asarray(his, float)
+    got = np.stack(quadrature._panels(
+        los, his, *quadrature._marks(singular, los.size)), axis=1)
+    return got[np.argsort(got[:, 0], kind="stable")]
+
+
+class TestVectorizedSetUp:
+    # (lo, hi, marks): every rule of the panel set-up, rows with and
+    # without marks in one batch.
+    ROWS = [
+        (0.0, 1.0, ()),
+        (0.0, 1.0, ((0.3, -0.4),)),
+        # coincident marks: the exponents add up to -0.4
+        (0.0, 1.0, ((0.3, -0.2), (0.7, 0.0), (0.3, -0.3), (0.3, 0.1))),
+        # marks on lo and hi
+        (0.2, 0.9, ((0.2, -0.5), (0.9, -0.25))),
+        # singular at both ends, and an interior piece singular at both
+        (0.0, 1.0, ((0.0, -0.3), (1.0, -0.6))),
+        (0.0, 2.0, ((0.5, -0.5), (1.0, -0.7), (1.5, 0.0))),
+        # a positive exponent is a kink, split without substitution
+        (0.1, 0.8, ((0.4, 0.5),)),
+        # an empty row, and marks outside [lo, hi], which do not count
+        (0.5, 0.5, ((0.5, -0.5),)),
+        (0.0, 1.0, ((-1.0, -3.0), (1.5, -2.0), (0.25, 0.0))),
+        (-1.0, 3.0, ()),
+    ]
+
+    def test_panels_follow_the_per_row_rule(self):
+        los, his, marks = zip(*self.ROWS)
+        got = panels(los, his, marks)
+        assert np.array_equal(got, reference_panels(los, his, marks))
+        # a plain row is one panel from lo to hi
+        assert got[got[:, 0] == 9].tolist() == [[9.0, -1.0, 1.0, 1.0, 4.0]]
+        assert 7 not in got[:, 0]
+
+    def test_random_rows_follow_the_per_row_rule(self):
+        # Marks on a coarse grid, so that coincident marks and marks on
+        # the ends are common; rows whose combined exponent is not
+        # integrable are left out.
+        rng = np.random.default_rng(5)
+        grid = np.linspace(0.0, 1.0, 5)
+        sigmas = np.array([-0.7, -0.4, -0.2, 0.0, 0.3])
+        rows = []
+        while len(rows) < 300:
+            lo, hi = np.sort(rng.choice(grid, 2))
+            marks = tuple(zip(rng.choice(grid, rng.integers(0, 5)).tolist(),
+                              rng.choice(sigmas, 5).tolist()))
+            try:
+                branches(float(lo), float(hi), marks)
+            except NonIntegrableError:
+                continue
+            rows.append((float(lo), float(hi), marks))
+        los, his, marks = zip(*rows)
+        assert np.array_equal(panels(los, his, marks),
+                              reference_panels(los, his, marks))
+
+    def test_marks_as_an_array(self):
+        # (rows, k, 2) marks, NaN points for the absent ones, give the
+        # panels of the same marks as lists
+        los, his = np.zeros(3), np.array([1.0, 0.8, 0.6])
+        marks = np.array([[(0.3, -0.4), (0.5, 0.2)],
+                          [(np.nan, np.nan), (0.8, -0.5)],
+                          [(np.nan, np.nan), (np.nan, np.nan)]])
+        lists = [((0.3, -0.4), (0.5, 0.2)), ((0.8, -0.5),), ()]
+        assert np.array_equal(panels(los, his, marks),
+                              reference_panels(los, his, lists))
+
+    def test_non_integrable_combined_exponent_in_a_batch(self):
+        marks = [(), ((0.4, -0.6), (0.4, -0.5)), ((0.2, -0.3),)]
+        with pytest.raises(NonIntegrableError):
+            integrate_interval(lambda x: np.ones_like(x), np.zeros(3),
+                               np.ones(3), tol=1e-9, singular=marks)
+        # on an empty row, or outside its interval, the same marks do not
+        # count
+        for hi, width in ((0.0, 0.0), (0.3, 0.3)):
+            res = integrate_interval(lambda x: np.ones_like(x), np.zeros(3),
+                                     np.array([1.0, hi, 1.0]), tol=1e-9,
+                                     singular=marks)
+            assert res.value[1] == pytest.approx(width, abs=1e-15)
+
+
+class TestCaps:
+    def test_no_integrand_call_exceeds_the_point_cap(self):
+        # 600 panels per row in three rows: every generation past the
+        # first has more fresh panels than one call takes.
+        for order in (16, 5):
+            sizes = []
+
+            def f(x, k):
+                sizes.append(x.size)
+                return np.sin(k * x)
+
+            integrate_interval(f, np.zeros(3), np.ones(3), tol=1e-13,
+                               max_panels=600, strict=False, order=order,
+                               args=(np.array([1e5, 2e5, 3e5]),))
+            assert max(sizes) <= quadrature._MAX_POINTS
+            assert max(sizes) > quadrature._MAX_POINTS - 3 * order
+
+    def test_no_inner_call_exceeds_the_row_cap(self, monkeypatch):
+        rows, sizes = [], []
+        engine = quadrature.integrate_interval
+
+        def counting(f, lo, hi, **kw):
+            rows.append(np.size(lo))
+            return engine(f, lo, hi, **kw)
+
+        def g(t1, tau):
+            sizes.append(t1.size)
+            return np.cos(20.0 * t1) * np.cos(30.0 * tau)
+
+        monkeypatch.setattr(quadrature, "integrate_interval", counting)
+        integrate_triangle_singular(0.5, g, tol=1e-10)
+        assert max(rows) == quadrature._MAX_ROWS
+        assert max(sizes) <= quadrature._MAX_POINTS
 
 
 class TestTrianglePowerMoment:
@@ -280,3 +434,93 @@ class TestDivergenceProbe:
         ratios = incr[1:] / incr[:-1]
         assert np.all(ratios > 1.5)
         assert np.all(np.abs(ratios - 10.0 ** 0.2) < 0.1)
+
+
+class TestEvaluationBudget:
+    @staticmethod
+    def g(t1, tau):
+        # G(tau) oscillates faster than any outer panel resolves, so the
+        # outer integral never converges; each inner integral converges
+        # at once, 48 points per tau.
+        return np.cos(1e7 * tau) * np.ones_like(t1)
+
+    def test_spent_budget_raises(self):
+        budget = 50_000
+        sizes = []
+
+        def g(t1, tau):
+            sizes.append(t1.size)
+            return self.g(t1, tau)
+
+        with pytest.raises(AccuracyError, match="budget"):
+            integrate_triangle_singular(0.5, g, tol=1e-9,
+                                        max_evaluations=budget)
+        # checked after every batched inner call
+        assert budget < sum(sizes) <= budget + 48 * quadrature._MAX_ROWS
+
+    def test_budget_is_a_positive_integer(self):
+        for bad in (0, -5, 1.5, True):
+            with pytest.raises(ConfigError, match="max_evaluations"):
+                integrate_triangle_singular(0.5, ones, max_evaluations=bad)
+
+    def test_cli_exits_3(self, monkeypatch, tmp_path, capsys):
+        from loctime.cli import main
+
+        monkeypatch.setitem(
+            quadrature.integrate_triangle_singular.__kwdefaults__,
+            "max_evaluations", 1_000)
+        assert main(["stransform", "--H", "0.5", "--out",
+                     str(tmp_path)]) == 3
+        assert "budget" in capsys.readouterr().err
+
+
+class TestPinnedBits:
+    """Values, errors and evaluation counts recorded before the inner
+    integrals were batched by _MAX_ROWS rows: batching and the panel
+    set-up must not move a bit.  ``interval_evals`` sums the points of
+    every ``integrate_interval`` call, however the calls are cut."""
+
+    @pytest.fixture
+    def interval_evals(self, monkeypatch):
+        total = [0]
+        engine = quadrature.integrate_interval
+
+        def counting(*args, **kwargs):
+            res = engine(*args, **kwargs)
+            total[0] += res.evaluations
+            return res
+
+        monkeypatch.setattr(quadrature, "integrate_interval", counting)
+        return total
+
+    @staticmethod
+    def pin(res):
+        return res.value.hex(), res.error_estimate.hex(), res.evaluations
+
+    def test_stiff_regularized_moment(self, interval_evals):
+        res = s_local_time(DeltaSpec(0.25, 3, 0, 1e-8), zero_bundle(3),
+                           tol=1e-6)
+        assert self.pin(res) == ("0x1.a001f57fb1544p-3",
+                                 "0x1.3d53afc7887c3p-21", 168192)
+        assert interval_evals[0] == 171696
+
+    def test_truncated_transform_with_bumps(self, interval_evals):
+        f = VectorTestFunction((gaussian_bump(0.5, 0.45, 0.2),
+                                gaussian_bump(-0.3, 0.6, 0.25)))
+        res = s_local_time(DeltaSpec(0.7, 2, 2, 0.0), f, tol=1e-9)
+        assert self.pin(res) == ("0x1.f233042593968p-13",
+                                 "0x1.7dc65ed2acbcdp-33", 43776)
+        assert interval_evals[0] == 44688
+
+    def test_kernel_with_inner_marks(self, interval_evals):
+        value = kernel_value(0.5, (1, 1), ((0.3, 0.6), (0.4, 0.7)))
+        assert value.hex() == "0x1.a313e44036f84p-7"
+        assert interval_evals[0] == 496141
+
+    def test_divergence_probe(self, interval_evals):
+        table = divergence_probe(1.0, lambda t1, tau: np.cos(3.0 * t1),
+                                 (1e-2, 1e-3, 1e-4), tol=1e-10)
+        assert [v.hex() for _, v in table] == [
+            "0x1.7cb73da29ef27p-1", "0x1.b8ba86d13937cp-1",
+            "0x1.f0a42daf046b9p-1"]
+        assert interval_evals[0] == 72912
