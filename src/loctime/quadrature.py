@@ -12,7 +12,10 @@ most _MAX_POINTS points.  One call integrates a batch of intervals
 (arrays ``lo``, ``hi``, one mark list and one set of parameters ``args``
 per row); a row's result is bit-identical whether it is integrated alone
 or in a batch, as long as the integrand is computed point by point.
-The panels of all rows are set up at once, in numpy.
+The panels of all rows are set up at once, in numpy.  A row that stops
+refining is summed and its panels dropped, and a batch holds at most
+_MAX_PANELS panels beyond one row's ``max_panels``: splits past that
+wait until earlier rows are done.
 
 ``integrate_triangle_singular`` computes
 
@@ -29,13 +32,14 @@ geometric edges shrinking toward tau = 0 (ratio 1/2) and at the
 integrand's outer breakpoints; for alpha > 0 it is computed after the
 substitution tau = v**(1/(1-alpha)), which removes the singularity
 exactly for constant G.  The outer integrand gets G at its tau nodes
-from batched inner calls of at most _MAX_ROWS tau each, so
-``g(t1, tau)`` receives ``tau`` as an array of the shape of ``t1``.  The
-two caps, points per integrand call and rows per inner call, bound the
-memory the engine holds.  All rules are open, so g is never evaluated at
-tau = 0 or at marked singular points.  A triangle integral stops with
-``AccuracyError`` once its inner integrals have used more than
-``max_evaluations`` integrand points.
+from batched inner calls, so ``g(t1, tau)`` receives ``tau`` as an array
+of the shape of ``t1``.  The two caps, points per integrand call and
+panels held per call, bound the memory the engine holds.  All rules are
+open, so g is never evaluated at tau = 0 or at marked singular points.
+The inner integrals of one triangle integral may use at most
+_MAX_EVALUATIONS integrand points: each inner call takes only as many
+tau as the rest of that budget covers in the worst case, and
+``AccuracyError`` is raised once that is not one tau.
 
 Integrands must be vectorized over numpy arrays.  Panel results are
 summed in a fixed order, so repeated runs give bit-identical values.
@@ -50,8 +54,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (AccuracyError, ConfigError, NonIntegrableError,
-                     _finite, _integer)
+from .errors import AccuracyError, ConfigError, NonIntegrableError, _finite
 
 __all__ = [
     "QuadratureResult",
@@ -83,10 +86,13 @@ class QuadratureResult:
 
 # The two caps on the engine's state: most integrand points in one call
 # of the integrand by ``integrate_interval`` (128 panels of an order-16
-# pair), and most rows in one batch of inner integrals of the triangle
-# engine.
+# pair), and most panels it holds, all rows of a batch together, beyond
+# one row's ``max_panels``.
 _MAX_POINTS = 6144
-_MAX_ROWS = 384
+_MAX_PANELS = 65536
+# Most integrand points the inner integrals of one triangle integral may
+# use.
+_MAX_EVALUATIONS = 200_000_000
 
 
 @lru_cache(maxsize=None)
@@ -145,23 +151,16 @@ def _panels(los, his, mark_row, mark_p, mark_s):
     keep = (live[mark_row] & (los[mark_row] <= mark_p)
             & (mark_p <= his[mark_row]))
     mark_row, mark_p, mark_s = mark_row[keep], mark_p[keep], mark_s[keep]
-    marked = np.zeros(los.size, dtype=bool)
-    marked[mark_row] = True
-    plain = np.flatnonzero(live & ~marked)
-    ones = np.ones(plain.size)
-    panels = (plain, los[plain], ones, ones, his[plain] - los[plain])
-    if not mark_row.size:
-        return panels
-    mr = np.flatnonzero(marked)
+    live = np.flatnonzero(live)
 
-    # The points of the marked rows: lo, hi and the marks in the order
-    # given, sorted stably by position, so that of coincident points lo
-    # or hi comes first and the exponents add up in the order given
-    # (bincount sums in array order).
-    row = np.concatenate([mr, mr, mark_row])
-    x = np.concatenate([los[mr], his[mr], mark_p])
-    s = np.concatenate([np.zeros(2 * mr.size), mark_s])
-    is_mark = np.arange(row.size) >= 2 * mr.size
+    # The points of the rows: lo, hi and the marks in the order given,
+    # sorted stably by position, so that of coincident points lo or hi
+    # comes first and the exponents add up in the order given (bincount
+    # sums in array order).
+    row = np.concatenate([live, live, mark_row])
+    x = np.concatenate([los[live], his[live], mark_p])
+    s = np.concatenate([np.zeros(2 * live.size), mark_s])
+    is_mark = np.arange(row.size) >= 2 * live.size
     order = np.lexsort((x, row))
     row, x, s, is_mark = row[order], x[order], s[order], is_mark[order]
     head = np.ones(row.size, dtype=bool)
@@ -199,8 +198,7 @@ def _panels(los, his, mark_row, mark_p, mark_s):
     ones = np.ones(seg.size)
     branches = ((g_row[seg], g_row[seg]), (a, b), (ones, -ones), (q_a, q_b),
                 (w_a, w_b))
-    return tuple(np.concatenate([on_plain, np.stack(on, axis=1).ravel()[both]])
-                 for on_plain, on in zip(panels, branches))
+    return tuple(np.stack(on, axis=1).ravel()[both] for on in branches)
 
 
 def _pow(base, expo):
@@ -256,12 +254,13 @@ def integrate_interval(f: Callable[..., np.ndarray], lo, hi, *,
     # One panel per branch: row, x = p + side * w**q for w in [w_lo, w_hi].
     rows, p, side, q, w_hi = _panels(los, his, *_marks(singular, n_rows))
     w_lo, val, err = np.zeros((3, rows.size))
+    value, error = np.zeros((2, n_rows))
     fresh = np.ones(rows.size, dtype=bool)
     (gx_c, gw_c), (gx_f, gw_f) = _leggauss(order), _leggauss(2 * order)
     unit = np.concatenate([gx_c, gx_f])
     block = max(1, _MAX_POINTS // unit.size)
     evaluations = 0
-    while fresh.any():
+    while rows.size:
         # At most _MAX_POINTS points per call of f bound its array sizes.
         todo = np.flatnonzero(fresh)
         for start in range(0, todo.size, block):
@@ -309,7 +308,20 @@ def integrate_interval(f: Callable[..., np.ndarray], lo, hi, *,
         first = np.searchsorted(rows[cand], rows[cand])
         rank = np.arange(cand.size) - first
         split[cand[rank >= (max_panels - row_n)[rows[cand]]]] = False
-        reps = 1 + split
+        # A row with nothing to split never changes again: its sums are
+        # taken now, over its panels in order as bincount takes them, and
+        # its panels dropped.  Splits that would take the panels held past
+        # _MAX_PANELS wait, the later rows first, but the first row's
+        # always go ahead; so at most _MAX_PANELS + max_panels panels are
+        # held, and a row that waits refines as it would have, only later.
+        grow = np.bincount(rows[split], minlength=n_rows)
+        done = grow[rows] == 0
+        value += np.bincount(rows[done], weights=val[done], minlength=n_rows)
+        error += np.bincount(rows[done], weights=err[done], minlength=n_rows)
+        held = np.cumsum(grow) + (rows.size - np.count_nonzero(done))
+        room = max(_MAX_PANELS, held[np.argmax(grow > 0)])
+        split &= (held <= room)[rows]
+        reps = np.where(done, 0, 1 + split)
         take = np.repeat(np.arange(rows.size), reps)
         left = (np.cumsum(reps) - reps)[split]
         rows, p, side, q = rows[take], p[take], side[take], q[take]
@@ -318,8 +330,6 @@ def integrate_interval(f: Callable[..., np.ndarray], lo, hi, *,
         fresh = np.zeros(rows.size, dtype=bool)
         fresh[left] = fresh[left + 1] = True
 
-    value = np.bincount(rows, weights=val, minlength=n_rows)
-    error = np.bincount(rows, weights=err, minlength=n_rows)
     if strict and np.any(error > tol):
         worst = int(np.argmax(error))
         raise AccuracyError(
@@ -345,50 +355,75 @@ def triangle_power_moment(alpha: float) -> float:
     return 1.0 / ((1.0 - alpha) * (2.0 - alpha))
 
 
-def _inner_integrals(g, tol: float, marks_of, budget: float = math.inf):
+def _inner_integrals(g, tol: float, marks_of):
     """G(tau) = int_0^{1-tau} g(t1, tau) dt1 at an array of tau (zero for
     tau outside (0, 1)), and a one-element list counting the points where
-    g was evaluated.  Each _MAX_ROWS tau are one batched
-    ``integrate_interval`` call; the cap bounds the refinement state held
-    at once, which grows with the number of rows.  Once the count passes
-    ``budget`` after a call, ``AccuracyError`` is raised."""
+    g was evaluated.  Each batched ``integrate_interval`` call takes as
+    many tau as the rest of the _MAX_EVALUATIONS budget covers when every
+    row refines to its last panel; once that is not one tau,
+    ``AccuracyError`` is raised, so the budget is never overrun."""
     evaluations = [0]
+    # A row ends with at most max_panels panels and each split evaluates
+    # two new ones, 48 points each in the order-16 pair.
+    max_panels = 4096
+    row_points = 2 * max_panels * 48
 
     def G(taus: np.ndarray) -> np.ndarray:
         out = np.empty_like(taus)
-        for start in range(0, taus.size, _MAX_ROWS):
-            t = taus[start:start + _MAX_ROWS]
+        start = 0
+        while start < taus.size:
+            n = (_MAX_EVALUATIONS - evaluations[0]) // row_points
+            if n < 1:
+                raise AccuracyError(
+                    f"triangle quadrature stopped after {evaluations[0]:,} "
+                    f"integrand evaluations: the rest of its budget of "
+                    f"{_MAX_EVALUATIONS:,} does not cover another inner "
+                    "integral")
+            t = taus[start:start + n]
             widths = np.where(t > 0.0, 1.0 - t, 0.0)
             marks = ()
             if marks_of is not None:
-                marks = np.asarray(marks_of(t), float)
-                if marks.ndim < 3:
-                    marks = marks.reshape(-1, 2)
-                marks = np.broadcast_to(marks, t.shape + marks.shape[-2:])
+                marks = _marks_at(marks_of, t)
                 # Only marks inside (0, 1 - tau) count; a NaN point lies in
                 # no interval, so the engine drops it.
                 p = marks[..., 0]
                 inside = (0.0 < p) & (p < widths[:, None])
                 marks = np.where(inside[..., None], marks, np.nan)
             res = integrate_interval(g, np.zeros_like(t), widths, tol=tol,
-                                     singular=marks, strict=False, args=(t,))
+                                     singular=marks, max_panels=max_panels,
+                                     strict=False, args=(t,))
             evaluations[0] += res.evaluations
-            if evaluations[0] > budget:
-                raise AccuracyError(
-                    f"triangle quadrature stopped after {evaluations[0]:,} "
-                    f"integrand evaluations, over its budget of {budget:,}")
-            out[start:start + _MAX_ROWS] = res.value
+            out[start:start + n] = res.value
+            start += n
         return out
 
     return G, evaluations
+
+
+def _marks_at(marks_of, t):
+    """The marks ``marks_of`` gives at the array ``t``, as pairs of shape
+    (t.size, k, 2)."""
+    try:
+        pairs = np.asarray(marks_of(t), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"inner_singularities gave no array of "
+                          f"(t1, sigma) pairs: {exc}") from None
+    if pairs.size == 0:
+        pairs = pairs.reshape(0, 2)
+    if pairs.ndim == 2 and pairs.shape[1] == 2:
+        return np.broadcast_to(pairs, t.shape + pairs.shape)
+    if pairs.ndim == 3 and pairs.shape[0] == t.size and pairs.shape[2] == 2:
+        return pairs
+    raise ConfigError(f"inner_singularities gave pairs of shape "
+                      f"{pairs.shape} at {t.size} tau; expected (k, 2) or "
+                      f"({t.size}, k, 2)")
 
 
 def integrate_triangle_singular(
         alpha: float, g: Callable[[np.ndarray, np.ndarray], np.ndarray], *,
         tol: float = 1e-9,
         inner_singularities: Callable[[np.ndarray], Sequence] | None = None,
-        outer_breakpoints: Sequence[float] = (),
-        max_evaluations: int = 200_000_000) -> QuadratureResult:
+        outer_breakpoints: Sequence[float] = ()) -> QuadratureResult:
     """Integrate ``tau^(-alpha) g(t1, t2)`` over ``0 < t1 < t2 < 1``.
 
     ``g`` must be bounded and vectorized: ``g(t1, tau) -> array`` takes
@@ -402,15 +437,13 @@ def integrate_triangle_singular(
     of shape (k, 2) shared by every tau, or (tau.size, k, 2).
     ``outer_breakpoints`` lists the tau at which G(tau) has a kink or a
     jump; they are added to the outer panel edges.  alpha >= 1 raises
-    ``NonIntegrableError``.  Once the inner integrals have used more than
-    ``max_evaluations`` integrand points, ``AccuracyError`` is raised.
+    ``NonIntegrableError``.  ``AccuracyError`` is raised rather than let
+    the inner integrals use more than 200 million integrand points.
     """
     tol = _finite("quadrature tolerance", tol, 0.0, strict=True)
-    max_evaluations = _integer("max_evaluations", max_evaluations, 1)
     moment = triangle_power_moment(alpha)
     inner_tol = 0.25 * tol / max(moment, 1.0)
-    G, evaluations = _inner_integrals(g, inner_tol, inner_singularities,
-                                      max_evaluations)
+    G, evaluations = _inner_integrals(g, inner_tol, inner_singularities)
 
     # Geometric edges toward tau = 0 (ratio 1/2) and the breakpoints of G
     # split the tau axis.

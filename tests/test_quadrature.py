@@ -318,22 +318,65 @@ class TestCaps:
             assert max(sizes) <= quadrature._MAX_POINTS
             assert max(sizes) > quadrature._MAX_POINTS - 3 * order
 
-    def test_no_inner_call_exceeds_the_row_cap(self, monkeypatch):
-        rows, sizes = [], []
+    def test_held_panels_stay_under_the_panel_cap(self, monkeypatch):
+        # Sixteen rows that never reach tol, each refined to 256 panels.
+        # A row that is evaluated again later still holds every panel it
+        # has made: a split adds one panel and evaluates two, so after
+        # 48 e points it holds (e + 1) / 2 panels.  Summed over the rows
+        # still to come, that is a lower bound on the panels held, which
+        # without the cap would reach 16 x 256.
+        calls = []
+
+        def f(x, r, k):
+            calls.append(np.bincount(r.astype(int), minlength=16) // 48)
+            return np.sin(k * x)
+
+        def run():
+            calls.clear()
+            return integrate_interval(
+                f, np.zeros(16), np.ones(16), tol=1e-13, max_panels=256,
+                strict=False, args=(np.arange(16.0), 1e5 + np.arange(16.0)))
+
+        def held():
+            seen = np.cumsum(calls, axis=0)
+            assert seen[-1].tolist() == [2 * 256 - 1] * 16
+            step = np.arange(len(calls))[:, None]
+            later = step < np.max(step * (np.array(calls) > 0), axis=0)
+            return np.sum(later * (seen + 1) // 2, axis=1).max()
+
+        free = run()
+        assert held() > 512 + 256
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 512)
+        capped = run()
+        assert held() <= 512 + 256
+        # rows that wait refine as they would have: the same bits
+        assert np.array_equal(capped.value, free.value)
+        assert np.array_equal(capped.error_estimate, free.error_estimate)
+        assert capped.evaluations == free.evaluations
+
+    def test_inner_calls_fit_the_budget(self, monkeypatch):
+        # Each inner call takes as many tau as the rest of the budget
+        # covers if every row refines to 4,096 panels.
+        rows, spent = [], [0]
         engine = quadrature.integrate_interval
 
         def counting(f, lo, hi, **kw):
-            rows.append(np.size(lo))
-            return engine(f, lo, hi, **kw)
+            rows.append((np.size(lo), spent[0]))
+            res = engine(f, lo, hi, **kw)
+            spent[0] += res.evaluations
+            return res
 
         def g(t1, tau):
-            sizes.append(t1.size)
             return np.cos(20.0 * t1) * np.cos(30.0 * tau)
 
         monkeypatch.setattr(quadrature, "integrate_interval", counting)
         integrate_triangle_singular(0.5, g, tol=1e-10)
-        assert max(rows) == quadrature._MAX_ROWS
-        assert max(sizes) <= quadrature._MAX_POINTS
+        row_points = 2 * 4096 * 48
+        inner = rows[:-1]  # the last call is the outer integral
+        assert all(n * row_points <= quadrature._MAX_EVALUATIONS - used
+                   for n, used in inner)
+        assert max(n for n, _ in inner) == (quadrature._MAX_EVALUATIONS
+                                            // row_points)
 
 
 class TestTrianglePowerMoment:
@@ -399,6 +442,14 @@ class TestTriangleEngine:
                       points=[0.7], epsabs=1e-12, limit=200)
         assert abs(res.value - ref) < 5e-8
 
+    def test_marks_of_another_shape_are_a_config_error(self):
+        for marks in (lambda tau: [(0.5 - tau, -0.3)],
+                      lambda tau: np.zeros((tau.size + 1, 1, 2)),
+                      lambda tau: [(0.3, -0.4, 0.0)]):
+            with pytest.raises(ConfigError, match="inner_singularities"):
+                integrate_triangle_singular(0.5, ones, tol=1e-9,
+                                            inner_singularities=marks)
+
     def test_error_estimate_brackets_truth(self):
         res = integrate_triangle_singular(0.9, ones, tol=1e-9)
         exact = triangle_power_moment(0.9)
@@ -437,38 +488,25 @@ class TestDivergenceProbe:
 
 
 class TestEvaluationBudget:
-    @staticmethod
-    def g(t1, tau):
-        # G(tau) oscillates faster than any outer panel resolves, so the
-        # outer integral never converges; each inner integral converges
-        # at once, 48 points per tau.
-        return np.cos(1e7 * tau) * np.ones_like(t1)
-
-    def test_spent_budget_raises(self):
-        budget = 50_000
+    def test_spent_budget_raises(self, monkeypatch):
+        # An inner integrand that never converges: every row refines to
+        # its 4,096th panel, 393,168 points.  A budget of one million
+        # covers two such rows, and then no third.
+        monkeypatch.setattr(quadrature, "_MAX_EVALUATIONS", 1_000_000)
         sizes = []
 
         def g(t1, tau):
             sizes.append(t1.size)
-            return self.g(t1, tau)
+            return np.sin(1e9 * t1)
 
         with pytest.raises(AccuracyError, match="budget"):
-            integrate_triangle_singular(0.5, g, tol=1e-9,
-                                        max_evaluations=budget)
-        # checked after every batched inner call
-        assert budget < sum(sizes) <= budget + 48 * quadrature._MAX_ROWS
-
-    def test_budget_is_a_positive_integer(self):
-        for bad in (0, -5, 1.5, True):
-            with pytest.raises(ConfigError, match="max_evaluations"):
-                integrate_triangle_singular(0.5, ones, max_evaluations=bad)
+            integrate_triangle_singular(0.5, g, tol=1e-9)
+        assert sum(sizes) == 2 * 48 * (2 * 4096 - 1)
 
     def test_cli_exits_3(self, monkeypatch, tmp_path, capsys):
         from loctime.cli import main
 
-        monkeypatch.setitem(
-            quadrature.integrate_triangle_singular.__kwdefaults__,
-            "max_evaluations", 1_000)
+        monkeypatch.setattr(quadrature, "_MAX_EVALUATIONS", 1_000)
         assert main(["stransform", "--H", "0.5", "--out",
                      str(tmp_path)]) == 3
         assert "budget" in capsys.readouterr().err
@@ -476,7 +514,7 @@ class TestEvaluationBudget:
 
 class TestPinnedBits:
     """Values, errors and evaluation counts recorded before the inner
-    integrals were batched by _MAX_ROWS rows: batching and the panel
+    integrals were batched: batching and the panel
     set-up must not move a bit.  ``interval_evals`` sums the points of
     every ``integrate_interval`` call, however the calls are cut."""
 
