@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -10,10 +11,10 @@ import pytest
 from scipy.integrate import quad
 
 from loctime.errors import ConfigError, SingularPointError
-from loctime.fracops import (Hurst, Interval, PairingTable, _kernel_scale,
-                             bound_ratio, dual_apply, increment_kernel,
-                             normalization_constant, pairing_closed_form,
-                             pairing_indicator)
+from loctime.fracops import (_CELL_NODES, Hurst, Interval, PairingTable,
+                             _kernel_scale, bound_ratio, dual_apply,
+                             increment_kernel, normalization_constant,
+                             pairing_closed_form, pairing_indicator)
 from loctime.testfunctions import (VectorTestFunction, gaussian_bump,
                                    hermite_function, zero_function)
 
@@ -326,39 +327,63 @@ class TestPairingTable:
         assert np.all(table.v_rate(np.array([0.3])) == 0.0)
 
     def test_build_memory_is_bounded(self):
-        # the grid is built in row blocks: each temporary is a block of
-        # _BUILD_ROWS rows, not the whole 2,049 x 1,176 grid (73.7 MiB)
-        f = VectorTestFunction((bump(), gaussian_bump(-0.3, 0.6, 0.25)))
-        tracemalloc.start()
-        try:
-            PairingTable(0.35, f)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * 2 ** 20
+        # the cells are correlated in blocks of _BLOCK_CELLS by FFTs of
+        # one fixed length, so no temporary grows with the support radius:
+        # a Hermite function shifted to 60 spans 147,940 cells (6.8 MiB of
+        # node values alone) and peaks at 1.1 MiB, as the bumps do
+        for f in (VectorTestFunction((bump(), gaussian_bump(-0.3, 0.6, 0.25))),
+                  hermite_function(2, shift=60.0)):
+            tracemalloc.start()
+            try:
+                PairingTable(0.35, f)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * 2 ** 20
 
-    def test_row_blocks_match_one_shot_build(self, tmp_path):
-        # The reference evaluates U on the whole grid at once.  That
-        # one-shot product moves by an ulp with BLAS's thread split, so
-        # it is taken on one BLAS thread; the row-block build must equal
-        # it there and be the same on two BLAS threads.
-        got = {}
+    def test_build_samples_f_once_per_node(self):
+        # _CELL_NODES points per cell of [-J h, 1], J h >= the support
+        # radius: 52,482 points, against 2,049 x 1,176 = 2,409,624 for the
+        # rule of fixed panels it replaced
+        f = gaussian_bump(0.5, 0.45, 0.2)
+        seen = []
+
+        def counting(x):
+            seen.append(np.size(x))
+            return f.eval(x)
+
+        PairingTable(0.7, dataclasses.replace(f, eval=counting))
+        cells = math.ceil(f.support_radius * 2048) + 2048
+        assert sum(seen) == _CELL_NODES * cells == 52_482
+
+    @pytest.mark.parametrize("width", [0.2, 0.01, 0.003])
+    def test_knot_values_match_mpmath(self, width, tmp_path):
+        # U at knots around and away from the bump against mpmath's
+        # integral in u = t - x; the rule of fixed panels this build
+        # replaced was off by up to 0.1 and 0.4 of max|U| at widths 0.01
+        # and 0.003.  The tables are built on one and on two BLAS threads
+        # in fresh interpreters, and must match this one's to the bit.
+        bound = 1e-10 if width == 0.003 else 1e-12
+        hs = (0.02, 0.3, 0.5, 0.7, 0.98)
+        f = gaussian_bump(1.0, 0.45, width)
+        tables = {h: PairingTable(h, f) for h in hs}
         for threads in ("1", "2"):
-            out = tmp_path / f"coeffs{threads}.npz"
+            out = tmp_path / f"knots{threads}.npy"
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                        OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
-            proc = subprocess.run([sys.executable, "-c", _ONE_SHOT_SCRIPT,
-                                   str(out)], env=env, capture_output=True,
-                                  text=True)
+            proc = subprocess.run(
+                [sys.executable, "-c", _KNOTS_SCRIPT, str(width), str(out)],
+                env=env, capture_output=True, text=True)
             assert proc.returncode == 0, proc.stderr
-            got[threads] = dict(np.load(out))
-        one = got["1"]
-        assert len(one) == 2 * 5 * 3
-        for key in one:
-            if key.startswith("table"):
-                ref = one["one_shot" + key[len("table"):]]
-                assert np.array_equal(one[key], ref), key
-                assert np.array_equal(got["2"][key], one[key]), key
+            got = np.load(out)
+            for i, h in enumerate(hs):
+                assert np.array_equal(got[i], tables[h]._knots[0]), (h,
+                                                                     threads)
+        for h, table in tables.items():
+            U = table._knots[0]
+            for k in (0, 600, 912, 922, 931, 1024, 2048):
+                want = _mp_knot_value(h, 0.45, width, k / 2048)
+                assert abs(U[k] - want) <= bound * np.max(np.abs(U)), (h, k)
 
     @pytest.mark.parametrize("h", [0.02, 0.3, 0.5, 0.7, 0.98])
     @pytest.mark.parametrize("amp", [0.7, 100.0])
@@ -403,6 +428,30 @@ class TestPairingTable:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+    def test_only_table_builds_load_numpy_fft(self):
+        # numpy.fft costs about 0.5 MiB of resident memory; the import, the
+        # Monte Carlo estimators, a kernel and a zero table do not need it
+        code = (
+            "import sys\n"
+            "import loctime as L\n"
+            "def loaded():\n"
+            "    return 'numpy.fft' in sys.modules\n"
+            "times = L.make_midpoint_times(8)\n"
+            "L.mc_local_time_regularized(\n"
+            "    L.sample_paths_cholesky(0.6, 1, times, 64), 0.05)\n"
+            "ens = L.sample_paths_whitenoise(0.6, 1, times,\n"
+            "                                L.WhiteNoiseGrid(n_cells=256), 64)\n"
+            "L.mc_s_transform(ens, L.gaussian_bump(0.3, 0.4, 0.3), 0.05)\n"
+            "L.kernel_value(0.5, (1,), ((0.25, 0.75),), tol=1e-6)\n"
+            "L.PairingTable(0.5, L.zero_function())\n"
+            "before = loaded()\n"
+            "L.PairingTable(0.5, L.gaussian_bump(0.7, 0.45, 0.2))\n"
+            "print(before, loaded())\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "True"]
 
     def test_zero_component_is_an_exact_zero_column(self):
         g = gaussian_bump(-0.3, 0.6, 0.25)
@@ -450,41 +499,32 @@ def _quotient_error(table, t, tau, got):
     return float(abs(got / total - 1))
 
 
-# Writes the spline pieces and knot values of PairingTable and of a
-# one-shot build of U on the whole grid (the formula the row blocks
-# replace), each flattened into one array, to argv[1].
-_ONE_SHOT_SCRIPT = """
+@mpmath.workdps(25)
+def _mp_knot_value(h, center, width, t):
+    """U(t) = c_H int_0^inf f(t - u) u^a du for the unit bump (center,
+    width), split at u = t - center and 12 widths either side."""
+    a = mpmath.mpf(h) - 0.5
+    mid = mpmath.mpf(t) - center
+
+    def body(u):
+        return mpmath.exp(-((mid - u) / width) ** 2 / 2) * u ** a
+
+    marks = [mid + k * width for k in (-12, -4, 0, 4, 12)]
+    points = [0] + [p for p in marks if p > 0]
+    if len(points) == 1:
+        return 0.0
+    return _kernel_scale(h) * float(mpmath.quad(body, points))
+
+
+# Saves the knot values of the unit bump (0.45, argv[1]) at
+# H = 0.02, 0.3, 0.5, 0.7 and 0.98 to argv[2].
+_KNOTS_SCRIPT = """
 import sys
 import numpy as np
-from loctime.fracops import (PairingTable, _halving_edges, _kernel_scale,
-                             _not_a_knot, gauss_panels)
-from loctime.testfunctions import VectorTestFunction, gaussian_bump
+from loctime.fracops import PairingTable
+from loctime.testfunctions import gaussian_bump
 
-def one_shot(h, comps):
-    a = h - 0.5
-    c = _kernel_scale(h)
-    R = max(fj.support_radius for fj in comps)
-    t_grid = np.linspace(0.0, 1.0, 2049)
-    q = 1.0 / (1.0 + a)
-    W = (1.0 + R) ** (1.0 + a)
-    w_nodes, w_weights = gauss_panels(_halving_edges(0.0, W, 48), 24)
-    u = w_nodes ** q
-    U = np.stack([(c * q) * (fj.eval(t_grid[:, None] - u[None, :])
-                             @ w_weights) for fj in comps], axis=-1)
-    return np.concatenate([_not_a_knot(U).ravel(), U.T.ravel()])
-
-bundles = {
-    "d1": (gaussian_bump(0.7, 0.2, 0.4),),
-    "d2": (gaussian_bump(0.7, 0.2, 0.4), gaussian_bump(-0.3, 0.6, 0.25)),
-    "amp100": (gaussian_bump(100.0, 0.45, 0.2),),
-}
-out = {}
-for h in (0.02, 0.3, 0.5, 0.7, 0.98):
-    for name, comps in bundles.items():
-        key = f"_{h}_{name}"
-        table = PairingTable(h, VectorTestFunction(comps))
-        out["table" + key] = np.concatenate([table._c.ravel(),
-                                             table._knots.ravel()])
-        out["one_shot" + key] = one_shot(h, comps)
-np.savez(sys.argv[1], **out)
+f = gaussian_bump(1.0, 0.45, float(sys.argv[1]))
+np.save(sys.argv[2], np.stack([PairingTable(h, f)._knots[0]
+                               for h in (0.02, 0.3, 0.5, 0.7, 0.98)]))
 """

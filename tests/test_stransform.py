@@ -25,6 +25,14 @@ from loctime.testfunctions import (VectorTestFunction, gaussian_bump,
                                    zero_function)
 
 TWO_PI = 2.0 * math.pi
+# S-transforms at H = 1/2, d = 1, N = 0, eps = 0.01 of the bumps
+# gaussian_bump(amp, 0.45, width): (amp, width) -> (value, quad's error),
+# printed by ``python tests/bump_references.py``
+BUMP_REFERENCES = {
+    (30.0, 0.01): (0.3812245691163432, 1.2e-13),
+    (1.0, 0.003): (0.4595874916904452, 1.4e-13),
+    (1.0, 0.01): (0.45945801753920323, 9.6e-14),
+}
 
 
 def bump():
@@ -305,6 +313,16 @@ class TestLocalTimeTransform:
         got = s_local_time(DeltaSpec(0.5, 1, n, eps), f, tol=1e-10)
         # relative: at N = 2 the value is 7e-5
         assert abs(got.value - want) < 1e-8 * abs(want) + 10.0 * err
+
+    @pytest.mark.parametrize("amp, width", list(BUMP_REFERENCES))
+    def test_narrow_bump_error_is_honest(self, amp, width):
+        # the reported error must cover the true one; with the pairing
+        # table on fixed panels the true errors were 4.5e-5, 4.9e-5 and
+        # 5.3e-8 against reported errors near 1.3e-10
+        value, ref_err = BUMP_REFERENCES[amp, width]
+        res = s_local_time(DeltaSpec(0.5, 1, 0, 0.01),
+                           gaussian_bump(amp, 0.45, width), tol=1e-9)
+        assert abs(res.value - value) + ref_err <= res.error_estimate
 
     def test_regularized_zero_function_against_quad(self):
         frozen = {(0.5, 1, 0.1): 0.3445400149226766,
