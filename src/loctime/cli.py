@@ -46,11 +46,10 @@ from .fracops import (Hurst, Interval, PairingTable, bound_ratio,
                       increment_kernel, normalization_constant,
                       pairing_closed_form, pairing_indicator)
 from .kernels import odd_kernel_zero, series_reconstruction
-from .mc import (WhiteNoiseGrid, covariance_from_kernels, fbm_covariance,
-                 make_midpoint_times, mc_grid_bias,
-                 mc_local_time_regularized, mc_s_transform, mc_weight_check,
-                 resolve_threads, sample_paths_cholesky,
-                 sample_paths_whitenoise)
+from .mc import (GENERATORS, WhiteNoiseGrid, _sample_paths,
+                 covariance_from_kernels, fbm_covariance, make_midpoint_times,
+                 mc_grid_bias, mc_local_time_regularized, mc_s_transform,
+                 mc_weight_check, resolve_threads, sample_paths_whitenoise)
 from .quadrature import (integrate_interval, integrate_triangle_singular,
                          triangle_power_moment)
 from .stransform import (DeltaSpec, exp_truncated, is_admissible,
@@ -63,7 +62,6 @@ __all__ = ["ExperimentConfig", "ResultRow", "ResultRecord", "run", "main"]
 
 KINDS = ("ops", "stransform", "kernels", "mc", "convergence", "selftest")
 FAMILIES = ("zero", "gauss", "hermite")
-GENERATORS = ("cholesky", "whitenoise")
 
 CSV_HEADER = ("experiment", "id", "H", "d", "N", "eps", "f", "tol", "m",
               "n_paths", "seed", "value", "err", "units")
@@ -99,7 +97,7 @@ class ExperimentConfig:
     tol: float = 1e-8
     m: int = 128
     n_paths: int = 2048
-    generator: str = "cholesky"
+    generator: str = GENERATORS[0]
     seed: int = 0
     out: str = "loctime-out"
 
@@ -304,13 +302,8 @@ def _run_mc(cfg):
     # Only the regularized local time has a pathwise estimator.
     _finite("the mc experiment's eps", cfg.eps, 0.0, strict=True)
     times = make_midpoint_times(cfg.m)
-    if cfg.generator == "whitenoise":
-        grid = WhiteNoiseGrid(seed=cfg.seed)
-        ens = sample_paths_whitenoise(cfg.hurst, cfg.d, times, grid,
-                                      cfg.n_paths)
-    else:
-        ens = sample_paths_cholesky(cfg.hurst, cfg.d, times, cfg.n_paths,
-                                    seed=cfg.seed)
+    ens = _sample_paths(cfg.generator, cfg.hurst, cfg.d, times, cfg.n_paths,
+                        seed=cfg.seed)
     est = mc_local_time_regularized(ens, cfg.eps)
     rows = [ResultRow("mc_local_time", est.mean, est.stderr)]
     limit = s_local_time(DeltaSpec(cfg.hurst, cfg.d, 0, cfg.eps),
@@ -323,7 +316,8 @@ def _run_mc(cfg):
                               generator=cfg.generator)
     rows.append(ResultRow("grid_bias", bias))
     fb = _test_bundle(cfg)
-    if not fb.is_zero and cfg.generator == "whitenoise":
+    # Only a white-noise ensemble carries the grid the S-transform needs.
+    if not fb.is_zero and ens.grid is not None:
         wick = mc_weight_check(ens, fb)
         rows.append(ResultRow("wick_mean", wick.mean, wick.stderr))
         sst = mc_s_transform(ens, fb, cfg.eps, cfg.n_trunc)

@@ -33,7 +33,7 @@ import functools
 import math
 import os
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -81,6 +81,10 @@ TILE_FLOOR = 1 << 19
 # path values keep their bits whichever other times are sampled; one
 # product over all the times did not keep them.
 WINDOW = 64
+
+# The path generators by name, the default first: the Cholesky oracle,
+# and the white-noise sampler on the default grid.
+GENERATORS = ("cholesky", "whitenoise")
 
 
 def fbm_covariance(h, s: float, t: float) -> float:
@@ -232,39 +236,28 @@ def _cell_widths(times_pos: np.ndarray) -> np.ndarray:
 class WhiteNoiseGrid:
     """Truncated, discretized noise axis for the white-noise sampler.
 
-    Cells span [x_lo, x_hi] with x_hi = 1 covering the kernel supports
-    of all times up to 1; per block, each component draws i.i.d.
-    centered Gaussian cell increments of variance dx.  ``tail_budget``
-    optionally enforces that the L2 mass of the [0,1] increment kernel
-    lost below x_lo stays under the budget; left unset, the mass is
-    only reported through ``tail_mass``.
+    Cells span [x_lo, 1]: the kernel of [0, t] vanishes for x > t, so
+    x = 1 covers the supports of all times up to 1.  Per block, each
+    component draws i.i.d. centered Gaussian cell increments of variance
+    dx.  The L2 mass of the [0, 1] increment kernel lost below x_lo is
+    reported by ``tail_mass``.
     """
 
+    x_hi: ClassVar[float] = 1.0
+
     x_lo: float = -20.0
-    x_hi: float = 1.0
     n_cells: int = 2048
     seed: int = 0
-    tail_budget: float | None = None
 
     def __post_init__(self):
-        for name in ("x_lo", "x_hi"):
-            object.__setattr__(self, name, _finite(
-                name, getattr(self, name), -math.inf, strict=True))
-        if not (self.x_lo < 0.0 < self.x_hi):
+        object.__setattr__(self, "x_lo", _finite("x_lo", self.x_lo,
+                                                 -math.inf, strict=True))
+        if not self.x_lo < 0.0:
             raise ConfigError(
-                f"grid must bracket the origin, got [{self.x_lo}, {self.x_hi}]")
-        if self.x_hi < 1.0:
-            raise ConfigError(
-                f"grid must cover kernel supports up to x = 1, got "
-                f"x_hi = {self.x_hi}")
-        _finite("grid width x_hi - x_lo", self.x_hi - self.x_lo, 0.0,
-                strict=True)
+                f"grid must bracket the origin, got [{self.x_lo}, 1]")
         object.__setattr__(self, "n_cells",
                            _integer("n_cells", self.n_cells, 8))
         object.__setattr__(self, "seed", _integer("seed", self.seed, 0))
-        if self.tail_budget is not None:
-            object.__setattr__(self, "tail_budget", _finite(
-                "tail budget", self.tail_budget, 0.0, strict=True))
 
     @property
     def dx(self) -> float:
@@ -288,29 +281,6 @@ class WhiteNoiseGrid:
         c = _kernel_scale(hu.h)
         return (c * c * a * a * abs(self.x_lo) ** (2.0 * hu.h - 2.0)
                 / (2.0 - 2.0 * hu.h))
-
-    def required_x_lo(self, h, budget: float) -> float:
-        """Left truncation point that brings ``tail_mass`` under budget."""
-        hu = _hurst(h)
-        budget = _finite("budget", budget, 0.0, strict=True)
-        a = hu.a
-        if a == 0.0:
-            return -1.0
-        c = _kernel_scale(hu.h)
-        return -((c * c * a * a / ((2.0 - 2.0 * hu.h) * budget))
-                 ** (1.0 / (2.0 - 2.0 * hu.h)))
-
-    def validate(self, h) -> None:
-        """Raise when a set tail budget is violated, naming the fix."""
-        if self.tail_budget is None:
-            return
-        mass = self.tail_mass(h)
-        if mass > self.tail_budget:
-            hu = _hurst(h)
-            raise ConfigError(
-                f"truncation tail mass {mass:.3e} exceeds the budget "
-                f"{self.tail_budget:.3e} at H={hu.h:g}; extend the grid to "
-                f"x_lo <= {self.required_x_lo(hu, self.tail_budget):.6g}")
 
     def increments(self, d: int, n_paths: int, stream: int,
                    block: int) -> np.ndarray:
@@ -553,7 +523,6 @@ def sample_paths_whitenoise(h, d: int, times, grid: WhiteNoiseGrid,
     n_paths = _integer("n_paths", n_paths, 1)
     stream = _integer("stream", stream, 0)
     times = _time_grid(times)
-    grid.validate(hu)
     K = _kernel_matrix(hu, times, grid)
     if times.size < WINDOW:
         K = np.concatenate([K, np.zeros((WINDOW - times.size, grid.n_cells))])
@@ -918,10 +887,23 @@ def mc_s_transform(ens: PathEnsemble, f, eps: float, n_trunc: int = 0, *,
                                  n_threads=n_threads))
 
 
+def _sample_paths(generator: str, h, d: int, times, n_paths: int,
+                  stream: int = 0, *, seed: int = 0,
+                  n_threads: int | None = None) -> PathEnsemble:
+    """Paths from the sampler named by ``generator``, one of GENERATORS;
+    a white-noise ensemble runs on the default grid with ``seed``."""
+    if generator == "whitenoise":
+        return sample_paths_whitenoise(h, d, times, WhiteNoiseGrid(seed=seed),
+                                       n_paths, stream, n_threads=n_threads)
+    if generator == "cholesky":
+        return sample_paths_cholesky(h, d, times, n_paths, stream, seed=seed,
+                                     n_threads=n_threads)
+    raise ConfigError(f"unknown generator '{generator}'")
+
+
 def mc_grid_bias(h, d: int, eps: float, m: int, n_paths: int,
-                 grid: WhiteNoiseGrid | None = None, stream: int = 0, *,
-                 seed: int | None = None, generator: str = "cholesky",
-                 n_threads: int | None = None
+                 stream: int = 0, *, seed: int = 0,
+                 generator: str = "cholesky", n_threads: int | None = None
                  ) -> tuple[McEstimate, McEstimate, float]:
     """Time-grid bias of the pair rule, measured on shared paths.
 
@@ -937,30 +919,14 @@ def mc_grid_bias(h, d: int, eps: float, m: int, n_paths: int,
     midpoint error O(1/m) dominates.  Taking the min over-reports the
     bias slightly for H > 1/2, which keeps the estimate conservative.
 
-    ``seed`` (default 0) seeds the paths; a noise ``grid`` carries its
-    own seed, so giving both raises ``ConfigError``.
+    ``generator`` is one of GENERATORS, and ``seed`` seeds its paths.
     """
     _finite("the estimator's eps", eps, 0.0, strict=True)
-    if grid is not None and seed is not None:
-        raise ConfigError("a noise grid carries its own seed; give either "
-                          "the grid or the seed")
-    seed = 0 if seed is None else seed
     t1 = make_midpoint_times(m)
     t2 = make_midpoint_times(2 * m)
     union = np.unique(np.concatenate([t1, t2]))
-    if generator == "whitenoise":
-        if grid is None:
-            grid = WhiteNoiseGrid(seed=seed)
-        ens = sample_paths_whitenoise(h, d, union, grid, n_paths, stream,
-                                      n_threads=n_threads)
-    elif generator == "cholesky":
-        if grid is not None:
-            raise ConfigError("the Cholesky generator takes no noise grid; "
-                              "sample with generator='whitenoise' to use it")
-        ens = sample_paths_cholesky(h, d, union, n_paths, stream, seed=seed,
-                                    n_threads=n_threads)
-    else:
-        raise ConfigError(f"unknown generator '{generator}'")
+    ens = _sample_paths(generator, h, d, union, n_paths, stream, seed=seed,
+                        n_threads=n_threads)
     idx1 = np.searchsorted(union, t1)
     idx2 = np.searchsorted(union, t2)
     est1 = mc_local_time_regularized(ens.restrict_times(idx1), eps,

@@ -223,6 +223,8 @@ def integrate_interval(f: Callable[..., np.ndarray], lo, hi, *,
         Vectorized integrand ``f(x, *args)``; never called at marked
         points.
     lo, hi : float, or arrays of shape (rows,) for a batch of intervals
+        A single interval needs lo <= hi, else ``ConfigError``; a batch
+        row with hi <= lo is empty and integrates to 0.
     singular : sequence of (point, sigma)
         Locations where the integrand behaves like ``|x - point|^sigma``
         with sigma > -1.  ``sigma == 0`` marks a plain breakpoint (jump
@@ -232,6 +234,8 @@ def integrate_interval(f: Callable[..., np.ndarray], lo, hi, *,
         NaN points among them, do not count.
     tol : float
         Absolute error target for the embedded-rule estimate, per row.
+        With ``strict``, a row that misses it, or whose integrand gave
+        a value that is not finite, raises ``AccuracyError``.
     args : sequence
         Integrand parameters, one value per row; ``f`` receives each
         repeated at every node of its row.
@@ -246,6 +250,8 @@ def integrate_interval(f: Callable[..., np.ndarray], lo, hi, *,
     if not (np.isfinite(los).all() and np.isfinite(his).all()):
         raise ConfigError(f"integration bounds must be finite, got "
                           f"[{lo}, {hi}]")
+    if not batch and his[0] < los[0]:
+        raise ConfigError(f"integration bounds are reversed: [{lo}, {hi}]")
     n_rows = los.size
     if not batch:
         singular = (singular,)
@@ -330,7 +336,8 @@ def integrate_interval(f: Callable[..., np.ndarray], lo, hi, *,
         fresh = np.zeros(rows.size, dtype=bool)
         fresh[left] = fresh[left + 1] = True
 
-    if strict and np.any(error > tol):
+    # A NaN error, from an integrand that is not finite, fails the test.
+    if strict and not np.all(error <= tol):
         worst = int(np.argmax(error))
         raise AccuracyError(
             f"integrate_interval: requested tolerance {tol:.3e} not "
@@ -470,7 +477,7 @@ def integrate_triangle_singular(
                              singular=[(e, 0.0) for e in edges], strict=False)
     value, outer_err = res.value, res.error_estimate
     err = outer_err + inner_tol * moment
-    if err > tol:
+    if not err <= tol:
         raise AccuracyError(
             f"triangle quadrature stalled at error {err:.3e} "
             f"(requested {tol:.3e})", value=value, error_estimate=err)
@@ -507,4 +514,8 @@ def divergence_probe(alpha: float,
              for k in kappas.tolist()]
     res = integrate_interval(outer, kappas, 1.0, tol=0.5 * tol,
                              singular=marks, max_panels=1024, strict=False)
+    if not np.isfinite(res.value).all():
+        raise AccuracyError(
+            f"divergence probe: a cutoff integral is not finite, got "
+            f"{res.value.tolist()}")
     return list(zip(kappas.tolist(), res.value.tolist()))

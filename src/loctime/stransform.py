@@ -37,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (AdmissibilityError, ConfigError, _finite, _integer,
-                     _order)
+from .errors import (AccuracyError, AdmissibilityError, ConfigError,
+                     _finite, _integer, _order)
 from .fracops import Hurst, Interval, PairingTable, _hurst, pairing_closed_form
 from .quadrature import (QuadratureResult, gauss_panels,
                          integrate_triangle_singular)
@@ -226,7 +226,8 @@ def exp_truncated(x, n: int):
     rule keeps 1e-12 relative accuracy.  x^N / N! is formed as the
     product of x/k over k <= N, which overflows only where x^N / N!
     does (x^N alone overflows at N = 170 once |x| > 65.05) and equals
-    x^N / N! bit for bit at N <= 2.  Vectorized over x.
+    x^N / N! bit for bit at N <= 2.  Vectorized over x.  A result beyond
+    the double range, as for x > 709.78, raises ``AccuracyError``.
     """
     n = _order("series tail index", n)
     xs = np.asarray(x, dtype=float)
@@ -236,9 +237,15 @@ def exp_truncated(x, n: int):
     if not np.isfinite(xs).all():
         raise ConfigError("exp_truncated needs finite arguments")
     lead = np.ones_like(xs)
-    for k in range(1, n + 1):
-        lead *= xs / k
-    out = lead * _exp_tail_ratio(-xs, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n + 1):
+            lead *= xs / k
+        out = lead * _exp_tail_ratio(-xs, n)
+    if not np.isfinite(out).all():
+        bad = xs[~np.isfinite(out)][0]
+        raise AccuracyError(
+            f"exp_N(x) at N = {n}, x = {bad:.6g} is beyond the double "
+            "range, or its factor x^N / N! is")
     return float(out[0]) if scalar else out
 
 

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import loctime.cli as cli_module
+import loctime.mc as mc
 from loctime import __version__
 from loctime.cli import (CSV_HEADER, FAMILIES, GENERATORS, KINDS,
                          ExperimentConfig, ResultRow, build_parser,
@@ -43,6 +44,12 @@ def row_by_id(rows, row_id):
 class TestConfig:
     def test_defaults_validate(self):
         ExperimentConfig(kind="selftest")
+
+    def test_generator_choices_are_the_mc_generators(self):
+        action = next(a for a in build_parser()._actions
+                      if a.dest == "generator")
+        assert tuple(action.choices) == mc.GENERATORS
+        assert GENERATORS is mc.GENERATORS
 
     @pytest.mark.parametrize("kwargs", [
         dict(kind="frobnicate"),

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import os
@@ -98,11 +99,8 @@ class TestNoiseGrid:
     @pytest.mark.parametrize("kwargs", [
         dict(x_lo=0.0),
         dict(x_lo=2.0),
-        dict(x_hi=0.5),
         dict(n_cells=4),
         dict(n_cells="64"),
-        dict(tail_budget=0.0),
-        dict(tail_budget=-1e-3),
     ])
     def test_invalid_configurations(self, kwargs):
         with pytest.raises(ConfigError):
@@ -111,7 +109,6 @@ class TestNoiseGrid:
     def test_tail_mass_vanishes_for_brownian(self):
         grid = WhiteNoiseGrid(x_lo=-5.0)
         assert grid.tail_mass(0.5) == 0.0
-        assert grid.required_x_lo(0.5, 1e-8) == -1.0
 
     def test_tail_mass_decreases_with_longer_grid(self):
         short = WhiteNoiseGrid(x_lo=-5.0)
@@ -120,23 +117,16 @@ class TestNoiseGrid:
             assert long.tail_mass(h) < short.tail_mass(h)
             assert short.tail_mass(h) > 0.0
 
-    @pytest.mark.parametrize("h", [0.25, 0.6, 0.9])
-    def test_required_x_lo_hits_budget(self, h):
-        budget = 1e-5
-        grid = WhiteNoiseGrid()
-        x_lo = grid.required_x_lo(h, budget)
-        assert x_lo < 0.0
-        tuned = WhiteNoiseGrid(x_lo=x_lo)
-        assert tuned.tail_mass(h) == pytest.approx(budget, rel=1e-10)
-
-    def test_required_x_lo_rejects_bad_budget(self):
-        with pytest.raises(ConfigError):
-            WhiteNoiseGrid().required_x_lo(0.3, 0.0)
-
-    def test_budget_enforced_at_sampling(self):
-        grid = WhiteNoiseGrid(x_lo=-3.0, tail_budget=1e-8)
-        with pytest.raises(ConfigError, match="extend the grid"):
-            sample_paths_whitenoise(0.25, 1, make_midpoint_times(2), grid, 4)
+    def test_right_end_is_one(self):
+        # The kernel of [0, t] vanishes beyond x = t <= 1, so the noise
+        # axis ends at 1 and only its left end and cells are set.
+        grid = WhiteNoiseGrid(x_lo=-3.0, n_cells=8)
+        assert grid.x_hi == 1.0
+        assert [f.name for f in dataclasses.fields(WhiteNoiseGrid)] == [
+            "x_lo", "n_cells", "seed"]
+        assert grid.dx == 0.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            grid.x_hi = 2.0
 
     def test_increments_are_keyed_by_block(self):
         grid = WhiteNoiseGrid(n_cells=64)
@@ -297,7 +287,7 @@ class TestSampling:
         # Cells of width 1/2 from -3 put noise midpoints exactly on the
         # times 1/4 and 3/4, where the H < 1/2 kernel is infinite; those
         # nodes move right by 1e-9 of a cell.
-        grid = WhiteNoiseGrid(x_lo=-3.0, x_hi=1.0, n_cells=8)
+        grid = WhiteNoiseGrid(x_lo=-3.0, n_cells=8)
         times = make_midpoint_times(2)
         hu = Hurst(0.3)
         x = grid.midpoints
@@ -891,28 +881,14 @@ class TestGridBias:
         assert bias > gap
 
     def test_whitenoise_generator_path(self):
-        grid = WhiteNoiseGrid(n_cells=256)
-        est1, est2, bias = mc_grid_bias(0.5, 1, 0.1, 4, 600,
-                                        grid=grid, generator="whitenoise")
+        est1, est2, bias = mc_grid_bias(0.5, 1, 0.1, 4, 600, seed=3,
+                                        generator="whitenoise")
         assert est1.n_samples == 600
         assert bias >= 0.0
 
     def test_unknown_generator(self):
         with pytest.raises(ConfigError):
             mc_grid_bias(0.5, 1, 0.05, 4, 100, generator="euler")
-
-    def test_cholesky_refuses_a_noise_grid(self):
-        # The grid was ignored without a word.
-        with pytest.raises(ConfigError, match="no noise grid"):
-            mc_grid_bias(0.5, 1, 0.05, 4, 100, grid=WhiteNoiseGrid(),
-                         generator="cholesky")
-
-    def test_whitenoise_refuses_a_grid_and_a_seed(self):
-        # The seed was ignored without a word: the grid carries its own.
-        for seed in (0, 5):
-            with pytest.raises(ConfigError, match="own seed"):
-                mc_grid_bias(0.5, 1, 0.1, 4, 100, grid=WhiteNoiseGrid(),
-                             seed=seed, generator="whitenoise")
 
     @pytest.mark.parametrize("generator", ["cholesky", "whitenoise"])
     def test_default_seed_is_seed_zero(self, generator):
@@ -925,8 +901,30 @@ class TestGridBias:
         assert default == bias(seed=0)
         assert default != bias(seed=5)
         if generator == "whitenoise":
-            assert default == bias(grid=WhiteNoiseGrid(seed=0))
-            assert bias(seed=5) == bias(grid=WhiteNoiseGrid(seed=5))
+            # The default is direct sampling on the default grid, seed 0.
+            t1, t2 = make_midpoint_times(4), make_midpoint_times(8)
+            union = np.unique(np.concatenate([t1, t2]))
+            ens = sample_paths_whitenoise(0.5, 1, union,
+                                          WhiteNoiseGrid(seed=0), 200)
+            direct = [mc_local_time_regularized(
+                ens.restrict_times(np.searchsorted(union, t)), 0.1).mean
+                for t in (t1, t2)]
+            assert list(default[:2]) == direct
+
+    @pytest.mark.parametrize("generator", mc.GENERATORS)
+    def test_sample_paths_matches_the_samplers(self, generator):
+        times = make_midpoint_times(6)
+        got = mc._sample_paths(generator, 0.4, 2, times, 600, 3, seed=5,
+                               n_threads=2)
+        if generator == "whitenoise":
+            want = sample_paths_whitenoise(0.4, 2, times,
+                                           WhiteNoiseGrid(seed=5), 600, 3)
+            assert got.grid == want.grid
+        else:
+            want = sample_paths_cholesky(0.4, 2, times, 600, 3, seed=5)
+            assert got.grid is None
+        assert got.stream == want.stream == 3
+        assert np.array_equal(got.paths, want.paths)
 
     def test_non_finite_eps_rejected_before_sampling(self, monkeypatch):
         def no_sampling(*args, **kwargs):

@@ -88,6 +88,18 @@ class TestIntervalEngine:
                                  strict=False)
         assert res.error_estimate > 1e-14
 
+    def test_nan_integrand_raises_when_strict(self):
+        # NaN > tol is false: a NaN error must not count as met.
+        with pytest.raises(AccuracyError, match="nan"):
+            integrate_interval(lambda x: np.full_like(x, np.nan), 0.0, 1.0,
+                               tol=1e-10)
+
+    def test_reversed_interval_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="reversed"):
+            integrate_interval(lambda x: x, 1.0, 0.0, tol=1e-10)
+        assert integrate_interval(lambda x: x, 1.0, 1.0, tol=1e-10) == (
+            quadrature.QuadratureResult(0.0, 0.0, 0))
+
 
 class TestBatchedIntervals:
     # (lo, hi, k, (c, s), (e, t)): the integrand cos(k x) |x-c|^s |x-e|^t,
@@ -455,8 +467,29 @@ class TestTriangleEngine:
         exact = triangle_power_moment(0.9)
         assert abs(res.value - exact) <= max(res.error_estimate, 1e-12)
 
+    def test_nan_factor_raises(self):
+        with pytest.raises(AccuracyError, match="nan"):
+            integrate_triangle_singular(
+                0.0, lambda t1, tau: np.full_like(t1, np.nan), tol=1e-6)
+
+    def test_nan_reaches_the_cli_as_exit_3(self, monkeypatch, tmp_path,
+                                            capsys):
+        from loctime.cli import main
+        from loctime.fracops import PairingTable
+
+        monkeypatch.setattr(PairingTable, "v_quotient_sq",
+                            lambda self, t1, tau: np.full_like(t1, np.nan))
+        assert main(["stransform", "--H", "0.5", "--eps", "0", "--f",
+                     "gauss", "--out", str(tmp_path)]) == 3
+        assert "nan" in capsys.readouterr().err
+
 
 class TestDivergenceProbe:
+    def test_nan_factor_raises(self):
+        with pytest.raises(AccuracyError, match="not finite"):
+            divergence_probe(0.5, lambda t1, tau: np.full_like(t1, np.nan),
+                             (0.1, 0.01))
+
     def test_log_divergence_at_alpha_one(self):
         cutoffs = (1e-2, 1e-3, 1e-4, 1e-5)
         table = divergence_probe(1.0, ones, cutoffs, tol=1e-10)

@@ -9,7 +9,7 @@ from scipy.integrate import dblquad, quad
 from scipy.special import erf
 
 import loctime.stransform as stransform_module
-from loctime.errors import AdmissibilityError, ConfigError
+from loctime.errors import AccuracyError, AdmissibilityError, ConfigError
 from loctime.fracops import (PairingTable, bound_ratio, pairing_closed_form,
                              pairing_indicator)
 from loctime.kernels import (kernel_value, kernel_value_regularized,
@@ -158,6 +158,18 @@ class TestExpTruncated:
             warnings.simplefilter("error")
             got = exp_truncated(x, n)
         assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("x, n", [(800.0, 0), (800.0, 2), (1e5, 1),
+                                      (710.0, 170)])
+    def test_overflow_raises_without_warning(self, x, n):
+        # exp_N(x) > e^x (1 - 1e-100) lies beyond the double range here
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AccuracyError, match="double range"):
+                exp_truncated(x, n)
+            with pytest.raises(AccuracyError):
+                exp_truncated(np.array([1.0, x]), n)
+            assert math.isfinite(exp_truncated(700.0, 2))
 
     def test_scalar_in_float_out(self):
         assert isinstance(exp_truncated(0.3, 2), float)
