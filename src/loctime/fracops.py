@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import ConfigError, ConsistencyError, SingularPointError, _finite
 from .quadrature import QuadratureResult, gauss_panels, integrate_interval
-from .testfunctions import TestFunction, _as_bundle
+from .testfunctions import TestFunction, _as_bundle, _require_finite
 
 __all__ = [
     "Hurst",
@@ -499,6 +499,7 @@ class PairingTable:
         if self._zero:
             return
         U = _kernel_scale(hu.h) * _knot_values(hu.a, comps)
+        _require_finite(comps, U, "a pairing-table knot value")
         # (3, d, n) and (d, n + 1), so a gather gives (d,) + shape.
         self._c = _not_a_knot(U)
         self._knots = U

@@ -16,15 +16,15 @@ expectation on the shifted paths closes in the discrete model exactly
 like the analytic truncated transform.  Wick weights
 exp(<dW, f> - |f|^2/2) serve only ``mc_weight_check``.
 
-Everything is deterministic: path blocks draw from counter-based
-generators keyed by (seed, stream, block), reductions run in fixed
-order, and every BLAS or LAPACK call runs in the calling thread on
-operands whose shapes follow from the inputs alone, so results are
-bit-identical for any worker count (``n_threads``, LOCTIME_THREADS).
-Values that pass through BLAS or LAPACK (the Cholesky factor, the paths
-of both samplers, the Wick weights, the S-transform's drift and Gram
-matrix) depend on the BLAS build and its own thread setting, never on
-the worker count.
+Everything is deterministic: every path block draws its noise through
+``_noise``, the one counter-based generator, keyed by (seed, stream,
+block); reductions run in fixed order, and every BLAS or LAPACK call
+runs in the calling thread on operands whose shapes follow from the
+inputs alone, so results are bit-identical for any worker count
+(``n_threads``, LOCTIME_THREADS).  Values that pass through BLAS or
+LAPACK (the Cholesky factor, the paths of both samplers, the Wick
+weights, the S-transform's drift and Gram matrix) depend on the BLAS
+build and its own thread setting, never on the worker count.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .errors import (AccuracyError, ConfigError, ConsistencyError, _finite,
 from .fracops import (Hurst, Interval, _hurst, _kernel_scale, _plus_power,
                       increment_kernel)
 from .quadrature import integrate_interval
-from .testfunctions import _as_bundle
+from .testfunctions import _as_bundle, _require_finite
 
 __all__ = [
     "WhiteNoiseGrid",
@@ -239,8 +239,9 @@ class WhiteNoiseGrid:
     Cells span [x_lo, 1]: the kernel of [0, t] vanishes for x > t, so
     x = 1 covers the supports of all times up to 1.  Per block, each
     component draws i.i.d. centered Gaussian cell increments of variance
-    dx.  The L2 mass of the [0, 1] increment kernel lost below x_lo is
-    reported by ``tail_mass``.
+    dx from ``_noise`` keyed by (seed, stream, block).  The L2 mass of
+    the [0, 1] increment kernel lost below x_lo is reported by
+    ``tail_mass``.
     """
 
     x_hi: ClassVar[float] = 1.0
@@ -281,18 +282,6 @@ class WhiteNoiseGrid:
         c = _kernel_scale(hu.h)
         return (c * c * a * a * abs(self.x_lo) ** (2.0 * hu.h - 2.0)
                 / (2.0 - 2.0 * hu.h))
-
-    def increments(self, d: int, n_paths: int, stream: int,
-                   block: int) -> np.ndarray:
-        """Noise increments of one path block, shape (n_paths, d, n_cells).
-
-        Keyed by (seed, stream, block): bit-identical across runs and
-        independent of any other block.
-        """
-        ss = np.random.SeedSequence((self.seed, stream, block))
-        rng = np.random.Generator(np.random.Philox(ss))
-        return rng.normal(0.0, math.sqrt(self.dx),
-                          size=(n_paths, d, self.n_cells))
 
 
 @dataclass(frozen=True)
@@ -407,33 +396,16 @@ def resolve_threads(n_threads: int | None = None) -> int:
     return _integer("LOCTIME_THREADS", value, 1)
 
 
-class _Pool:
-    """Runs lists of tasks on up to ``n_threads`` threads.
+def _parallel(tasks: list[Callable[[], object]], n_threads: int) -> list:
+    """The results of ``tasks`` run on up to ``n_threads`` threads; one
+    task, or one thread, runs inline, and the thread pool is imported
+    only when threads start, so importing loctime loads none."""
+    if n_threads == 1 or len(tasks) == 1:
+        return [task() for task in tasks]
+    from concurrent.futures import ThreadPoolExecutor
 
-    A list of one task runs inline.  The executor is made for the first
-    list of two or more, so a call whose every list holds one task
-    starts no thread, and importing loctime loads no thread pool.
-    """
-
-    def __init__(self, n_threads: int | None):
-        self.n_threads = resolve_threads(n_threads)
-        self._ex = None
-
-    def run(self, tasks: list[Callable[[], object]]) -> list:
-        if self.n_threads == 1 or len(tasks) == 1:
-            return [task() for task in tasks]
-        if self._ex is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._ex = ThreadPoolExecutor(max_workers=self.n_threads)
-        return [f.result() for f in [self._ex.submit(t) for t in tasks]]
-
-    def __enter__(self) -> "_Pool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self._ex is not None:
-            self._ex.shutdown()
+    with ThreadPoolExecutor(max_workers=n_threads) as ex:
+        return [f.result() for f in [ex.submit(t) for t in tasks]]
 
 
 def _tiles(lo: int, hi: int, rows: int) -> list[tuple[int, int]]:
@@ -450,26 +422,35 @@ def _tile_rows(n_rows: int, row_bytes: int, n_threads: int) -> int:
     return max(min(rows, TILE_BYTES // row_bytes), 1)
 
 
-def _fill_blocks(draw: Callable[[int, int], np.ndarray],
-                 apply: Callable[[np.ndarray], np.ndarray], n_paths: int,
-                 n_threads: int | None, out: np.ndarray) -> np.ndarray:
-    """Fill out[lo:hi] with apply(draw(b, hi - lo)) over the RNG blocks b.
+def _noise(seed: int, stream: int, block: int, shape: tuple[int, ...],
+           scale: float) -> np.ndarray:
+    """I.i.d. N(0, scale^2) noise of ``shape`` for one RNG block: the one
+    generator of the Monte Carlo layer, a Philox stream keyed by (seed,
+    stream, block), independent of the other blocks and of the threads."""
+    rng = np.random.Generator(np.random.Philox(
+        np.random.SeedSequence((seed, stream, block))))
+    return rng.normal(0.0, scale, size=shape)
 
-    Blocks hold BLOCK paths (the last one the rest) and ``draw`` keys its
-    generator by b, so the draws do not depend on the thread count.  The
-    draws of a wave, one block per thread, run in parallel; ``apply``
-    runs in the calling thread, each time on a whole block, so a BLAS
-    product in it has shapes, and with them bits, that follow from the
-    block layout alone.
+
+def _fill_blocks(seed: int, stream: int, shape: tuple[int, ...],
+                 scale: float, apply: Callable[[np.ndarray], np.ndarray],
+                 n_threads: int | None, out: np.ndarray) -> np.ndarray:
+    """Fill out[lo:hi] with apply(z) over the RNG blocks b of BLOCK paths
+    (the last one the rest), z being ``_noise`` of block b and shape
+    (hi - lo,) + shape.  The draws of a wave, one block per thread, run
+    in parallel; ``apply`` runs in the calling thread on a whole block,
+    so a BLAS product in it has shapes, and with them bits, that follow
+    from the block layout alone.
     """
-    blocks = _tiles(0, n_paths, BLOCK)
-    with _Pool(n_threads) as pool:
-        for w in range(0, len(blocks), pool.n_threads):
-            wave = blocks[w:w + pool.n_threads]
-            drawn = pool.run([functools.partial(draw, b, hi - lo)
-                              for b, (lo, hi) in enumerate(wave, w)])
-            for (lo, hi), z in zip(wave, drawn):
-                out[lo:hi] = apply(z)
+    n_threads = resolve_threads(n_threads)
+    blocks = _tiles(0, out.shape[0], BLOCK)
+    for w in range(0, len(blocks), n_threads):
+        wave = blocks[w:w + n_threads]
+        drawn = _parallel([functools.partial(_noise, seed, stream, b,
+                                             (hi - lo,) + shape, scale)
+                           for b, (lo, hi) in enumerate(wave, w)], n_threads)
+        for (lo, hi), z in zip(wave, drawn):
+            out[lo:hi] = apply(z)
     return out
 
 
@@ -528,9 +509,6 @@ def sample_paths_whitenoise(h, d: int, times, grid: WhiteNoiseGrid,
         K = np.concatenate([K, np.zeros((WINDOW - times.size, grid.n_cells))])
     n_rows = K.shape[0]
 
-    def draw(b: int, n: int) -> np.ndarray:
-        return grid.increments(d, n, stream, b)
-
     def apply(dW: np.ndarray) -> np.ndarray:
         n = dW.shape[0]
         z = dW.reshape(n * d, grid.n_cells)
@@ -541,7 +519,8 @@ def sample_paths_whitenoise(h, d: int, times, grid: WhiteNoiseGrid,
                 n, d, WINDOW).transpose(0, 2, 1)
         return rows[:, :times.size]
 
-    out = _fill_blocks(draw, apply, n_paths, n_threads,
+    out = _fill_blocks(grid.seed, stream, (d, grid.n_cells),
+                       math.sqrt(grid.dx), apply, n_threads,
                        np.empty((n_paths, times.size, d)))
     out[:, 0] = 0.0
     return PathEnsemble(hurst=hu, times=times, paths=out, grid=grid,
@@ -581,13 +560,14 @@ def sample_paths_cholesky(h, d: int, times, n_paths: int, stream: int = 0, *,
 
     The reference generator: no x-truncation or cell-size bias, but
     also no noise grid (so it cannot drive the S-transform estimator).
-    Each RNG block draws z of shape (n d, m), row j d + c for component
-    c of the block's path j, and its paths are the one BLAS product
-    z @ chol.T.  The draws of a wave run on the threads; the products
-    run in the calling thread, each on a whole block, so their shapes,
-    and with them the bits, depend on the block layout only.  The paths
-    thus depend on the BLAS build and its own thread setting, as the
-    LAPACK factor does, but never on ``n_threads``.
+    Each RNG block draws noise of shape (n, d, m), taken as z of shape
+    (n d, m), row j d + c for component c of the block's path j, and its
+    paths are the one BLAS product z @ chol.T.  The draws of a wave run
+    on the threads; the products run in the calling thread, each on a
+    whole block, so their shapes, and with them the bits, depend on the
+    block layout only.  The paths thus depend on the BLAS build and its
+    own thread setting, as the LAPACK factor does, but never on
+    ``n_threads``.
     """
     hu = _hurst(h)
     d = _integer("d", d, 1)
@@ -600,15 +580,11 @@ def sample_paths_cholesky(h, d: int, times, n_paths: int, stream: int = 0, *,
     out = np.empty((n_paths, times.size, d))
     out[:, 0, :] = 0.0
 
-    def draw(b: int, n: int) -> np.ndarray:
-        ss = np.random.SeedSequence((seed, stream, b))
-        rng = np.random.Generator(np.random.Philox(ss))
-        return rng.standard_normal(size=(n * d, mm))
-
     def apply(z: np.ndarray) -> np.ndarray:
-        return (z @ chol_t).reshape(-1, d, mm).transpose(0, 2, 1)
+        paths = z.reshape(-1, mm) @ chol_t
+        return paths.reshape(-1, d, mm).transpose(0, 2, 1)
 
-    _fill_blocks(draw, apply, n_paths, n_threads, out[:, 1:])
+    _fill_blocks(seed, stream, (d, mm), 1.0, apply, n_threads, out[:, 1:])
     return PathEnsemble(hurst=hu, times=times, paths=out, stream=stream)
 
 
@@ -700,10 +676,10 @@ def _pair_sums(ens: PathEnsemble, eps: float, n_trunc: int = 0,
         # Each tile writes only its own paths' sums.
         sums[lo:hi] = pref * vals[:n]
 
-    with _Pool(n_threads) as pool:
-        rows = _tile_rows(ens.n_paths, m * d * B.itemsize, pool.n_threads)
-        pool.run([functools.partial(tile, lo, hi)
-                  for lo, hi in _tiles(0, ens.n_paths, rows)])
+    n_threads = resolve_threads(n_threads)
+    rows = _tile_rows(ens.n_paths, m * d * B.itemsize, n_threads)
+    _parallel([functools.partial(tile, lo, hi)
+               for lo, hi in _tiles(0, ens.n_paths, rows)], n_threads)
     if not np.any(sums):
         raise AccuracyError(
             f"every pair sum is exactly 0 over {ens.n_paths} paths at "
@@ -805,14 +781,12 @@ def _wick_weights(ens: PathEnsemble, fvals: np.ndarray, *,
     grid = ens.grid
     half_norm = 0.5 * float(np.sum(fvals * fvals)) * grid.dx
 
-    def draw(b: int, n: int) -> np.ndarray:
-        return grid.increments(ens.d, n, ens.stream, b)
-
     def apply(dW: np.ndarray) -> np.ndarray:
         return np.exp(dW.reshape(dW.shape[0], -1) @ fvals.ravel()
                       - half_norm)
 
-    weights = _fill_blocks(draw, apply, ens.n_paths, n_threads,
+    weights = _fill_blocks(grid.seed, ens.stream, (ens.d, grid.n_cells),
+                           math.sqrt(grid.dx), apply, n_threads,
                            np.empty(ens.n_paths))
     if not np.any(weights):
         raise AccuracyError(
@@ -831,7 +805,10 @@ def _require_whitenoise(ens: PathEnsemble, what: str) -> None:
 def _f_values(ens: PathEnsemble, f) -> np.ndarray:
     bundle = _as_bundle(f, ens.d)
     x = ens.grid.midpoints
-    return np.stack([fj.eval(x) for fj in bundle.components])
+    fvals = np.stack([fj.eval(x) for fj in bundle.components])
+    _require_finite(bundle.components, fvals,
+                    "a value at a noise-grid midpoint")
+    return fvals
 
 
 def mc_weight_check(ens: PathEnsemble, f, *,

@@ -226,8 +226,11 @@ def exp_truncated(x, n: int):
     rule keeps 1e-12 relative accuracy.  x^N / N! is formed as the
     product of x/k over k <= N, which overflows only where x^N / N!
     does (x^N alone overflows at N = 170 once |x| > 65.05) and equals
-    x^N / N! bit for bit at N <= 2.  Vectorized over x.  A result beyond
-    the double range, as for x > 709.78, raises ``AccuracyError``.
+    x^N / N! bit for bit at N <= 2.  Where that factor overflows at x < 0,
+    the result is recomputed as x^(N-1) / (N-1)! times the factor
+    (x / N) ``_exp_tail_ratio(-x, N)``, which tends to -1.  Vectorized
+    over x.  A result beyond the double range, as for x > 709.78, or
+    x^(N-1) / (N-1)! beyond it at x < 0, raises ``AccuracyError``.
     """
     n = _order("series tail index", n)
     xs = np.asarray(x, dtype=float)
@@ -241,8 +244,15 @@ def exp_truncated(x, n: int):
         for k in range(1, n + 1):
             lead *= xs / k
         out = lead * _exp_tail_ratio(-xs, n)
-    if not np.isfinite(out).all():
-        bad = xs[~np.isfinite(out)][0]
+        fin = np.isfinite(out)
+        if not fin.all():
+            redo = ~fin & (xs < 0.0)
+            xn = xs[redo]
+            out[redo] = (np.prod(xn[:, None] / np.arange(1.0, n), axis=1)
+                         * ((xn / n) * _exp_tail_ratio(-xn, n)))
+            fin = np.isfinite(out)
+    if not fin.all():
+        bad = xs[~fin][0]
         raise AccuracyError(
             f"exp_N(x) at N = {n}, x = {bad:.6g} is beyond the double "
             "range, or its factor x^N / N! is")

@@ -272,6 +272,15 @@ def _as_bundle(f, d: int | None = None) -> VectorTestFunction:
     return f
 
 
+def _require_finite(components, values: np.ndarray, what: str) -> None:
+    """ConfigError naming the first component whose row of values is not
+    finite everywhere."""
+    for fj, row in zip(components, values):
+        if not np.isfinite(row).all():
+            raise ConfigError(f"test function {fj.label} has {what} that is "
+                              "not finite")
+
+
 def zero_bundle(d: int) -> VectorTestFunction:
     return VectorTestFunction(tuple(zero_function() for _ in range(d)))
 

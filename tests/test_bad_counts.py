@@ -1,6 +1,7 @@
 """Property test: every count or order argument refuses what is not an
 integer in its range with ``ConfigError``, before any heavy work."""
 
+import dataclasses
 import functools
 import math
 
@@ -14,8 +15,9 @@ from loctime.errors import ConfigError
 from loctime.fracops import Interval, bound_ratio, dual_apply, pairing_indicator
 from loctime.kernels import kernel_value, series_reconstruction
 from loctime.mc import (PathEnsemble, WhiteNoiseGrid, fbm_covariance,
-                        make_midpoint_times, resolve_threads,
-                        sample_paths_cholesky, sample_paths_whitenoise)
+                        make_midpoint_times, mc_s_transform, mc_weight_check,
+                        resolve_threads, sample_paths_cholesky,
+                        sample_paths_whitenoise)
 from loctime.quadrature import (divergence_probe, integrate_interval,
                                 triangle_power_moment)
 from loctime.stransform import (DeltaSpec, admissibility, exp_truncated,
@@ -172,4 +174,31 @@ BAD_VALUES += [
                          ids=[c[0] for c in BAD_VALUES])
 def test_bad_value_is_a_config_error(call):
     with pytest.raises(ConfigError):
+        call()
+
+
+def _holey(x):
+    x = np.asarray(x, dtype=float)
+    return np.where(np.abs(x - 0.3) < 0.01, math.nan, BUMP.eval(x))
+
+
+# BUMP but NaN on |x - 0.3| < 0.01.  These ended in AccuracyError, in
+# ValueError, in an unrelated ConfigError, or in a nan +- nan estimate.
+HOLEY = dataclasses.replace(BUMP, eval=_holey, label="holey")
+WN = sample_paths_whitenoise(0.7, 1, TIMES, WhiteNoiseGrid(), 8)
+NON_FINITE_F = [
+    ("s_local_time eps 0", lambda: s_local_time(SPEC, HOLEY)),
+    ("s_local_time eps 0.01",
+     lambda: s_local_time(DeltaSpec(0.5, 1, 1, 0.01), HOLEY)),
+    ("series_reconstruction",
+     lambda: series_reconstruction(SPEC, HOLEY, 3)),
+    ("mc_s_transform", lambda: mc_s_transform(WN, HOLEY, 0.05, 1)),
+    ("mc_weight_check", lambda: mc_weight_check(WN, HOLEY)),
+]
+
+
+@pytest.mark.parametrize("call", [c[1] for c in NON_FINITE_F],
+                         ids=[c[0] for c in NON_FINITE_F])
+def test_non_finite_test_function_is_a_config_error(call):
+    with pytest.raises(ConfigError, match="test function holey"):
         call()

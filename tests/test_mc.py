@@ -129,10 +129,9 @@ class TestNoiseGrid:
             grid.x_hi = 2.0
 
     def test_increments_are_keyed_by_block(self):
-        grid = WhiteNoiseGrid(n_cells=64)
-        a = grid.increments(2, 16, 0, 0)
-        b = grid.increments(2, 16, 0, 0)
-        c = grid.increments(2, 16, 0, 1)
+        a = mc._noise(0, 0, 0, (16, 2, 64), 0.5)
+        b = mc._noise(0, 0, 0, (16, 2, 64), 0.5)
+        c = mc._noise(0, 0, 1, (16, 2, 64), 0.5)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
         assert a.shape == (16, 2, 64)
@@ -264,7 +263,9 @@ class TestSampling:
         grid = WhiteNoiseGrid(n_cells=256, seed=3)
         n_paths, stream = 1100, 2
         dW = np.concatenate([
-            grid.increments(d, hi - lo, stream, b)
+            np.random.Generator(np.random.Philox(
+                np.random.SeedSequence((3, stream, b))))
+            .normal(0.0, math.sqrt(grid.dx), size=(hi - lo, d, 256))
             for b, (lo, hi) in enumerate(mc._tiles(0, n_paths, BLOCK))])
         K = mc._kernel_matrix(Hurst(0.7), times, grid)
         want = np.einsum("jdc,tc->jtd", dW, K)
@@ -1082,6 +1083,28 @@ class TestRowTiles:
             monkeypatch.setenv("LOCTIME_THREADS", bad)
             with pytest.raises(ConfigError, match="LOCTIME_THREADS"):
                 mc_local_time_regularized(ens, 0.05)
+
+
+class TestLazyPool:
+    def test_pool_loads_only_when_threads_start(self):
+        # Importing loctime and calls of one RNG block or row tile load no
+        # thread pool; a sample of three blocks on two threads loads it.
+        code = (
+            "import sys\n"
+            "import loctime as L\n"
+            "from loctime.mc import BLOCK\n"
+            "def loaded():\n"
+            "    return 'concurrent.futures' in sys.modules\n"
+            "times = L.make_midpoint_times(8)\n"
+            "assert not loaded()\n"
+            "ens = L.sample_paths_cholesky(0.5, 1, times, 64, n_threads=2)\n"
+            "L.mc_local_time_regularized(ens, 0.05, n_threads=2)\n"
+            "assert not loaded()\n"
+            "L.sample_paths_cholesky(0.5, 1, times, 3 * BLOCK, n_threads=2)\n"
+            "assert loaded()\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestErrorScaling:

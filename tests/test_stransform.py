@@ -171,6 +171,21 @@ class TestExpTruncated:
                 exp_truncated(np.array([1.0, x]), n)
             assert math.isfinite(exp_truncated(700.0, 2))
 
+    @pytest.mark.parametrize("x, n", [(-1e300, 2), (-1e160, 2), (-1e100, 4)])
+    def test_large_negative_argument_stays_finite(self, x, n):
+        # x^N / N! overflows here although exp_N(x), about x^(N-1)/(N-1)!,
+        # is a double; a finite neighbour in the array keeps its bits
+        with mpmath.workdps(50):
+            want = float(mpmath.exp(x) - sum(
+                mpmath.mpf(x) ** k / mpmath.factorial(k) for k in range(n)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = exp_truncated(np.array([-3.0, x]), n)
+        assert got[1] == pytest.approx(want, rel=1e-12)
+        assert got[0] == exp_truncated(-3.0, n)
+        with pytest.raises(AccuracyError, match="double range"):
+            exp_truncated(-1e200, 3)  # about -5e399
+
     def test_scalar_in_float_out(self):
         assert isinstance(exp_truncated(0.3, 2), float)
 
