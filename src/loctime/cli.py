@@ -449,6 +449,11 @@ _RUNNERS = {
 
 def run(config: ExperimentConfig) -> ResultRecord:
     """Execute one experiment and persist its artifacts."""
+    # These kinds compute at the one eps; only convergence runs a schedule.
+    if config.eps_schedule and config.kind in ("stransform", "kernels", "mc"):
+        raise ConfigError(
+            f"the {config.kind} experiment takes one eps, got the schedule "
+            f"{list(config.eps_schedule)}; a schedule is for convergence")
     threads = resolve_threads()
     start = time.perf_counter()
     rows, plot = _RUNNERS[config.kind](config)

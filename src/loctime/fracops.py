@@ -129,9 +129,7 @@ def normalization_constant(h) -> float:
 
 
 def _plus_power(u: np.ndarray, a: float) -> np.ndarray:
-    """(u)_+^a with the a = 0 convention 1_{u > 0}."""
-    if a == 0.0:
-        return (u > 0.0).astype(float)
+    """(u)_+^a, with the a = 0 convention 1_{u > 0} as u**0 = 1."""
     out = np.zeros_like(u)
     pos = u > 0.0
     out[pos] = u[pos] ** a

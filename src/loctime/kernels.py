@@ -121,6 +121,11 @@ def _product_factory(hu: Hurst, points: tuple[float, ...]):
             q = np.zeros_like(t1)
             pos = b > 0.0
             strip = ~pos & (b + tau > 0.0)
+            # At H = 1/2 the general expressions below give these values
+            # bit for bit, but more slowly: perfbench's chaos_kernels
+            # reads wall_s 0.319 s and op_p50_s 0.0209 s with this
+            # branch and 0.371 s and 0.0250 s without it (2-CPU host,
+            # 36 s runs, worse in 5 of 5 pairs).
             if a == 0.0:
                 q[strip] = 1.0 / tau[strip]
             else:

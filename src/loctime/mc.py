@@ -145,11 +145,13 @@ def covariance_from_kernels(h, s: float, t: float, tol: float = 1e-8) -> float:
     int K1_[0,s](x) K1_[0,t](x) dx over the common support.  The core
     [-X0, min(s,t) - delta] is integrated with a mark at the kernel jump
     x = 0 (offsets from 0 are exact doubles); the strip of width delta
-    at the singular endpoint is integrated in exact offset coordinates
-    by ``_endpoint_strip``; and the far tail x < -X0 (which decays only
-    like |x|^(2H-3)) is folded to a finite interval by x = -X0/v and
-    evaluated through expm1/log1p, which keeps the kernel difference
-    accurate where direct subtraction cancels.
+    at the endpoint, singular for H < 1/2, is integrated in exact offset
+    coordinates by ``_endpoint_strip``; and the far tail x < -X0 (which
+    decays only like |x|^(2H-3)) is folded to a finite interval by
+    x = -X0/v and evaluated through expm1/log1p, which keeps the kernel
+    difference accurate where direct subtraction cancels.  One route
+    serves every H; at H = 1/2 the tail is zero and the rest integrates
+    constants.
     """
     hu = _hurst(h)
     s = _finite("time s", s, 0.0, strict=False)
@@ -166,25 +168,11 @@ def covariance_from_kernels(h, s: float, t: float, tol: float = 1e-8) -> float:
     def body(x):
         return increment_kernel(hu, ivs, x) * increment_kernel(hu, ivt, x)
 
-    if a == 0.0:
-        res = integrate_interval(body, 0.0, hi, tol=tol,
-                                 singular=[(s, 0.0), (t, 0.0)], order=16)
-        return res.value
-
     x0 = max(8.0 * (1.0 + s + t), 16.0)
-    if a > 0.0:
-        # Kernels are bounded at their endpoints; marks only guide the
-        # panel refinement.
-        sing = [(0.0, 2.0 * a), (s, a), (t, a)]
-        core = integrate_interval(body, -x0, hi, tol=tol / 3.0,
-                                  singular=sing, order=16)
-        core_val = core.value
-    else:
-        delta = 0.5 * hi
-        strip = _endpoint_strip(a, c, abs(t - s), delta, tol / 3.0)
-        core = integrate_interval(body, -x0, hi - delta, tol=tol / 3.0,
-                                  singular=[(0.0, 2.0 * a)], order=16)
-        core_val = core.value + strip
+    delta = 0.5 * hi
+    strip = _endpoint_strip(a, c, abs(t - s), delta, tol / 3.0)
+    core = integrate_interval(body, -x0, hi - delta, tol=tol / 3.0,
+                              singular=[(0.0, 2.0 * a)], order=16)
 
     def tail_body(v):
         w = x0 / v
@@ -194,7 +182,7 @@ def covariance_from_kernels(h, s: float, t: float, tol: float = 1e-8) -> float:
 
     tail = integrate_interval(tail_body, 0.0, 1.0, tol=tol / 3.0,
                               singular=[(0.0, -2.0 * a)], order=16)
-    return core_val + tail.value
+    return core.value + strip + tail.value
 
 
 def make_midpoint_times(m: int) -> np.ndarray:
@@ -277,8 +265,6 @@ class WhiteNoiseGrid:
         """
         hu = _hurst(h)
         a = hu.a
-        if a == 0.0:
-            return 0.0
         c = _kernel_scale(hu.h)
         return (c * c * a * a * abs(self.x_lo) ** (2.0 * hu.h - 2.0)
                 / (2.0 - 2.0 * hu.h))

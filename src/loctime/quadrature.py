@@ -388,14 +388,7 @@ def _inner_integrals(g, tol: float, marks_of):
                     "integral")
             t = taus[start:start + n]
             widths = np.where(t > 0.0, 1.0 - t, 0.0)
-            marks = ()
-            if marks_of is not None:
-                marks = _marks_at(marks_of, t)
-                # Only marks inside (0, 1 - tau) count; a NaN point lies in
-                # no interval, so the engine drops it.
-                p = marks[..., 0]
-                inside = (0.0 < p) & (p < widths[:, None])
-                marks = np.where(inside[..., None], marks, np.nan)
+            marks = () if marks_of is None else _marks_at(marks_of, t)
             res = integrate_interval(g, np.zeros_like(t), widths, tol=tol,
                                      singular=marks, max_panels=max_panels,
                                      strict=False, args=(t,))

@@ -33,6 +33,7 @@ every power of tau, and the rest is bounded because
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +62,8 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 # Most points of one call of a Gauss rule in ``_exp_tail_ratio``.
 _TAIL_CHUNK = 256
+# log(DBL_MAX): e^x is beyond the double range for larger x.
+_LOG_DBL_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -223,14 +226,16 @@ def exp_truncated(x, n: int):
         exp_N(x) = x^N / (N-1)! * int_0^1 e^{x u} (1-u)^(N-1) du,
 
     that is x^N / N! times ``_exp_tail_ratio(-x, N)``, whose fixed Gauss
-    rule keeps 1e-12 relative accuracy.  x^N / N! is formed as the
-    product of x/k over k <= N, which overflows only where x^N / N!
-    does (x^N alone overflows at N = 170 once |x| > 65.05) and equals
-    x^N / N! bit for bit at N <= 2.  Where that factor overflows at x < 0,
-    the result is recomputed as x^(N-1) / (N-1)! times the factor
-    (x / N) ``_exp_tail_ratio(-x, N)``, which tends to -1.  Vectorized
-    over x.  A result beyond the double range, as for x > 709.78, or
-    x^(N-1) / (N-1)! beyond it at x < 0, raises ``AccuracyError``.
+    rule keeps 1e-12 relative accuracy.  For N >= 1 it is formed once,
+    as the product of x/k over k < N times the factor (x / N)
+    ``_exp_tail_ratio(-x, N)``, which tends to -1 as x -> -inf; so it
+    overflows only where exp_N(x) or x^(N-1) / (N-1)! does (x^N alone
+    overflows at N = 170 once |x| > 65.05), and equals x^N / N! times
+    the ratio bit for bit at N <= 1.  Vectorized over x.  For
+    x > log(DBL_MAX) = 709.78, exp_N(x) > e^x (1 - 1e-100) is beyond the
+    double range, and ``AccuracyError`` is raised before any work; so it
+    is for a result, or its factor x^(N-1) / (N-1)!, beyond the double
+    range at other x.
     """
     n = _order("series tail index", n)
     xs = np.asarray(x, dtype=float)
@@ -239,23 +244,19 @@ def exp_truncated(x, n: int):
     xs = np.atleast_1d(xs) + 0.0
     if not np.isfinite(xs).all():
         raise ConfigError("exp_truncated needs finite arguments")
-    lead = np.ones_like(xs)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, n + 1):
-            lead *= xs / k
-        out = lead * _exp_tail_ratio(-xs, n)
-        fin = np.isfinite(out)
-        if not fin.all():
-            redo = ~fin & (xs < 0.0)
-            xn = xs[redo]
-            out[redo] = (np.prod(xn[:, None] / np.arange(1.0, n), axis=1)
-                         * ((xn / n) * _exp_tail_ratio(-xn, n)))
-            fin = np.isfinite(out)
-    if not fin.all():
-        bad = xs[~fin][0]
+    bad = xs > _LOG_DBL_MAX
+    if not bad.any():
+        lead = np.ones_like(xs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(1, n):
+                lead *= xs / k
+            ratio = _exp_tail_ratio(-xs, n)
+            out = lead * ((xs / n) * ratio) if n else ratio
+            bad = ~np.isfinite(out)
+    if bad.any():
         raise AccuracyError(
-            f"exp_N(x) at N = {n}, x = {bad:.6g} is beyond the double "
-            "range, or its factor x^N / N! is")
+            f"exp_N(x) at N = {n}, x = {xs[bad][0]:.6g} is beyond the "
+            "double range, or its factor x^(N-1) / (N-1)! is")
     return float(out[0]) if scalar else out
 
 

@@ -154,11 +154,11 @@ def hermite_function(n: int, shift: float = 0.0) -> TestFunction:
         return root2n * h_prev - x * h
 
     radius = math.sqrt(2.0 * n + 1.0) + 9.0 + abs(shift)
-    f = _measure(ev, dv, radius, label=f"h{n}" + (f"@{shift:g}" if shift else ""))
-    # L2 norm is exactly 1 by construction; pin it to kill quadrature dust.
-    return TestFunction(eval=f.eval, deriv=f.deriv, sup_norm=f.sup_norm,
-                        sup_deriv_norm=f.sup_deriv_norm, l2_norm=1.0,
-                        support_radius=radius, label=f.label)
+    # L2 norm is exactly 1 by construction; only the sup norms are measured.
+    return TestFunction(eval=ev, deriv=dv, sup_norm=_grid_sup(ev, radius),
+                        sup_deriv_norm=_grid_sup(dv, radius), l2_norm=1.0,
+                        support_radius=radius,
+                        label=f"h{n}" + (f"@{shift:g}" if shift else ""))
 
 
 def gaussian_bump(amplitude: float = 1.0, center: float = 0.0,

@@ -507,6 +507,17 @@ class TestExitCodes:
     def test_convergence_requires_schedule(self, tmp_path):
         assert main(["convergence", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("kind", ["stransform", "kernels", "mc"])
+    def test_schedule_refused_by_single_eps_kinds(self, tmp_path, capsys,
+                                                  kind):
+        # stransform and kernels ran at eps = 0 and wrote 0.0 in the eps
+        # column; the schedule is refused before any work or artifact
+        out = tmp_path / "out"
+        assert main([kind, "--eps", "0.1,0.01", "--f", "gauss", "--out",
+                     str(out)]) == 2
+        assert "schedule" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_inadmissible_kernels(self, tmp_path, capsys):
         code = main(["kernels", "--H", "0.6", "--d", "2", "--N", "0",
                      "--out", str(tmp_path)])

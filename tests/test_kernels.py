@@ -216,6 +216,50 @@ class TestValues:
                       for g, y, x in zip(got, b, tau))
         assert err < 2e-15
 
+    def test_brownian_factor_fork_is_the_general_formula(self):
+        # the a = 0 branch of the factors gives the bits of the general
+        # expressions at H = 1/2, on b = t1 - u > 0 and on the strip
+        hu = Hurst(0.5)
+        a, c = hu.a, _kernel_scale(hu.h)
+        rng = np.random.default_rng(5)
+        for u in (0.0, 0.3, 0.7):
+            factors = kernels_module._product_factory(hu, (u,))[0]
+            t1, tau = rng.uniform(0.0, 1.0, (2, 300))
+            # a third of the points on the strip t1 in (u - tau, u], ten
+            # of them at t1 = u
+            t1[::3] = np.maximum(u - rng.uniform(0.0, 1.0, 100) * tau[::3],
+                                 0.0)
+            t1[:30:3] = u
+            b = t1 - u
+            want = np.zeros_like(t1)
+            pos = b > 0.0
+            strip = ~pos & (b + tau > 0.0)
+            bb, tp, ts = b[pos], tau[pos], tau[strip]
+            want[pos] = bb ** a * np.expm1(a * np.log1p(tp / bb)) / tp
+            want[strip] = (b[strip] + ts) ** a / ts
+            want = 1.0 * (c * want)
+            assert np.count_nonzero(strip) >= 100 and pos.any()
+            assert np.array_equal(factors(t1, tau), want)
+
+    @pytest.mark.parametrize("h", [0.15, 0.2, 0.3, 0.7])
+    def test_kernel_at_the_origin_matches_beta_closed_form(self, h):
+        # u = (0, 0): with t1 = s t2 the integral splits into
+        # int_0^1 t2^(-H) dt2 = 1/(1-H) and, with p = 1 - 3H,
+        # int_0^1 (1-s)^(p-1) (1 - s^a)^2 ds
+        #   = B(1, p) - 2 B(1+a, p) + B(1+2a, p),
+        # continued analytically to p < 0 (H > 1/3, as H = 0.7).  The
+        # mark at t1 = 0 was dropped for the inner integrals, which left
+        # H < 1/3 off by 5e-8 to 7e-8
+        tol = 1e-8
+        with mpmath.workdps(30):
+            a, p = mpmath.mpf(h) - 0.5, 1 - 3 * mpmath.mpf(h)
+            beta = (mpmath.beta(1, p) - 2 * mpmath.beta(1 + a, p)
+                    + mpmath.beta(1 + 2 * a, p))
+            want = float(-_kernel_scale(h) ** 2 * beta
+                         / (2 * mpmath.sqrt(2 * mpmath.pi) * (1 - h)))
+        got = kernel_value(h, (1,), ((0.0, 0.0),), tol=tol)
+        assert abs(got - want) <= tol * 0.5 * TWO_PI ** -0.5
+
     def test_brownian_pair_kernel_repeated(self):
         # coincident points: the strip contributes tau^(a-1) locally and
         # the closed form follows from the same square-root primitives

@@ -171,6 +171,23 @@ class TestExpTruncated:
                 exp_truncated(np.array([1.0, x]), n)
             assert math.isfinite(exp_truncated(700.0, 2))
 
+    @pytest.mark.parametrize("x", [1e6, 1e300])
+    def test_overflow_is_refused_before_the_rule_is_built(self, x,
+                                                          monkeypatch):
+        # 1e300 ended in numpy's "Maximum allowed size exceeded", and 1e6
+        # built a rule of 20,000 panels first; just below log(DBL_MAX)
+        # the value is a double
+        for n in (0, 1, 2, 170):
+            assert math.isfinite(exp_truncated(709.78, n))
+
+        def no_rule(y, n):
+            raise AssertionError("the tail rule was built")
+
+        monkeypatch.setattr(stransform_module, "_exp_tail_ratio", no_rule)
+        for arg in (x, np.array([1.0, x])):
+            with pytest.raises(AccuracyError, match="double range"):
+                exp_truncated(arg, 2)
+
     @pytest.mark.parametrize("x, n", [(-1e300, 2), (-1e160, 2), (-1e100, 4)])
     def test_large_negative_argument_stays_finite(self, x, n):
         # x^N / N! overflows here although exp_N(x), about x^(N-1)/(N-1)!,
