@@ -95,3 +95,30 @@ def _finite(name: str, value, least: float, *, strict: bool) -> float:
     sign = ">" if strict else ">="
     raise ConfigError(
         f"{name} must be a finite number {sign} {least:g}, got {value!r}")
+
+
+def _floats(name: str, value, shape=None) -> np.ndarray:
+    """``value`` as an array of floats, broadcast to ``shape`` if given."""
+    try:
+        out = np.asarray(value, dtype=float)
+        return out if shape is None else np.broadcast_to(out, shape)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be numbers" + (
+            "" if shape is None else f" of shape {shape}")) from None
+
+
+def _each(check, name: str, values, *args, **kwargs) -> list:
+    """[check(name, v, *args, **kwargs) for v in values], or ConfigError."""
+    try:
+        return [check(name, v, *args, **kwargs) for v in values]
+    except TypeError:
+        raise ConfigError(f"{name} values must come as a sequence, got "
+                          f"{values!r}") from None
+
+
+def _instance(name: str, value, cls):
+    """``value``, which must be an instance of ``cls``."""
+    if not isinstance(value, cls):
+        raise ConfigError(f"{name} must be a {cls.__name__}, got a "
+                          f"{type(value).__name__}")
+    return value

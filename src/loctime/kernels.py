@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigError, NonIntegrableError, _finite, _integer,
-                     _order)
+from .errors import (ConfigError, NonIntegrableError, _each, _finite,
+                     _instance, _integer, _order)
 from .fracops import Hurst, PairingTable, _hurst, _kernel_scale
 from .quadrature import integrate_triangle_singular
 from .stransform import (AdmissibilityResult, DeltaSpec, _order_term,
@@ -52,11 +52,7 @@ _TWO_PI = 2.0 * math.pi
 def _kernel_input(idx, arg=None):
     """Half-orders (n_1, ..., n_d) of ``idx`` as ints and, unless ``arg``
     is None, its d blocks of 2 n_j finite points, flattened in order."""
-    try:
-        orders = tuple(_integer("kernel index entry", n, 0) for n in idx)
-    except TypeError:
-        raise ConfigError(
-            f"kernel index must be a sequence, got {idx!r}") from None
+    orders = tuple(_each(_integer, "kernel index entry", idx, 0))
     if not orders:
         raise ConfigError("kernel index needs at least one component")
     if arg is None:
@@ -256,6 +252,7 @@ def series_reconstruction(spec: DeltaSpec, f, max_order: int,
     s_local_time(spec, f); an insufficient max_order is reported through
     ``converged``/``last_term`` rather than raised.
     """
+    spec = _instance("spec", spec, DeltaSpec)
     max_order = _order("max_order", max_order, spec.n_trunc)
     orders = tuple(range(spec.n_trunc, max_order + 1))
     # The order terms open the gate at order N before the table is built.

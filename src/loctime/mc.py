@@ -37,8 +37,8 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
-from .errors import (AccuracyError, ConfigError, ConsistencyError, _finite,
-                     _integer, _order)
+from .errors import (AccuracyError, ConfigError, ConsistencyError, _each,
+                     _finite, _floats, _instance, _integer, _order)
 from .fracops import (Hurst, Interval, _hurst, _kernel_scale, _plus_power,
                       increment_kernel)
 from .quadrature import integrate_interval
@@ -123,7 +123,7 @@ def _endpoint_strip(a: float, c: float, gap: float, delta: float,
         return pref * r ** a * (1.0 + r) ** a
 
     total = integrate_interval(near, 0.0, m1 / gap, tol=0.5 * tol,
-                               singular=[(0.0, a)], order=16).value
+                               singular=[(0.0, a)]).value
     if delta > gap:
         # u above the gap: log coordinates u = gap * e^z tame the power
         # decay over what may be many decades; the exponent form never
@@ -134,7 +134,7 @@ def _endpoint_strip(a: float, c: float, gap: float, delta: float,
             return c * c * np.exp(ea * (lg + z) + a * np.log1p(np.exp(-z)))
 
         total += integrate_interval(far, 0.0, math.log(delta / gap),
-                                    tol=0.5 * tol, order=16).value
+                                    tol=0.5 * tol).value
     return total
 
 
@@ -172,7 +172,7 @@ def covariance_from_kernels(h, s: float, t: float, tol: float = 1e-8) -> float:
     delta = 0.5 * hi
     strip = _endpoint_strip(a, c, abs(t - s), delta, tol / 3.0)
     core = integrate_interval(body, -x0, hi - delta, tol=tol / 3.0,
-                              singular=[(0.0, 2.0 * a)], order=16)
+                              singular=[(0.0, 2.0 * a)])
 
     def tail_body(v):
         w = x0 / v
@@ -181,7 +181,7 @@ def covariance_from_kernels(h, s: float, t: float, tol: float = 1e-8) -> float:
         return c * c * w ** (2.0 * a) * fs * ft * x0 / v ** 2
 
     tail = integrate_interval(tail_body, 0.0, 1.0, tol=tol / 3.0,
-                              singular=[(0.0, -2.0 * a)], order=16)
+                              singular=[(0.0, -2.0 * a)])
     return core.value + strip + tail.value
 
 
@@ -292,15 +292,10 @@ class PathEnsemble:
     def __post_init__(self):
         object.__setattr__(self, "hurst", _hurst(self.hurst))
         object.__setattr__(self, "stream", _integer("stream", self.stream, 0))
-        if not isinstance(self.grid, (WhiteNoiseGrid, type(None))):
-            raise ConfigError(f"grid must be a WhiteNoiseGrid or None, got "
-                              f"{self.grid!r}")
+        if self.grid is not None:
+            _instance("grid", self.grid, WhiteNoiseGrid)
         times = _time_grid(self.times)
-        try:
-            paths = np.asarray(self.paths, dtype=float)
-        except (TypeError, ValueError):
-            raise ConfigError("paths must be an array of numbers of shape "
-                              "(n_paths, times, d)") from None
+        paths = _floats("paths", self.paths)
         if paths.ndim != 3 or paths.shape[1] != times.size:
             raise ConfigError(
                 f"paths shape {paths.shape} does not match "
@@ -326,11 +321,7 @@ class PathEnsemble:
         are copied in C order, so each path's columns stay contiguous;
         the noise coordinates stay those of the full ensemble.
         """
-        try:
-            idx = [_integer("time index", i, 0) for i in indices]
-        except TypeError:
-            raise ConfigError(f"time subset must be a sequence of indices, "
-                              f"got {indices!r}") from None
+        idx = _each(_integer, "time index", indices, 0)
         if not idx or idx[0] != 0:
             raise ConfigError("time subset must keep the t = 0 anchor")
         if max(idx) >= self.times.size:
@@ -490,6 +481,7 @@ def sample_paths_whitenoise(h, d: int, times, grid: WhiteNoiseGrid,
     n_paths = _integer("n_paths", n_paths, 1)
     stream = _integer("stream", stream, 0)
     times = _time_grid(times)
+    grid = _instance("grid", grid, WhiteNoiseGrid)
     K = _kernel_matrix(hu, times, grid)
     if times.size < WINDOW:
         K = np.concatenate([K, np.zeros((WINDOW - times.size, grid.n_cells))])
@@ -691,6 +683,7 @@ def mc_local_time_regularized(ens: PathEnsemble, eps: float, *,
     measured by ``mc_grid_bias``.
     """
     _finite("the estimator's eps", eps, 0.0, strict=True)
+    ens = _instance("ensemble", ens, PathEnsemble)
     return _mc_reduce(_pair_sums(ens, eps, n_threads=n_threads))
 
 
@@ -781,11 +774,14 @@ def _wick_weights(ens: PathEnsemble, fvals: np.ndarray, *,
     return weights
 
 
-def _require_whitenoise(ens: PathEnsemble, what: str) -> None:
+def _require_whitenoise(ens, what: str) -> PathEnsemble:
+    """ens, which must be a white-noise ``PathEnsemble``."""
+    ens = _instance("ensemble", ens, PathEnsemble)
     if ens.grid is None:
         raise ConfigError(
             f"{what} needs the white-noise generator: the ensemble must "
             "carry its noise grid, and a Cholesky ensemble has none")
+    return ens
 
 
 def _f_values(ens: PathEnsemble, f) -> np.ndarray:
@@ -800,7 +796,7 @@ def _f_values(ens: PathEnsemble, f) -> np.ndarray:
 def mc_weight_check(ens: PathEnsemble, f, *,
                     n_threads: int | None = None) -> McEstimate:
     """Sample mean of the Wick weight; the exact expectation is 1."""
-    _require_whitenoise(ens, "the weight check")
+    ens = _require_whitenoise(ens, "the weight check")
     fvals = _f_values(ens, f)
     return _mc_reduce(_wick_weights(ens, fvals, n_threads=n_threads))
 
@@ -828,7 +824,7 @@ def mc_s_transform(ens: PathEnsemble, f, eps: float, n_trunc: int = 0, *,
     is bit-identical to ``mc_local_time_regularized``.
     """
     _finite("the estimator's eps", eps, 0.0, strict=True)
-    _require_whitenoise(ens, "the S-transform estimator")
+    ens = _require_whitenoise(ens, "the S-transform estimator")
     n_trunc = _order("truncation level", n_trunc)
     K = _kernel_matrix(ens.hurst, ens.times, ens.grid)
     drift = K @ (_f_values(ens, f).T * ens.grid.dx)

@@ -6,8 +6,8 @@ one-dimensional integrals whose integrand behaves like ``|x - p|^sigma``
 marked points and each singular endpoint is removed exactly by the
 substitution ``x = p + w**(1/(1+sigma))``, which maps ``(x-p)^sigma dx``
 to a constant multiple of ``dw``.  Panels are then refined adaptively
-with an embedded Gauss pair (order n vs 2n), by generations: each
-generation evaluates all new panels in calls of the integrand of at
+with an embedded Gauss pair (_ORDER = 16 nodes vs 32), by generations:
+each generation evaluates all new panels in calls of the integrand of at
 most _MAX_POINTS points.  One call integrates a batch of intervals
 (arrays ``lo``, ``hi``, one mark list and one set of parameters ``args``
 per row); a row's result is bit-identical whether it is integrated alone
@@ -54,7 +54,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import AccuracyError, ConfigError, NonIntegrableError, _finite
+from .errors import (AccuracyError, ConfigError, NonIntegrableError, _each,
+                     _finite, _floats)
 
 __all__ = [
     "QuadratureResult",
@@ -84,11 +85,12 @@ class QuadratureResult:
         return self.value
 
 
-# The two caps on the engine's state: most integrand points in one call
-# of the integrand by ``integrate_interval`` (128 panels of an order-16
-# pair), and most panels it holds, all rows of a batch together, beyond
-# one row's ``max_panels``.
-_MAX_POINTS = 6144
+# The engine's Gauss pair has _ORDER nodes against 2 * _ORDER, 3 * _ORDER
+# points a panel.  The caps on its state: most integrand points in one
+# call of the integrand (128 panels), and most panels held, all rows of
+# a batch together, beyond one row's ``max_panels``.
+_ORDER = 16
+_MAX_POINTS = 128 * 3 * _ORDER
 _MAX_PANELS = 65536
 # Most integrand points the inner integrals of one triangle integral may
 # use.
@@ -211,7 +213,6 @@ def _pow(base, expo):
 def integrate_interval(f: Callable[..., np.ndarray], lo, hi, *,
                        tol: float,
                        singular: Sequence = (),
-                       order: int = 16,
                        max_panels: int = 4096,
                        strict: bool = True,
                        args: Sequence = ()) -> QuadratureResult:
@@ -255,14 +256,14 @@ def integrate_interval(f: Callable[..., np.ndarray], lo, hi, *,
     n_rows = los.size
     if not batch:
         singular = (singular,)
-    params = [np.broadcast_to(np.asarray(a, float), (n_rows,)) for a in args]
+    params = [_floats("integrand parameter", a, (n_rows,)) for a in args]
 
     # One panel per branch: row, x = p + side * w**q for w in [w_lo, w_hi].
     rows, p, side, q, w_hi = _panels(los, his, *_marks(singular, n_rows))
     w_lo, val, err = np.zeros((3, rows.size))
     value, error = np.zeros((2, n_rows))
     fresh = np.ones(rows.size, dtype=bool)
-    (gx_c, gw_c), (gx_f, gw_f) = _leggauss(order), _leggauss(2 * order)
+    (gx_c, gw_c), (gx_f, gw_f) = _leggauss(_ORDER), _leggauss(2 * _ORDER)
     unit = np.concatenate([gx_c, gx_f])
     block = max(1, _MAX_POINTS // unit.size)
     evaluations = 0
@@ -291,9 +292,9 @@ def integrate_interval(f: Callable[..., np.ndarray], lo, hi, *,
             vals[ok] = (f(x[ok], *(a[at] for a in params))
                         * (qo * wo ** (qo - 1.0)))
             evaluations += at.size
-            val[idx] = half * np.sum(vals[:, order:] * gw_f, axis=1)
+            val[idx] = half * np.sum(vals[:, _ORDER:] * gw_f, axis=1)
             err[idx] = np.abs(
-                val[idx] - half * np.sum(vals[:, :order] * gw_c, axis=1))
+                val[idx] - half * np.sum(vals[:, :_ORDER] * gw_c, axis=1))
 
         # Split, in every row above tol, the panels above the row's share
         # of tol, largest error first and no more than keep the row at
@@ -371,9 +372,9 @@ def _inner_integrals(g, tol: float, marks_of):
     ``AccuracyError`` is raised, so the budget is never overrun."""
     evaluations = [0]
     # A row ends with at most max_panels panels and each split evaluates
-    # two new ones, 48 points each in the order-16 pair.
+    # two new ones, 3 * _ORDER points each.
     max_panels = 4096
-    row_points = 2 * max_panels * 48
+    row_points = 2 * max_panels * 3 * _ORDER
 
     def G(taus: np.ndarray) -> np.ndarray:
         out = np.empty_like(taus)
@@ -403,11 +404,7 @@ def _inner_integrals(g, tol: float, marks_of):
 def _marks_at(marks_of, t):
     """The marks ``marks_of`` gives at the array ``t``, as pairs of shape
     (t.size, k, 2)."""
-    try:
-        pairs = np.asarray(marks_of(t), dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"inner_singularities gave no array of "
-                          f"(t1, sigma) pairs: {exc}") from None
+    pairs = _floats("inner_singularities' (t1, sigma) pairs", marks_of(t))
     if pairs.size == 0:
         pairs = pairs.reshape(0, 2)
     if pairs.ndim == 2 and pairs.shape[1] == 2:
@@ -492,8 +489,7 @@ def divergence_probe(alpha: float,
     """
     alpha = _finite("singular exponent alpha", alpha, -math.inf, strict=True)
     tol = _finite("quadrature tolerance", tol, 0.0, strict=True)
-    kappas = np.array([_finite("cutoff", k, 0.0, strict=True)
-                       for k in cutoffs])
+    kappas = np.array(_each(_finite, "cutoff", cutoffs, 0.0, strict=True))
     for kappa in kappas.tolist():
         if kappa >= 1.0:
             raise ConfigError(f"cutoff {kappa} must lie in (0, 1)")

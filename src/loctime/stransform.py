@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (AccuracyError, AdmissibilityError, ConfigError,
-                     _finite, _integer, _order)
+                     _each, _finite, _floats, _instance, _integer, _order)
 from .fracops import Hurst, Interval, PairingTable, _hurst, pairing_closed_form
 from .quadrature import (QuadratureResult, gauss_panels,
                          integrate_triangle_singular)
@@ -238,7 +238,7 @@ def exp_truncated(x, n: int):
     range at other x.
     """
     n = _order("series tail index", n)
-    xs = np.asarray(x, dtype=float)
+    xs = _floats("exp_truncated's x", x)
     scalar = xs.ndim == 0
     # + 0.0 turns -0.0 into 0.0, so that exp_N(-0.0) = 0.0 for N >= 1.
     xs = np.atleast_1d(xs) + 0.0
@@ -292,6 +292,7 @@ def s_delta(spec: DeltaSpec, t1: float, t2: float, f,
     (2 pi w)^(-d/2) exp_N(-|v|^2 / (2 w)) with w = eps + tau^(2H); the
     bare delta is N = 0, eps = 0.  Coincident times need eps > 0.
     """
+    spec = _instance("spec", spec, DeltaSpec)
     t1 = _finite("time t1", t1, -math.inf, strict=True)
     t2 = _finite("time t2", t2, -math.inf, strict=True)
     if t1 == t2 and spec.eps == 0.0:
@@ -319,6 +320,7 @@ def s_local_time(spec: DeltaSpec, f, tol: float = 1e-9, *,
     A prebuilt ``pairing`` table of f saves its build; one for another
     H, d or f raises ``ConfigError``.
     """
+    spec = _instance("spec", spec, DeltaSpec)
     h = spec.hurst.h
     d = spec.d
     n = spec.n_trunc
@@ -363,8 +365,8 @@ def u_estimate_check(spec: DeltaSpec, f, z_values, tol: float = 1e-8) -> UEstima
     Sample points violating the fitted envelope (beyond tiny slack) are
     flagged; with a sane quadrature there should be none.
     """
-    bundle = _as_bundle(f, spec.d)
-    zs = [_finite("z sample", z, -math.inf, strict=True) for z in z_values]
+    bundle = _as_bundle(f, _instance("spec", spec, DeltaSpec).d)
+    zs = _each(_finite, "z sample", z_values, -math.inf, strict=True)
     if len(zs) < 2:
         raise ConfigError("need at least two z samples for an envelope")
     norm_sq = bundle.norm ** 2

@@ -15,12 +15,12 @@ norms are recomputed numerically on construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, _finite, _integer
+from .errors import ConfigError, _each, _finite, _instance, _integer
 from .quadrature import integrate_interval
 
 __all__ = [
@@ -110,7 +110,7 @@ def _measure(eval_fn, deriv_fn, radius: float, label: str) -> TestFunction:
     sup = _grid_sup(eval_fn, radius)
     supd = _grid_sup(deriv_fn, radius)
     l2sq = integrate_interval(lambda x: eval_fn(x) ** 2, -radius, radius,
-                              tol=1e-13, order=24)
+                              tol=1e-13)
     return TestFunction(eval=eval_fn, deriv=deriv_fn, sup_norm=sup,
                         sup_deriv_norm=supd, l2_norm=math.sqrt(l2sq.value),
                         support_radius=radius, label=label)
@@ -194,8 +194,8 @@ def linear_combination(coeffs: Sequence[float],
         raise ConfigError("one coefficient per function required")
     coeffs = [_finite("coefficient", c, -math.inf, strict=True)
               for c in coeffs]
-    pairs = [(c, f) for c, f in zip(coeffs, funcs) if c != 0.0
-             and not f.is_zero]
+    pairs = [(c, f) for c, f in zip(coeffs, funcs)
+             if not _instance("f", f, TestFunction).is_zero and c != 0.0]
     if not pairs:
         return zero_function()
 
@@ -225,7 +225,7 @@ class VectorTestFunction:
     components: tuple[TestFunction, ...]
 
     def __post_init__(self):
-        if len(self.components) == 0:
+        if not _each(_instance, "component", self.components, TestFunction):
             raise ConfigError("at least one component required")
 
     @property
@@ -264,8 +264,7 @@ def _as_bundle(f, d: int | None = None) -> VectorTestFunction:
     with ``d`` given, its number of components must be d."""
     if isinstance(f, TestFunction):
         f = VectorTestFunction((f,))
-    elif not isinstance(f, VectorTestFunction):
-        raise ConfigError(f"not a test function: {f!r}")
+    f = _instance("f", f, VectorTestFunction)
     if d is not None and f.d != d:
         raise ConfigError(
             f"test function has {f.d} components, spec demands {d}")

@@ -15,16 +15,16 @@ from loctime.errors import ConfigError
 from loctime.fracops import Interval, bound_ratio, dual_apply, pairing_indicator
 from loctime.kernels import kernel_value, series_reconstruction
 from loctime.mc import (PathEnsemble, WhiteNoiseGrid, fbm_covariance,
-                        make_midpoint_times, mc_s_transform, mc_weight_check,
-                        resolve_threads, sample_paths_cholesky,
-                        sample_paths_whitenoise)
+                        make_midpoint_times, mc_local_time_regularized,
+                        mc_s_transform, mc_weight_check, resolve_threads,
+                        sample_paths_cholesky, sample_paths_whitenoise)
 from loctime.quadrature import (divergence_probe, integrate_interval,
                                 triangle_power_moment)
 from loctime.stransform import (DeltaSpec, admissibility, exp_truncated,
                                 s_char_exp, s_delta, s_local_time,
                                 u_estimate_check)
-from loctime.testfunctions import (gaussian_bump, hermite_function,
-                                   linear_combination)
+from loctime.testfunctions import (VectorTestFunction, gaussian_bump,
+                                   hermite_function, linear_combination)
 
 TIMES = make_midpoint_times(4)
 GRID = WhiteNoiseGrid(n_cells=64)
@@ -150,6 +150,40 @@ BAD_VALUES = [
      lambda: PathEnsemble(hurst=0.5, times=TIMES, paths=PATHS, grid="g")),
     ("divergence_probe tol string",
      lambda: divergence_probe(0.5, _ones, [0.1], tol="x")),
+    # Arguments of the wrong type ended in AttributeError, TypeError or
+    # ValueError, or (a vector f for dual_apply, a string component) were
+    # taken.
+    ("whitenoise grid None",
+     lambda: sample_paths_whitenoise(0.5, 1, TIMES, None, 4)),
+    ("whitenoise grid string",
+     lambda: sample_paths_whitenoise(0.5, 1, TIMES, "g", 4)),
+    ("mc_local_time_regularized ensemble string",
+     lambda: mc_local_time_regularized("x", 0.1)),
+    ("mc_s_transform ensemble string",
+     lambda: mc_s_transform("x", BUMP, 0.1)),
+    ("mc_weight_check ensemble string", lambda: mc_weight_check("x", BUMP)),
+    ("s_local_time spec tuple",
+     lambda: s_local_time((0.5, 1, 0, 0.0), BUMP)),
+    ("series_reconstruction spec tuple",
+     lambda: series_reconstruction((0.5, 1, 0, 0.0), BUMP, 3)),
+    ("u_estimate_check z number", lambda: u_estimate_check(SPEC, BUMP, 5)),
+    ("divergence_probe cutoff number",
+     lambda: divergence_probe(0.5, _ones, 5)),
+    ("dual_apply f string", lambda: dual_apply(0.3, "f", 0.1)),
+    ("dual_apply vector f",
+     lambda: dual_apply(0.3, VectorTestFunction((BUMP,)), 0.1)),
+    ("linear_combination function string",
+     lambda: linear_combination([1.0], ["x"])),
+    ("VectorTestFunction component string",
+     lambda: VectorTestFunction(("x",))),
+    ("exp_truncated x string", lambda: exp_truncated("a", 1)),
+    ("integrate_interval args of another length",
+     lambda: integrate_interval(lambda x, k: x, np.zeros(3), np.ones(3),
+                                tol=1e-9, args=(np.ones(2),))),
+    # A zero sup|f| under a positive sup|f'| gave the dual operator no
+    # panel length.
+    ("dual_apply norms with no ratio",
+     lambda: dual_apply(0.3, dataclasses.replace(BUMP, sup_norm=0.0), 0.1)),
 ]
 
 # Bad time grids; each ended in an IndexError, ZeroDivisionError or

@@ -23,6 +23,25 @@ def bump():
     return gaussian_bump(0.7, 0.2, 0.4)
 
 
+# (K+ f)(x) from its original forms, the Riemann-Liouville integral for
+# H > 1/2 and Marchaud's for H < 1/2, as ``tests/dual_references.py``
+# prints them: {(f, H, x): (value, mpmath's error estimate)}.
+DUAL_REFERENCES = {
+    ('bump(1, .45, .01)', 0.9, 0.9): (0.013136040065869134, 3.3e-43),
+    ('bump(1, .45, .01)', 0.7, 0.9): (0.010371730713793175, 2.2e-43),
+    ('bump(1, .45, .01)', 0.3, 0.9): (-0.0095507953474558711, 1.5e-43),
+    ('bump(1, .45, .01)', 0.02, 0.9): (-0.0057048639823148304, 7.0e-44),
+    ('bump(.7, .2, .4)', 0.02, -0.4): (0.11078094125353943, 7.0e-17),
+    ('bump(.7, .2, .4)', 0.02, 0.0): (0.20539195558954189, 7.0e-16),
+    ('h1@.4', 0.02, 0.9): (0.21206175994677254, 7.0e-16),
+}
+DUAL_FUNCTIONS = {
+    'bump(1, .45, .01)': lambda: gaussian_bump(1.0, 0.45, 0.01),
+    'bump(.7, .2, .4)': bump,
+    'h1@.4': lambda: hermite_function(1, 0.4),
+}
+
+
 class TestValidation:
     @pytest.mark.parametrize("h", [0.0, 1.0, -0.2, 1.5, float("nan")])
     def test_hurst_range(self, h):
@@ -146,6 +165,30 @@ class TestDualOperator:
     def test_zero_function_maps_to_zero(self):
         assert dual_apply(0.7, zero_function(), 0.3) == 0.0
 
+    @pytest.mark.parametrize("key", list(DUAL_REFERENCES),
+                             ids=lambda k: f"{k[0]}-H{k[1]}-x{k[2]}")
+    def test_original_forms_by_mpmath(self, key):
+        # A bump of width 0.01 and H near 0 are where panels sized in
+        # advance miss tol; the references integrate the forms before
+        # integration by parts.
+        name, h, x = key
+        value, err = DUAL_REFERENCES[key]
+        got = dual_apply(h, DUAL_FUNCTIONS[name](), x, tol=1e-10)
+        assert abs(got - value) <= 1e-10 + err
+
+    @pytest.mark.parametrize("name", list(DUAL_FUNCTIONS))
+    def test_continuous_through_half(self, name):
+        # K+ f moves from f by O(a) on either side of a = 0, with one
+        # slope, so the O(a) terms cancel in the mean of the two sides.
+        # The a > 0 form fails here if it loses the mass near u = 0.
+        f = DUAL_FUNCTIONS[name]()
+        for x in (-0.3, 0.2, 0.45, 0.9):
+            fx = float(f.eval(x))
+            below, above = (dual_apply(0.5 + a, f, x, tol=1e-10)
+                            for a in (-1e-9, 1e-9))
+            assert abs(below - fx) <= 1e-8 and abs(above - fx) <= 1e-8
+            assert abs(0.5 * (below + above) - fx) <= 2e-10
+
     @pytest.mark.parametrize("h,x", [(0.75, 0.3), (0.75, -0.1), (0.6, 0.5)])
     def test_smooth_branch_against_weighted_quad(self, h, x):
         # (K+ f)(x) = c_H a int_0^{x+R} f(x-u) u^(a-1) du for H > 1/2
@@ -195,6 +238,14 @@ class TestPairing:
         # pairing_indicator raises ConsistencyError internally if the
         # closed-form and dual-operator routes drift apart.
         f = bump()
+        v = pairing_indicator(h, f, (0.2, 0.9), tol=1e-8)
+        w = pairing_closed_form(h, f, (0.2, 0.9))
+        assert abs(v[0] - w[0]) < 1e-7
+
+    @pytest.mark.parametrize("h", [0.1, 0.3, 0.7])
+    def test_narrow_bump_routes_agree(self, h):
+        # both routes must resolve a bump of width 0.01
+        f = gaussian_bump(1.0, 0.45, 0.01)
         v = pairing_indicator(h, f, (0.2, 0.9), tol=1e-8)
         w = pairing_closed_form(h, f, (0.2, 0.9))
         assert abs(v[0] - w[0]) < 1e-7

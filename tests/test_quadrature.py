@@ -314,10 +314,12 @@ class TestVectorizedSetUp:
 
 
 class TestCaps:
-    def test_no_integrand_call_exceeds_the_point_cap(self):
+    def test_no_integrand_call_exceeds_the_point_cap(self, monkeypatch):
         # 600 panels per row in three rows: every generation past the
-        # first has more fresh panels than one call takes.
+        # first has more fresh panels than one call takes.  At order 5 a
+        # panel's 15 points do not divide the cap.
         for order in (16, 5):
+            monkeypatch.setattr(quadrature, "_ORDER", order)
             sizes = []
 
             def f(x, k):
@@ -325,7 +327,7 @@ class TestCaps:
                 return np.sin(k * x)
 
             integrate_interval(f, np.zeros(3), np.ones(3), tol=1e-13,
-                               max_panels=600, strict=False, order=order,
+                               max_panels=600, strict=False,
                                args=(np.array([1e5, 2e5, 3e5]),))
             assert max(sizes) <= quadrature._MAX_POINTS
             assert max(sizes) > quadrature._MAX_POINTS - 3 * order
