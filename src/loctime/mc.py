@@ -774,14 +774,12 @@ def _wick_weights(ens: PathEnsemble, fvals: np.ndarray, *,
     return weights
 
 
-def _require_whitenoise(ens, what: str) -> PathEnsemble:
-    """ens, which must be a white-noise ``PathEnsemble``."""
-    ens = _instance("ensemble", ens, PathEnsemble)
+def _require_whitenoise(ens, what: str) -> None:
+    _instance("ensemble", ens, PathEnsemble)
     if ens.grid is None:
         raise ConfigError(
             f"{what} needs the white-noise generator: the ensemble must "
             "carry its noise grid, and a Cholesky ensemble has none")
-    return ens
 
 
 def _f_values(ens: PathEnsemble, f) -> np.ndarray:
@@ -796,7 +794,7 @@ def _f_values(ens: PathEnsemble, f) -> np.ndarray:
 def mc_weight_check(ens: PathEnsemble, f, *,
                     n_threads: int | None = None) -> McEstimate:
     """Sample mean of the Wick weight; the exact expectation is 1."""
-    ens = _require_whitenoise(ens, "the weight check")
+    _require_whitenoise(ens, "the weight check")
     fvals = _f_values(ens, f)
     return _mc_reduce(_wick_weights(ens, fvals, n_threads=n_threads))
 
@@ -824,7 +822,7 @@ def mc_s_transform(ens: PathEnsemble, f, eps: float, n_trunc: int = 0, *,
     is bit-identical to ``mc_local_time_regularized``.
     """
     _finite("the estimator's eps", eps, 0.0, strict=True)
-    ens = _require_whitenoise(ens, "the S-transform estimator")
+    _require_whitenoise(ens, "the S-transform estimator")
     n_trunc = _order("truncation level", n_trunc)
     K = _kernel_matrix(ens.hurst, ens.times, ens.grid)
     drift = K @ (_f_values(ens, f).T * ens.grid.dx)
